@@ -9,65 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use dcas::StrategyStats;
 use dcas_deque::ConcurrentDeque;
-
-pub mod loadgen;
-
-/// Hardware threads visible to this process (`available_parallelism`),
-/// or 1 when the host will not say.
-pub fn hw_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Best-effort CPU model name (first `model name` in `/proc/cpuinfo`;
-/// `"unknown"` off Linux or when unreadable).
-pub fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_owned())
-        })
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// The `"host"` section embedded in every `BENCH_*.json`: hardware
-/// parallelism, CPU model, OS, and architecture, so a measurement can
-/// never again be read without knowing what machine produced it.
-/// Returns a JSON fragment (no trailing comma or newline), e.g.
-/// `"host": {"hw_threads": 1, ...}`.
-pub fn host_info_json() -> String {
-    format!(
-        "\"host\": {{\"hw_threads\": {}, \"cpu\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\"}}",
-        hw_threads(),
-        cpu_model().replace('"', "'"),
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    )
-}
-
-/// Prints the single-CPU oversubscription caveat when a bench is about
-/// to run `max_threads` workers on fewer hardware threads. Returns
-/// whether the caveat applied, so JSON writers can record it too.
-/// (ROADMAP item 1 flagged the CI container as single-CPU: every
-/// "scaling" curve there measures time-slicing, not parallelism —
-/// stop hand-noting that in EXPERIMENTS.md, print it from the source.)
-pub fn print_oversubscription_caveat(max_threads: usize) -> bool {
-    let hw = hw_threads();
-    if max_threads > hw {
-        println!(
-            "CAVEAT: {max_threads} worker threads on {hw} hardware thread(s) — \
-             oversubscribed; thread counts beyond {hw} measure time-slicing \
-             overhead, not parallel speedup."
-        );
-        true
-    } else {
-        false
-    }
-}
 
 /// Balanced two-end workload: half the threads work the left end, half
 /// the right; each does `ops` push/pop pairs. Returns total wall time.
@@ -196,33 +138,4 @@ pub fn sequential_churn<D: ConcurrentDeque<u64>>(deque: &D, ops: u64) {
         let _ = deque.pop_left();
     }
     while deque.pop_left().is_some() {}
-}
-
-/// Formats a [`StrategyStats`] snapshot as one compact log line for bench
-/// output. All-zero snapshots (crate built without `dcas/stats`) yield a
-/// note instead of misleading zeros.
-pub fn format_stats(label: &str, stats: &StrategyStats) -> String {
-    if *stats == StrategyStats::default() {
-        return format!("{label}: (stats feature disabled)");
-    }
-    format!(
-        "{label}: ops={} dcas={} failed={} casn={} casn_failed={} helps={} desc_reuse={} \
-         desc_alloc={} reuse_rate={} elim_hits={} elim_misses={} elim_hit_rate={}",
-        stats.ops,
-        stats.dcas_ops,
-        stats.dcas_failures,
-        stats.casn_ops,
-        stats.casn_failures,
-        stats.helps,
-        stats.descriptor_reuses,
-        stats.descriptor_allocs,
-        stats
-            .reuse_rate()
-            .map_or_else(|| "n/a".to_owned(), |r| format!("{:.3}", r)),
-        stats.elim_hits,
-        stats.elim_misses,
-        stats
-            .elim_hit_rate()
-            .map_or_else(|| "n/a".to_owned(), |r| format!("{:.3}", r)),
-    )
 }

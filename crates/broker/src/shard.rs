@@ -9,8 +9,8 @@
 //!   produce lands at the right end in chunk-atomic batches and consume
 //!   drains the left end, so each shard serves FIFO.
 //! * [`TieredShard`] wraps the two-level
-//!   [`TieredDeque`](dcas_workstealing::TieredDeque) with the stealable
-//!   Chase–Lev private tier. Its push side is **single-owner** (the
+//!   [`TieredDeque`](dcas_workstealing::TieredDeque), whose private
+//!   tier is a stealable Chase–Lev deque. Its push side is **single-owner** (the
 //!   tier's safety contract), so the broker binds at most one producer
 //!   to it ([`BrokerShard::PRODUCER_EXCLUSIVE`]); consumers go through
 //!   the thief-safe steal path and the owner's buffered work is
@@ -20,7 +20,7 @@
 
 use dcas::HarrisMcas;
 use dcas_deque::{ConcurrentDeque, ListDeque, MAX_BATCH};
-use dcas_workstealing::{ChaseLevTier, TieredDeque};
+use dcas_workstealing::TieredDeque;
 
 /// One shard of a [`ShardedBroker`](crate::ShardedBroker).
 ///
@@ -131,14 +131,12 @@ impl<T: Send, D: ConcurrentDeque<T>> BrokerShard<T> for FlatShard<D> {
 /// empty. Consumers take through the thief-safe path (shared level
 /// first, then the tier's top), so every inter-thread transfer is
 /// either linearizable-deque traffic or a Chase–Lev steal.
-pub struct TieredShard<T: Send>(
-    pub TieredDeque<T, ListDeque<T, HarrisMcas>, ChaseLevTier<T>>,
-);
+pub struct TieredShard<T: Send>(pub TieredDeque<T, ListDeque<T, HarrisMcas>>);
 
 impl<T: Send> TieredShard<T> {
     /// An empty tiered shard.
     pub fn new() -> Self {
-        TieredShard(TieredDeque::with_tier(ListDeque::new()))
+        TieredShard(TieredDeque::new(ListDeque::new()))
     }
 }
 

@@ -809,8 +809,27 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
             let prev2p = ptr_of(prev2);
             if prev2p != node {
                 if prev2p.is_null() {
-                    // Ran off the end of the chain: `node` must be
-                    // mid-deletion; re-check `link1`.
+                    // Ran off the end of the chain: `prev` is the tail
+                    // sentinel. Either `node` is mid-deletion (the
+                    // `link1` check above ends the walk), or the walk
+                    // stepped past `node`: `step` re-reads `prev.next`,
+                    // and a concurrent splice can swing it straight to
+                    // the tail — `node` itself when the tail's backlink
+                    // is the one being repaired. Retrying from the tail
+                    // would spin alone forever once the other threads
+                    // go quiet, so walk again from the remembered
+                    // predecessor, whose `next` has changed (or from
+                    // the head when there is none).
+                    if last.is_null() {
+                        prev = self.headp();
+                    } else {
+                        if Self::NP {
+                            g.protect(SLOT_PREV, last as u64);
+                            g.clear(SLOT_LAST);
+                        }
+                        prev = last;
+                        last = std::ptr::null();
+                    }
                     continue;
                 }
                 if Self::NP {

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use dcas::HarrisMcas;
 use dcas_baselines::{AbpDeque, MutexDeque, Steal};
 use dcas_deque::value::{Boxed, WordValue};
-use dcas_deque::{ArrayDeque, ConcurrentDeque, ListDeque, SundellDeque, MAX_BATCH};
+use dcas_deque::{ArrayDeque, ConcurrentDeque, ListDeque, MAX_BATCH};
 
 use crate::chaselev::{ChaseLev, Steal as ClSteal};
 use crate::scheduler::Task;
@@ -73,10 +73,11 @@ pub trait WorkDeque: Send + Sync + 'static {
     /// storage, returning the ones that could not be published (bounded
     /// shared level at capacity; the caller must run those itself).
     ///
-    /// Flat deques have no private buffer, so the default is a no-op; the
-    /// two-level [`TieredDeque`] wrappers override it. The scheduler
-    /// calls this when a worker dies so the tasks in its private ring
-    /// become stealable instead of stranding `pending` above zero.
+    /// Flat deques have no private buffer, so the default is a no-op;
+    /// [`TieredChaseLevWorkDeque`] overrides it. The scheduler calls
+    /// this when a worker dies so the tasks in its private tier and
+    /// staging buffer reach the shared level instead of stranding
+    /// `pending` above zero.
     fn flush_local(&self) -> Vec<Task> {
         Vec::new()
     }
@@ -119,7 +120,7 @@ impl LenHint {
 
     /// Whether the hinted size is zero. A hint, not truth: a stale
     /// nonzero reading merely skips one restock (thieves can still
-    /// reach a stealable tier directly), a stale zero merely spills one
+    /// reach the private tier directly), a stale zero merely spills one
     /// batch early.
     fn is_empty_hint(&self) -> bool {
         self.0.load(Ordering::Relaxed) == 0
@@ -245,199 +246,37 @@ impl WorkDeque for ArrayWorkDeque {
 }
 
 /// Number of tasks the owner-private tier of a [`TieredDeque`] holds
-/// before spilling a batch into the shared level. Sized at 4×
+/// before it spills a batch into an empty shared level. Sized at 4×
 /// [`MAX_BATCH`] so the owner absorbs fork bursts privately and the
 /// spill/refill traffic moves whole chunk-atomic batches.
 pub const RING_CAP: usize = 4 * MAX_BATCH;
 
-/// The owner-private level of a [`TieredDeque`].
-///
-/// Two implementations: [`VecRing`] (the original spill-only ring —
-/// zero atomics, completely invisible to thieves) and [`ChaseLevTier`]
-/// (a [`ChaseLev`] deque — owner ops pay one fence, and thieves may
-/// steal the tier's top directly instead of waiting for a spill).
-///
-/// # Safety contract
-///
-/// `push`, `pop`, `take_oldest` and `unspill` are owner-only (the
-/// [`WorkDeque`] contract); `steal` may be called by any thread, but
-/// must return `None` without touching unsynchronised state when
-/// [`STEALABLE`](Self::STEALABLE) is `false`.
-pub trait PrivateTier<T: Send>: Send + Sync {
-    /// Whether thieves may take from this tier directly.
-    const STEALABLE: bool;
-
-    /// An empty tier.
-    fn new() -> Self;
-    /// Owner-only: pushes at the newest end. Never fails (private tiers
-    /// are unbounded — growth or amortised reallocation).
-    fn push(&self, v: T);
-    /// Owner-only: pops the newest value.
-    fn pop(&self) -> Option<T>;
-    /// Number of elements; exact for the owner, a snapshot for thieves
-    /// (and only meaningful to thieves when [`STEALABLE`](Self::STEALABLE)).
-    fn len(&self) -> usize;
-    /// `len() == 0`, under the same staleness caveat.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Owner-only: removes up to `n` of the **oldest** values,
-    /// oldest-first (the spill direction).
-    fn take_oldest(&self, n: usize) -> Vec<T>;
-    /// Owner-only: returns values a bounded shared level rejected from a
-    /// spill. [`VecRing`] restores them in place (exact order);
-    /// [`ChaseLevTier`] re-pushes at the bottom (order is a scheduling
-    /// heuristic, conservation is the invariant).
-    fn unspill(&self, rest: Vec<T>);
-    /// Thief: takes the tier's oldest value. Retries internal races, so
-    /// `None` means the tier was observed empty (or is not stealable).
-    fn steal(&self) -> Option<T>;
-}
-
-/// The original owner-private tier: a `VecDeque` behind an
-/// `UnsafeCell`. Zero atomics on the owner's hot path; thieves can only
-/// see work after a spill.
-pub struct VecRing<T>(std::cell::UnsafeCell<std::collections::VecDeque<T>>);
-
-// SAFETY: all &mut access goes through owner-only methods per the
-// `PrivateTier` safety contract; `steal` never touches the cell.
-unsafe impl<T: Send> Send for VecRing<T> {}
-unsafe impl<T: Send> Sync for VecRing<T> {}
-
-impl<T> VecRing<T> {
-    /// Owner-only: the ring itself.
-    #[allow(clippy::mut_from_ref)]
-    fn ring(&self) -> &mut std::collections::VecDeque<T> {
-        // SAFETY: owner-only methods are never called concurrently (see
-        // the trait-level safety contract).
-        unsafe { &mut *self.0.get() }
-    }
-}
-
-impl<T: Send> PrivateTier<T> for VecRing<T> {
-    const STEALABLE: bool = false;
-
-    fn new() -> Self {
-        VecRing(std::cell::UnsafeCell::new(std::collections::VecDeque::with_capacity(
-            RING_CAP + 1,
-        )))
-    }
-
-    fn push(&self, v: T) {
-        self.ring().push_back(v);
-    }
-
-    fn pop(&self) -> Option<T> {
-        self.ring().pop_back()
-    }
-
-    fn len(&self) -> usize {
-        self.ring().len()
-    }
-
-    fn take_oldest(&self, n: usize) -> Vec<T> {
-        let ring = self.ring();
-        let n = n.min(ring.len());
-        ring.drain(..n).collect()
-    }
-
-    fn unspill(&self, rest: Vec<T>) {
-        let ring = self.ring();
-        for v in rest.into_iter().rev() {
-            ring.push_front(v);
-        }
-    }
-
-    fn steal(&self) -> Option<T> {
-        None
-    }
-}
-
-/// A [`ChaseLev`] deque as the private tier: the owner pays one release
-/// fence per push (instead of zero atomics) and in exchange thieves can
-/// steal the tier's top directly — no waiting for the owner to spill.
-pub struct ChaseLevTier<T>(ChaseLev<T>);
-
-impl<T: Send> PrivateTier<T> for ChaseLevTier<T> {
-    const STEALABLE: bool = true;
-
-    fn new() -> Self {
-        ChaseLevTier(ChaseLev::new())
-    }
-
-    fn push(&self, v: T) {
-        self.0.push(v);
-    }
-
-    fn pop(&self) -> Option<T> {
-        self.0.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn take_oldest(&self, n: usize) -> Vec<T> {
-        // The owner drains itself through the thief protocol (top end):
-        // `Retry` means a concurrent thief won an index — someone made
-        // progress — so looping is livelock-free.
-        let mut out = Vec::new();
-        while out.len() < n {
-            match self.0.steal() {
-                ClSteal::Stolen(v) => out.push(v),
-                ClSteal::Retry => continue,
-                ClSteal::Empty => break,
-            }
-        }
-        out
-    }
-
-    fn unspill(&self, rest: Vec<T>) {
-        // Rejected spill values re-enter at the bottom: their relative
-        // age is scrambled, but every value stays in the deque
-        // (conservation over ordering; see the trait docs).
-        for v in rest {
-            self.0.push(v);
-        }
-    }
-
-    fn steal(&self) -> Option<T> {
-        loop {
-            match self.0.steal() {
-                ClSteal::Stolen(v) => return Some(v),
-                ClSteal::Retry => std::hint::spin_loop(),
-                ClSteal::Empty => return None,
-            }
-        }
-    }
-}
-
-/// Two-level owner-biased work deque: a private tier for the owner's
-/// `push`/`pop` hot path, backed by one of the paper's linearizable
-/// DCAS deques as the shared level.
+/// Two-level owner-biased work deque: a [`ChaseLev`] deque as the
+/// owner-private tier, backed by one of the paper's linearizable DCAS
+/// deques as the shared level.
 ///
 /// The fork-join access pattern is overwhelmingly owner-local — a worker
 /// pushes a task and pops it back moments later — yet the flat adapters
 /// pay a full DCAS (descriptor install + helping protocol under the
 /// Harris substrate) for every one of those operations. Here the owner
-/// touches only the private tier `P`: at most a release fence per
-/// operation until the tier fills ([`RING_CAP`]), at which point the
-/// **oldest** [`MAX_BATCH`] tasks spill into the shared deque's right
-/// end with a single chunk-atomic `push_right_n` CASN (for a stealable
-/// tier only when the shared level looks empty — see
-/// [`push`](Self::push) for the policy). Refill is
-/// symmetric: an empty tier pulls the newest [`MAX_BATCH`] tasks back
-/// with one `pop_right_n`. Thieves prefer the shared deque's left end
-/// (the globally oldest work); with a [`ChaseLevTier`] they can also
-/// take the private tier's top once the shared level runs dry, so a
-/// burst of forked work is stealable *before* the owner spills.
+/// touches only the Chase–Lev tier: one release fence per push. Thieves
+/// prefer the shared deque's left end (the globally oldest published
+/// work) and fall back to the tier's top, so a burst of forked work is
+/// stealable without waiting for a spill. Spilling therefore has one
+/// job left: keep the shared linearizable level *stocked* as the
+/// preferred steal channel. Once the tier holds more than [`RING_CAP`]
+/// tasks and the shared level is observed empty, the **oldest**
+/// [`MAX_BATCH`] tasks move to the shared deque's right end with a
+/// single chunk-atomic `push_right_n` CASN. Refill is symmetric: an
+/// empty tier pulls the newest [`MAX_BATCH`] tasks back with one
+/// `pop_right_n`.
 ///
-/// Ordering invariant: the shared deque (left→right) followed by the
-/// private tier (oldest→newest) is always oldest→newest, because spills
-/// move the tier's *oldest* prefix to the shared *right* end and refills
-/// take the shared *newest* suffix back. Owner pops remain globally
-/// LIFO; steals drain globally FIFO through the shared level, then
-/// oldest-first from a stealable private tier.
+/// Ordering invariant (absent rejected spills): the shared deque
+/// (left→right) followed by the tier (oldest→newest) is
+/// oldest→newest, because spills move the tier's *oldest* prefix to
+/// the shared *right* end and refills take the shared *newest* suffix
+/// back. Owner pops are globally LIFO; steals drain the shared level
+/// FIFO, then the tier oldest-first.
 ///
 /// Spills stage their chunk in an owner-private `staged` buffer between
 /// draining the tier and the shared-level push, so a worker killed
@@ -449,12 +288,13 @@ impl<T: Send> PrivateTier<T> for ChaseLevTier<T> {
 /// `push`/`pop`/`flush_local` are owner-only (the [`WorkDeque`]
 /// contract), with cross-thread ownership handoff (scheduler
 /// startup/teardown) synchronised by thread spawn/join.
-/// `steal`/`steal_half` touch only the shared level and (when
-/// `P::STEALABLE`) the private tier's thief-safe top end.
-pub struct TieredDeque<T, D, P = VecRing<T>> {
-    private: P,
+/// `steal`/`steal_half` touch only the shared level and the tier's
+/// thief-safe top end.
+pub struct TieredDeque<T, D> {
+    private: ChaseLev<T>,
     /// Mid-spill staging: the chunk drained from the private tier but
-    /// not yet pushed to the shared level. Owner-only, like the tier.
+    /// not yet pushed to the shared level. Owner-only, like the tier's
+    /// bottom end.
     staged: std::cell::UnsafeCell<Vec<T>>,
     shared: D,
     /// Size hint for the shared level only.
@@ -467,24 +307,15 @@ pub struct TieredDeque<T, D, P = VecRing<T>> {
 
 // SAFETY: `staged` is owner-only per the `WorkDeque` contract (see the
 // type-level safety contract above); everything else is `Send + Sync`.
-unsafe impl<T: Send, D: Send + Sync, P: Send + Sync> Send for TieredDeque<T, D, P> {}
-unsafe impl<T: Send, D: Send + Sync, P: Send + Sync> Sync for TieredDeque<T, D, P> {}
+unsafe impl<T: Send, D: Send + Sync> Send for TieredDeque<T, D> {}
+unsafe impl<T: Send, D: Send + Sync> Sync for TieredDeque<T, D> {}
 
 impl<T: Send, D: ConcurrentDeque<T>> TieredDeque<T, D> {
-    /// Wraps `shared` as the steal-visible level under a fresh private
-    /// [`VecRing`] (the spill-only tier). Use
-    /// [`with_tier`](TieredDeque::with_tier) to pick another tier.
+    /// Wraps `shared` as the steal-visible level under a fresh, empty
+    /// Chase–Lev tier.
     pub fn new(shared: D) -> Self {
-        Self::with_tier(shared)
-    }
-}
-
-impl<T: Send, D: ConcurrentDeque<T>, P: PrivateTier<T>> TieredDeque<T, D, P> {
-    /// Wraps `shared` as the steal-visible level under a fresh private
-    /// tier `P`.
-    pub fn with_tier(shared: D) -> Self {
         TieredDeque {
-            private: P::new(),
+            private: ChaseLev::new(),
             staged: std::cell::UnsafeCell::new(Vec::new()),
             shared,
             len: LenHint::new(),
@@ -515,58 +346,84 @@ impl<T: Send, D: ConcurrentDeque<T>, P: PrivateTier<T>> TieredDeque<T, D, P> {
         unsafe { &mut *self.staged.get() }
     }
 
+    /// Takes the tier's oldest value. Retries lost index races, so
+    /// `None` means the tier was observed empty.
+    fn steal_private(&self) -> Option<T> {
+        loop {
+            match self.private.steal() {
+                ClSteal::Stolen(v) => return Some(v),
+                ClSteal::Retry => std::hint::spin_loop(),
+                ClSteal::Empty => return None,
+            }
+        }
+    }
+
+    /// Owner-only: removes up to `n` of the tier's **oldest** values,
+    /// oldest-first. The owner drains itself through the thief protocol
+    /// (top end); a lost race means a concurrent thief won an index, so
+    /// the loop is livelock-free.
+    fn take_oldest(&self, n: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        while out.len() < n {
+            match self.steal_private() {
+                Some(v) => out.push(v),
+                None => break,
+            }
+        }
+        out
+    }
+
+    /// Owner-only: pushes `batch` at the shared right end, returning
+    /// what a bounded shared level rejected.
+    fn publish(&self, batch: Vec<T>) -> Vec<T> {
+        let n = batch.len();
+        let rest = match self.shared.push_right_n(batch) {
+            Ok(()) => Vec::new(),
+            Err(full) => full.into_inner(),
+        };
+        self.len.add(n - rest.len());
+        rest
+    }
+
     /// Owner-only: spills the tier's oldest batch to the shared right
     /// end (it is newer than everything already there, so global order
-    /// holds). `Err` returns what a bounded shared level rejected.
-    fn spill(&self) -> Result<(), Vec<T>> {
+    /// holds). Returns what a bounded shared level rejected.
+    fn spill(&self) -> Vec<T> {
         let staged = self.staged();
         debug_assert!(staged.is_empty());
-        *staged = self.private.take_oldest(MAX_BATCH);
+        *staged = self.take_oldest(MAX_BATCH);
         // Death-flush window: a worker killed between the drain above
         // and the shared push below leaves the chunk in `staged`, which
         // `flush_local` publishes — no task is stranded.
         #[cfg(feature = "fault-inject")]
         dcas::fault::hit(dcas::fault::FaultPoint::SpillStaged, true);
-        let batch = std::mem::take(staged);
-        let n = batch.len();
-        match self.shared.push_right_n(batch) {
-            Ok(()) => {
-                self.len.add(n);
-                Ok(())
-            }
-            Err(full) => {
-                let rest = full.into_inner();
-                self.len.add(n - rest.len());
-                Err(rest)
-            }
-        }
+        self.publish(std::mem::take(staged))
     }
 
-    /// Owner-only: pushes a value, spilling the tier's oldest batch to
-    /// the shared level when full. `Err` hands a task back when the
-    /// shared level is bounded and at capacity (normally the one just
-    /// pushed; under a thief race on a stealable tier, the newest
-    /// remaining one) — the caller runs it inline, the standard
-    /// overflow policy.
+    /// Owner-only: pushes a value, spilling the tier's oldest batch
+    /// when the tier exceeds [`RING_CAP`] and the shared level looks
+    /// empty. An owner-local burst therefore stays in the Chase–Lev
+    /// arrays (which grow) instead of paying one DCAS round-trip per
+    /// [`MAX_BATCH`] pushes.
     ///
-    /// Spill policy by tier: a non-stealable tier ([`VecRing`]) spills
-    /// whenever it exceeds [`RING_CAP`] — its work is invisible until
-    /// published. A stealable tier ([`ChaseLevTier`]) already exposes
-    /// every task to thieves, so the only job left for spilling is to
-    /// keep the shared linearizable level *stocked* as the preferred
-    /// steal channel: it spills only when the shared level is observed
-    /// empty. An owner-local burst therefore stays entirely in the
-    /// Chase-Lev arrays (which grow) instead of paying one DCAS
-    /// round-trip per [`MAX_BATCH`] pushes.
+    /// `Err` hands a task back when the shared level is bounded and
+    /// rejects the spill (normally the one just pushed; under a thief
+    /// race, the newest remaining one) — the caller runs it inline, the
+    /// standard overflow policy.
     pub fn push(&self, t: T) -> Result<(), T> {
         self.private.push(t);
-        if self.private.len() > RING_CAP && (!P::STEALABLE || self.len.is_empty_hint()) {
-            if let Err(rest) = self.spill() {
+        if self.private.len() > RING_CAP && self.len.is_empty_hint() {
+            let rest = self.spill();
+            if !rest.is_empty() {
                 // Bounded shared level at capacity: reclaim the newest
-                // task for the caller to run inline and restore the
-                // unspilled tail to the tier.
+                // task for the caller to run inline and return the
+                // rejected values to the tier. They re-enter at the
+                // bottom, so their relative age is scrambled, but every
+                // value stays in the deque (conservation over ordering).
                 let give_back = self.private.pop();
-                self.private.unspill(rest);
+                for v in rest {
+                    self.private.push(v);
+                }
                 match give_back {
                     Some(t) => return Err(t),
                     // Thieves drained the tier past the value we just
@@ -593,32 +450,27 @@ impl<T: Send, D: ConcurrentDeque<T>, P: PrivateTier<T>> TieredDeque<T, D, P> {
         for v in chunk.into_iter().rev() {
             self.private.push(v);
         }
-        // On a stealable tier the refilled tasks are immediately fair
-        // game, so this pop can still come back empty — the caller
-        // retries or steals elsewhere, same as any lost race.
+        // The refilled tasks are immediately fair game for thieves, so
+        // this pop can still come back empty — the caller retries or
+        // steals elsewhere, same as any lost race.
         self.private.pop()
     }
 
     /// Thief: takes the globally oldest *published* value, falling back
-    /// to the top of a stealable private tier when the shared level is
-    /// empty.
+    /// to the top of the private tier when the shared level is empty.
     pub fn steal(&self) -> Option<T> {
         if let Some(t) = self.shared.pop_left() {
             self.len.sub(1);
             self.steals_shared.fetch_add(1, Ordering::Relaxed);
             return Some(t);
         }
-        if P::STEALABLE {
-            if let Some(t) = self.private.steal() {
-                self.steals_private.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
+        let t = self.steal_private()?;
+        self.steals_private.fetch_add(1, Ordering::Relaxed);
+        Some(t)
     }
 
     /// Thief: takes about half of the shared level, oldest first; when
-    /// that is empty, up to half of a stealable private tier.
+    /// that is empty, up to half of the private tier.
     pub fn steal_half(&self) -> Vec<T> {
         let tasks = self.shared.pop_left_n(self.len.half_batch());
         if !tasks.is_empty() {
@@ -626,21 +478,11 @@ impl<T: Send, D: ConcurrentDeque<T>, P: PrivateTier<T>> TieredDeque<T, D, P> {
             self.steals_shared.fetch_add(tasks.len() as u64, Ordering::Relaxed);
             return tasks;
         }
-        if P::STEALABLE {
-            let want = (self.private.len() / 2).clamp(1, MAX_BATCH);
-            let mut out = Vec::new();
-            while out.len() < want {
-                match self.private.steal() {
-                    Some(v) => out.push(v),
-                    None => break,
-                }
-            }
-            if !out.is_empty() {
-                self.steals_private.fetch_add(out.len() as u64, Ordering::Relaxed);
-            }
-            return out;
+        let out = self.take_oldest((self.private.len() / 2).clamp(1, MAX_BATCH));
+        if !out.is_empty() {
+            self.steals_private.fetch_add(out.len() as u64, Ordering::Relaxed);
         }
-        Vec::new()
+        out
     }
 
     /// Owner-only: publishes any staged mid-spill chunk plus the whole
@@ -648,161 +490,54 @@ impl<T: Send, D: ConcurrentDeque<T>, P: PrivateTier<T>> TieredDeque<T, D, P> {
     /// shared level rejects.
     pub fn flush_local(&self) -> Vec<T> {
         let mut batch = std::mem::take(self.staged());
-        batch.extend(self.private.take_oldest(usize::MAX));
+        batch.extend(self.take_oldest(usize::MAX));
         if batch.is_empty() {
             return Vec::new();
         }
-        let n = batch.len();
-        match self.shared.push_right_n(batch) {
-            Ok(()) => {
-                self.len.add(n);
-                Vec::new()
-            }
-            Err(full) => {
-                let rest = full.into_inner();
-                self.len.add(n - rest.len());
-                rest
-            }
-        }
+        self.publish(batch)
     }
 }
 
-macro_rules! tiered_workdeque {
-    ($(#[$doc:meta])* $name:ident, $inner:ty, $tier:ty, $ctor:expr, $label:literal) => {
-        $(#[$doc])*
-        pub struct $name(TieredDeque<Task, $inner, $tier>);
+/// Two-level work deque: a [`ChaseLev`] private tier over the paper's
+/// unbounded list deque ([`TieredDeque`]). Owner ops stay (nearly)
+/// free, and thieves steal the Chase–Lev top directly once the shared
+/// level runs dry.
+pub struct TieredChaseLevWorkDeque(TieredDeque<Task, ListDeque<Task, HarrisMcas>>);
 
-        impl WorkDeque for $name {
-            fn with_capacity(capacity: usize) -> Self {
-                #[allow(clippy::redundant_closure_call)]
-                $name(TieredDeque::with_tier(($ctor)(capacity)))
-            }
-
-            fn push(&self, t: Task) -> Result<(), Task> {
-                self.0.push(t)
-            }
-
-            fn pop(&self) -> Option<Task> {
-                self.0.pop()
-            }
-
-            fn steal(&self) -> StealOutcome {
-                match self.0.steal() {
-                    Some(t) => StealOutcome::Stolen(t),
-                    None => StealOutcome::Empty,
-                }
-            }
-
-            fn steal_half(&self) -> Vec<Task> {
-                self.0.steal_half()
-            }
-
-            fn flush_local(&self) -> Vec<Task> {
-                self.0.flush_local()
-            }
-
-            fn tier_steals(&self) -> (u64, u64) {
-                self.0.tier_steals()
-            }
-
-            fn name() -> &'static str {
-                $label
-            }
-        }
-    };
-}
-
-tiered_workdeque!(
-    /// Two-level work deque over the paper's unbounded list deque, with
-    /// the spill-only [`VecRing`] private tier.
-    TieredListWorkDeque,
-    ListDeque<Task, HarrisMcas>,
-    VecRing<Task>,
-    |_capacity| ListDeque::new(),
-    "tiered-list-dcas"
-);
-
-tiered_workdeque!(
-    /// Two-level work deque over the paper's bounded array deque. The
-    /// capacity bounds the shared level; the private ring adds up to
-    /// [`RING_CAP`] tasks of owner-side buffering on top.
-    TieredArrayWorkDeque,
-    ArrayDeque<Task, HarrisMcas>,
-    VecRing<Task>,
-    |capacity: usize| ArrayDeque::new(std::cmp::max(capacity, 1)),
-    "tiered-array-dcas"
-);
-
-tiered_workdeque!(
-    /// Two-level work deque with a [`ChaseLev`] private tier over the
-    /// paper's unbounded list deque: owner ops stay (nearly) free, and
-    /// thieves no longer wait for a spill — they steal the Chase–Lev
-    /// top directly once the shared level runs dry. Because the tier is
-    /// stealable, the owner spills only to restock an empty shared
-    /// level, not on every ring overflow.
-    TieredChaseLevWorkDeque,
-    ListDeque<Task, HarrisMcas>,
-    ChaseLevTier<Task>,
-    |_capacity| ListDeque::new(),
-    "tiered-chaselev"
-);
-
-/// Work deque over the CAS-only Sundell–Tsigas deque: like
-/// [`ListWorkDeque`] it is unbounded and two-ended (owner LIFO at the
-/// right, thieves FIFO at the left), but every operation is built from
-/// single-word CAS instead of DCAS — the scheduler-level half of the
-/// E16 DCAS-vs-CAS comparison.
-pub struct SundellWorkDeque {
-    inner: SundellDeque<Task>,
-    len: LenHint,
-}
-
-impl WorkDeque for SundellWorkDeque {
+impl WorkDeque for TieredChaseLevWorkDeque {
     fn with_capacity(_capacity: usize) -> Self {
-        SundellWorkDeque { inner: SundellDeque::new(), len: LenHint::new() }
+        TieredChaseLevWorkDeque(TieredDeque::new(ListDeque::new()))
     }
 
     fn push(&self, t: Task) -> Result<(), Task> {
-        self.inner.push_right(t).map_err(|e| e.into_inner())?;
-        self.len.add(1);
-        Ok(())
+        self.0.push(t)
     }
 
     fn pop(&self) -> Option<Task> {
-        let t = self.inner.pop_right()?;
-        self.len.sub(1);
-        Some(t)
+        self.0.pop()
     }
 
     fn steal(&self) -> StealOutcome {
-        match self.inner.pop_left() {
-            Some(t) => {
-                self.len.sub(1);
-                StealOutcome::Stolen(t)
-            }
+        match self.0.steal() {
+            Some(t) => StealOutcome::Stolen(t),
             None => StealOutcome::Empty,
         }
     }
 
     fn steal_half(&self) -> Vec<Task> {
-        // No chunk-atomic multi-pop without DCAS: amortise the steal by
-        // looping single `pop_left`s up to the half-batch estimate.
-        // Each element is individually linearizable; conservation holds,
-        // only the chunk-atomicity of the DCAS deques is lost.
-        let want = self.len.half_batch();
-        let mut out = Vec::new();
-        while out.len() < want {
-            match self.inner.pop_left() {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        self.len.sub(out.len());
-        out
+        self.0.steal_half()
+    }
+
+    fn flush_local(&self) -> Vec<Task> {
+        self.0.flush_local()
+    }
+
+    fn tier_steals(&self) -> (u64, u64) {
+        self.0.tier_steals()
     }
 
     fn name() -> &'static str {
-        "sundell-cas"
+        "tiered-chaselev"
     }
 }
 
@@ -925,23 +660,19 @@ mod tests {
     fn steal_half_conserves_all_impls() {
         steal_half_conserves::<ListWorkDeque>();
         steal_half_conserves::<ArrayWorkDeque>();
-        steal_half_conserves::<SundellWorkDeque>();
         steal_half_conserves::<AbpWorkDeque>();
         steal_half_conserves::<MutexWorkDeque>();
     }
 
-    /// `steal_half` only sees the shared level, so a tiered deque with
-    /// fewer than `RING_CAP` tasks looks empty to thieves until the
-    /// owner spills — but `flush_local` + pops still conserve every
-    /// task.
-    fn tiered_conserves<D: WorkDeque>() {
-        let d = D::with_capacity(256);
+    /// A tiered deque's tasks are stealable from both levels, and
+    /// steals plus owner pops conserve every task.
+    #[test]
+    fn tiered_conserves() {
+        let d = TieredChaseLevWorkDeque::with_capacity(256);
         const N: usize = 100;
         for _ in 0..N {
-            assert!(d.push(noop()).is_ok(), "{}", D::name());
+            assert!(d.push(noop()).is_ok());
         }
-        // 100 pushes spill floor((100 - RING_CAP) / MAX_BATCH + 1) —
-        // enough that thieves find work without the owner's help.
         let mut total = 0;
         loop {
             let s = d.steal_half();
@@ -951,18 +682,11 @@ mod tests {
             assert!(s.len() <= MAX_BATCH);
             total += s.len();
         }
-        assert!(total > 0, "{}: spilled tasks must be stealable", D::name());
+        assert!(total > 0, "pushed tasks must be stealable");
         while d.pop().is_some() {
             total += 1;
         }
-        assert_eq!(total, N, "{}: tasks lost or duplicated", D::name());
-    }
-
-    #[test]
-    fn tiered_conserves_all_impls() {
-        tiered_conserves::<TieredListWorkDeque>();
-        tiered_conserves::<TieredArrayWorkDeque>();
-        tiered_conserves::<TieredChaseLevWorkDeque>();
+        assert_eq!(total, N, "tasks lost or duplicated");
     }
 
     #[test]
@@ -971,8 +695,8 @@ mod tests {
         for _ in 0..4 {
             assert!(d.push(noop()).is_ok());
         }
-        // Nothing has spilled (4 < RING_CAP), yet a thief finds work —
-        // the headline difference from the VecRing tier.
+        // Nothing has spilled (4 < RING_CAP), yet a thief finds work
+        // straight from the Chase–Lev tier.
         assert!(matches!(d.steal(), StealOutcome::Stolen(_)));
         assert_eq!(d.tier_steals(), (1, 0));
         let mut total = 1;
@@ -1007,21 +731,23 @@ mod tests {
     }
 
     #[test]
-    fn tiered_ring_is_private_until_spill() {
-        let d = TieredListWorkDeque::with_capacity(0);
-        // Below RING_CAP nothing is shared…
+    fn tiered_spill_and_flush_publish_to_the_shared_level() {
+        let d = TieredChaseLevWorkDeque::with_capacity(0);
+        // Up to RING_CAP nothing reaches the shared level…
         for _ in 0..RING_CAP {
             assert!(d.push(noop()).is_ok());
         }
-        assert!(matches!(d.steal(), StealOutcome::Empty));
+        assert!(d.0.shared().pop_left().is_none());
         // …the next push spills exactly one batch of the oldest tasks…
         assert!(d.push(noop()).is_ok());
-        let stolen = d.steal_half();
-        assert!(!stolen.is_empty() && stolen.len() <= MAX_BATCH);
-        // …and flush_local publishes the rest of the ring.
+        let spilled = d.0.shared().pop_left_n(MAX_BATCH);
+        assert_eq!(spilled.len(), MAX_BATCH);
+        assert!(d.0.shared().pop_left().is_none(), "exactly one batch spills");
+        // …and flush_local publishes the rest of the tier, so every
+        // later steal comes from the shared level.
         let leftover = d.flush_local();
         assert!(leftover.is_empty(), "unbounded shared level never rejects");
-        let mut total = stolen.len();
+        let mut total = spilled.len();
         loop {
             let s = d.steal_half();
             if s.is_empty() {
@@ -1030,6 +756,7 @@ mod tests {
             total += s.len();
         }
         assert_eq!(total, RING_CAP + 1);
+        assert_eq!(d.tier_steals().0, 0, "flushed tier left nothing private");
         assert!(d.pop().is_none());
     }
 
@@ -1052,41 +779,17 @@ mod tests {
                 let _ = &guard;
             })
         };
-        let d = TieredListWorkDeque::with_capacity(0);
+        let d = TieredChaseLevWorkDeque::with_capacity(0);
         const N: usize = RING_CAP + 2 * MAX_BATCH;
         for i in 0..N {
             assert!(d.push(tagged(i)).is_ok());
         }
         // Owner pops must return newest-first across the spill boundary:
-        // the ring drains, then refills pull the spilled batches back.
+        // the tier drains, then a refill pulls the spilled batch back.
         while let Some(t) = d.pop() {
             drop(t);
         }
         assert_eq!(*log.lock().unwrap(), (0..N).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tiered_bounded_push_rejects_when_shared_full() {
-        // Shared capacity 8 + ring RING_CAP: after both fill, pushes
-        // must hand the task back instead of growing without bound.
-        let d = TieredArrayWorkDeque::with_capacity(MAX_BATCH);
-        let mut held = 0usize;
-        let mut rejected = 0usize;
-        for _ in 0..(RING_CAP + 3 * MAX_BATCH) {
-            match d.push(noop()) {
-                Ok(()) => held += 1,
-                Err(t) => {
-                    drop(t);
-                    rejected += 1;
-                }
-            }
-        }
-        assert!(rejected > 0, "bounded tiered deque never rejected");
-        let mut drained = 0usize;
-        while d.pop().is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, held, "tasks lost in bounded tiered deque");
     }
 
     #[test]

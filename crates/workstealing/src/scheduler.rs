@@ -221,7 +221,7 @@ pub struct Scheduler<D: WorkDeque> {
 /// without the feature pay no cost in the worker loop. The two steal
 /// **provenance** counters are read from the deques themselves
 /// ([`WorkDeque::tier_steals`]) after the run and are live whenever the
-/// deque maintains them (the tiered deques always do; flat deques
+/// deque maintains them (the tiered deque always does; flat deques
 /// report zero).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
@@ -237,11 +237,10 @@ pub struct SchedStats {
     pub steal_misses: u64,
     /// Tasks executed inline because the worker's bounded deque was full.
     pub overflow_inline: u64,
-    /// Tasks thieves took directly from owners' private tiers (only a
-    /// stealable tier — the Chase–Lev one — can be nonzero here).
+    /// Tasks thieves took directly from owners' private Chase–Lev tiers.
     pub steals_private_tier: u64,
-    /// Tasks thieves took from the shared linearizable level of tiered
-    /// deques.
+    /// Tasks thieves took from the shared linearizable level of the
+    /// tiered deque.
     pub steals_shared_tier: u64,
 }
 
@@ -695,9 +694,7 @@ fn execute<D: WorkDeque>(id: usize, shared: &Arc<Shared<D>>, task: Task) -> bool
 mod tests {
     use super::*;
     use crate::deques::{
-        AbpWorkDeque, ArrayWorkDeque, ListWorkDeque, MutexWorkDeque, SundellWorkDeque,
-        TieredArrayWorkDeque,
-        TieredListWorkDeque,
+        AbpWorkDeque, ArrayWorkDeque, ListWorkDeque, MutexWorkDeque, TieredChaseLevWorkDeque,
     };
     use std::sync::atomic::AtomicU64;
 
@@ -735,11 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn sundell_deque_tree() {
-        assert_eq!(tree_count::<SundellWorkDeque>(4, 12), 1 << 12);
-    }
-
-    #[test]
     fn abp_deque_tree() {
         assert_eq!(tree_count::<AbpWorkDeque>(4, 12), 1 << 12);
     }
@@ -750,45 +742,23 @@ mod tests {
     }
 
     #[test]
-    fn tiered_list_deque_tree() {
-        assert_eq!(tree_count::<TieredListWorkDeque>(4, 12), 1 << 12);
-    }
-
-    #[test]
-    fn tiered_array_deque_tree() {
-        assert_eq!(tree_count::<TieredArrayWorkDeque>(4, 12), 1 << 12);
-    }
-
-    #[test]
     fn single_worker_runs_everything() {
         assert_eq!(tree_count::<ListWorkDeque>(1, 10), 1 << 10);
     }
 
     #[test]
     fn tiered_single_worker_runs_everything() {
-        assert_eq!(tree_count::<TieredListWorkDeque>(1, 10), 1 << 10);
-    }
-
-    #[test]
-    fn tiered_tiny_bounded_shared_level_overflows_inline() {
-        // A capacity-2 shared level forces both the spill-rejection path
-        // in `TieredDeque::push` and the scheduler's inline-overflow
-        // path; every leaf must still be counted exactly once.
-        let leaves = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<TieredArrayWorkDeque> = Scheduler::with_capacity(3, 2);
-        let l = leaves.clone();
-        sched.run(move |w| spawn_tree(w, 10, l));
-        assert_eq!(leaves.load(Ordering::SeqCst), 1 << 10);
+        assert_eq!(tree_count::<TieredChaseLevWorkDeque>(1, 10), 1 << 10);
     }
 
     #[test]
     fn tiered_worker_death_publishes_ring() {
-        // Worker poisoning must not strand ring-buffered tasks: one task
+        // Worker poisoning must not strand tier-buffered tasks: one task
         // panics after forking a deep tree; the run still terminates and
         // counts every remaining leaf. (Without the death-flush this
         // hangs: `pending` can never reach zero.)
         let leaves = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<TieredListWorkDeque> = Scheduler::new(3);
+        let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(3);
         let l = leaves.clone();
         let report = sched.run_report(move |w| {
             for _ in 0..4 {

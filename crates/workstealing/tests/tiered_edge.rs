@@ -1,30 +1,23 @@
 //! Edge-case tests for [`TieredDeque`]: the seams between the private
 //! tier, the staging buffer, and the shared linearizable level.
 //!
-//! The interesting states all live at tier boundaries — a ring exactly
+//! The interesting states all live at tier boundaries — a tier exactly
 //! at its spill threshold, a refill racing a thief, an empty tier
-//! falling through to the shared level — and a property test checks the
-//! whole single-owner surface against a sequential `VecDeque` oracle.
+//! falling through to the shared level, a bounded shared level
+//! rejecting a spill — and a property test checks the whole
+//! single-owner surface against a sequential `VecDeque` oracle.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use dcas_baselines::MutexDeque;
-use dcas_deque::{ConcurrentDeque, ListDeque, MAX_BATCH};
-use dcas_workstealing::{ChaseLevTier, TieredDeque, RING_CAP};
+use dcas_deque::{ArrayDeque, ConcurrentDeque, ListDeque, MAX_BATCH};
+use dcas_workstealing::{TieredDeque, RING_CAP};
 use proptest::prelude::*;
 
-type Shared = ListDeque<u64>;
-type VecTiered = TieredDeque<u64, Shared>;
-type ClTiered = TieredDeque<u64, Shared, ChaseLevTier<u64>>;
-
-fn vec_tiered() -> VecTiered {
+fn tiered() -> TieredDeque<u64, ListDeque<u64>> {
     TieredDeque::new(ListDeque::new())
-}
-
-fn cl_tiered() -> ClTiered {
-    TieredDeque::with_tier(ListDeque::new())
 }
 
 // ---------------------------------------------------------------------
@@ -36,7 +29,7 @@ fn empty_tier_pop_falls_through_to_shared() {
     // Work sitting only in the shared level (as after a cross-worker
     // steal_half re-queue... or here, planted directly) must be
     // reachable through `pop` via the refill path.
-    let d = vec_tiered();
+    let d = tiered();
     for v in 0..10u64 {
         d.shared().push_right(v).unwrap();
     }
@@ -53,10 +46,10 @@ fn empty_tier_pop_falls_through_to_shared() {
 
 #[test]
 fn capacity_boundary_spill_preserves_oldest_first() {
-    // Pushing one past RING_CAP must spill exactly one MAX_BATCH chunk
-    // of the *oldest* values to the shared level, leaving the newest in
-    // the ring.
-    let d = vec_tiered();
+    // Pushing one past RING_CAP into an empty shared level must spill
+    // exactly one MAX_BATCH chunk of the *oldest* values, leaving the
+    // newest in the tier.
+    let d = tiered();
     for v in 0..(RING_CAP as u64 + 1) {
         d.push(v).unwrap();
     }
@@ -72,7 +65,7 @@ fn capacity_boundary_spill_preserves_oldest_first() {
 fn chaselev_tier_steal_without_spill() {
     // The whole point of the Chase-Lev tier: work is stealable *before*
     // any spill. Oldest value first, provenance counted as private.
-    let d = cl_tiered();
+    let d = tiered();
     for v in 0..4u64 {
         d.push(v).unwrap();
     }
@@ -84,21 +77,50 @@ fn chaselev_tier_steal_without_spill() {
 }
 
 #[test]
-fn vecring_tier_is_not_stealable() {
-    let d = vec_tiered();
-    for v in 0..4u64 {
-        d.push(v).unwrap();
+fn tiny_bounded_shared_level_rejects_spill_and_conserves() {
+    // A capacity-2 shared level accepts 2 of a spilled batch and
+    // rejects the rest: `push` must hand one value back (the newest)
+    // for the caller to run inline, return the other rejects to the
+    // tier, and lose nothing.
+    let d: TieredDeque<u64, ArrayDeque<u64>> = TieredDeque::new(ArrayDeque::new(2));
+    let mut kept = Vec::new();
+    let mut out = Vec::new();
+    let mut next = 0u64;
+    for round in 0..4 {
+        // Push until a spill into the (empty) shared level is rejected.
+        loop {
+            let v = next;
+            next += 1;
+            match d.push(v) {
+                Ok(()) => kept.push(v),
+                Err(back) => {
+                    assert_eq!(back, v, "round {round}: the newest value comes back");
+                    break;
+                }
+            }
+            assert!(next < 100 * RING_CAP as u64, "round {round}: no spill was rejected");
+        }
+        // The shared level holds the 2 values it accepted; stealing
+        // them empties it, so the next round spills into it again.
+        let before = d.tier_steals();
+        let stolen: Vec<u64> = std::iter::from_fn(|| d.steal()).take(2).collect();
+        assert_eq!(d.tier_steals(), (before.0, before.1 + 2), "round {round}");
+        if round == 0 {
+            assert_eq!(next, RING_CAP as u64 + 1, "the first spill fires past RING_CAP");
+            assert_eq!(stolen, vec![0, 1], "the spill takes the oldest values");
+        }
+        out.extend(stolen);
     }
-    assert_eq!(d.steal(), None, "ring-only work is invisible to thieves");
-    // flush_local publishes the ring to the shared level (returning only
-    // rejects — none on an unbounded shared); then thieves can see it.
-    assert!(d.flush_local().is_empty());
-    assert_eq!(d.steal(), Some(0));
+    while let Some(v) = d.pop() {
+        out.push(v);
+    }
+    out.sort_unstable();
+    assert_eq!(out, kept, "values lost or duplicated around rejected spills");
 }
 
 #[test]
 fn steal_half_prefers_shared_then_private() {
-    let d = cl_tiered();
+    let d = tiered();
     let n = (RING_CAP + MAX_BATCH) as u64;
     for v in 0..n {
         d.push(v).unwrap();
@@ -131,7 +153,7 @@ fn steal_races_inflight_refill_conserves_values() {
     // refills at the ring boundary) while a thief steals continuously.
     // Every value must come out exactly once, across both exits.
     for trial in 0..20u64 {
-        let d = cl_tiered();
+        let d = tiered();
         let n = 4 * RING_CAP as u64;
         let stop = AtomicBool::new(false);
         let start = Barrier::new(2);
@@ -214,10 +236,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn run_against_oracle<P>(d: &TieredDeque<u64, MutexDeque<u64>, P>, ops: &[Op])
-where
-    P: dcas_workstealing::PrivateTier<u64>,
-{
+fn run_against_oracle(d: &TieredDeque<u64, MutexDeque<u64>>, ops: &[Op]) {
     let mut oracle: Vec<u64> = Vec::new();
     for op in ops {
         match op {
@@ -251,19 +270,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn vecring_matches_sequential_oracle(
-        ops in proptest::collection::vec(op_strategy(), 1..400)
-    ) {
-        let d: TieredDeque<u64, MutexDeque<u64>> = TieredDeque::new(MutexDeque::new());
-        run_against_oracle(&d, &ops);
-    }
-
-    #[test]
     fn chaselev_tier_matches_sequential_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..400)
     ) {
-        let d: TieredDeque<u64, MutexDeque<u64>, ChaseLevTier<u64>> =
-            TieredDeque::with_tier(MutexDeque::new());
+        let d: TieredDeque<u64, MutexDeque<u64>> = TieredDeque::new(MutexDeque::new());
         run_against_oracle(&d, &ops);
     }
 }

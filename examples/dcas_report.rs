@@ -24,9 +24,7 @@ use std::sync::Arc;
 use dcas_deques::deque::{ArrayDeque, ConcurrentDeque};
 use dcas_deques::linearize::SeqDeque;
 use dcas_deques::obs::{audit, Json, MetricsRegistry, Recorded};
-use dcas_deques::workstealing::{
-    ArrayWorkDeque, Scheduler, TieredArrayWorkDeque, TieredChaseLevWorkDeque,
-};
+use dcas_deques::workstealing::{ArrayWorkDeque, Scheduler, TieredChaseLevWorkDeque};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 5_000;
@@ -313,20 +311,8 @@ fn scheduler_section(reg: &mut MetricsRegistry) {
     reg.sched_stats("scheduler", &report.stats);
 
     // The same run on the two-level tiered deque: owner traffic stays on
-    // the private ring, so `tasks_executed` matches but steals move only
-    // the batches that actually spilled to the shared level.
-    let total = Arc::new(AtomicU64::new(0));
-    let scheduler = Scheduler::<TieredArrayWorkDeque>::new(THREADS);
-    let t2 = Arc::clone(&total);
-    let report = scheduler.run_report(move |h| sum_range(h, 0, N, t2));
-    assert_eq!(total.load(Ordering::SeqCst), N * (N - 1) / 2);
-    reg.sched_stats("scheduler_tiered", &report.stats);
-
-    // And on the Chase-Lev private tier: thieves can take from the
-    // owner's tier directly, so the steal-provenance split
-    // (`steals_private_tier` vs `steals_shared_tier`) inverts relative
-    // to the spill-only ring above — the ring reports private-tier
-    // steals of zero, while here most steals land on the private tier
+    // the private Chase-Lev tier, and thieves can take from it directly,
+    // so most steals land on the private tier (`steals_private_tier`)
     // because demand-driven spilling keeps the shared level near-empty.
     let total = Arc::new(AtomicU64::new(0));
     let scheduler = Scheduler::<TieredChaseLevWorkDeque>::new(THREADS);

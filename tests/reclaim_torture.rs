@@ -19,11 +19,16 @@
 //!   **static** bound `registered_records × (SCAN_THRESHOLD + SLOTS ×
 //!   (1 + MAX_CASN_WORDS))` no matter how many operations run.
 //!
-//! The arms share one `#[test]` because both the epoch state and the
-//! garbage gauges are process-global: the epoch arm must release its
-//! frozen pin and flush before the hazard arm starts measuring.
-//! `benches/e15_reclaim.rs` records the same two curves as data
-//! (BENCH_e15.json).
+//! * **Epoch quiescent arm** — the victim blocks *between* operations,
+//!   unpinned, holding no guard. Nothing stops the epoch, so pool-page
+//!   growth under the churn must stay under a static bound: a blocked
+//!   thread that is not inside an operation must not hold memory.
+//!
+//! The arms share one `#[test]` because the epoch state, the garbage
+//! gauges and the pool-page gauges are process-global: the epoch arm
+//! must release its frozen pin and flush before the hazard arm starts
+//! measuring. BENCH_e15.json and BENCH_e17.json record the first two
+//! arms' curves and the page audits as data.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,6 +46,13 @@ use dcas_deques::harness::{torture_seed, Watchdog};
 const WORKERS: u64 = 3;
 /// Push+pop pairs per worker between the two epoch-arm checkpoints.
 const CHECKPOINT_OPS: u64 = 2_000;
+/// Rounds of push+pop pairs per worker in the epoch quiescent arm.
+const QUIESCENT_ROUNDS: u64 = 6;
+const QUIESCENT_OPS_PER_ROUND: u64 = 8_000;
+/// Static allowance, in nodes, for garbage the epoch backend may hold
+/// between collections while nobody is frozen-pinned (per-thread
+/// deferred queues plus collect lag).
+const EPOCH_ALLOWANCE_NODES: u64 = 16_384;
 
 /// Freezes a victim mid-operation on `deque` (at the `PreInstall` fault
 /// point — inside the MCAS protocol for the DCAS deques, at the top of a
@@ -132,6 +144,51 @@ where
         assert!(log.is_frozen(), "{label}: victim was never frozen");
     });
     samples
+}
+
+/// Churns a pooled list deque with `WORKERS` threads while a victim that
+/// did 512 push/pop pairs first sits blocked *between* operations —
+/// unpinned, holding no guard. Returns the list pool's page growth over
+/// the churn.
+fn quiescent_victim_churn() -> u64 {
+    let pool = dcas_deques::deque::list::node_alloc(true).pool();
+    let pages_before = pool.pages_allocated();
+    let deque: Arc<ListDeque<u64, HarrisMcas>> = Arc::new(ListDeque::new());
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let frozen = Arc::new(AtomicBool::new(false));
+        {
+            let deque = Arc::clone(&deque);
+            let frozen = Arc::clone(&frozen);
+            s.spawn(move || {
+                for i in 0..512u64 {
+                    deque.push_right(i << 3).unwrap();
+                    deque.pop_left();
+                }
+                frozen.store(true, Ordering::Release);
+                let _ = release_rx.recv();
+            });
+        }
+        while !frozen.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        let workers: Vec<_> = (1..=WORKERS)
+            .map(|t| {
+                let deque = Arc::clone(&deque);
+                s.spawn(move || {
+                    for i in 0..QUIESCENT_ROUNDS * QUIESCENT_OPS_PER_ROUND {
+                        deque.push_right((t << 48) | (i << 3)).unwrap();
+                        deque.pop_left();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        release_tx.send(()).unwrap();
+    });
+    pool.pages_allocated() - pages_before
 }
 
 /// Page allowance on top of a garbage bound: each participating thread
@@ -299,6 +356,20 @@ fn reclaim_frozen_victim_epoch_grows_hazard_bounded() {
         "sundell hazard arm: pool grew {sundell_pages_grown} pages under a \
          frozen victim, over the {} page bound",
         pages_bound(bound)
+    );
+
+    // ---------------- Epoch quiescent arm ----------------
+    // A victim blocked *between* operations holds no pin, so the epoch
+    // keeps advancing and retired nodes keep recycling: the list pool
+    // grows by at most the epoch allowance in pages, however long the
+    // churn. Earlier arms pre-grew the pool, so this is the
+    // steady-state increment.
+    let quiescent_pages_grown = quiescent_victim_churn();
+    assert!(
+        quiescent_pages_grown <= pages_bound(EPOCH_ALLOWANCE_NODES),
+        "epoch quiescent arm: pool grew {quiescent_pages_grown} pages with an \
+         unpinned victim, over the {} page bound",
+        pages_bound(EPOCH_ALLOWANCE_NODES)
     );
 
     // ---------------- Alloc/free balance ----------------

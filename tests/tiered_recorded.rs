@@ -1,22 +1,23 @@
 //! Record-and-verify for the two-level scheduler deque: every transfer
-//! between a [`TieredDeque`]'s private ring and its shared level is
-//! traced by [`Recorded`] and audited for linearizability.
+//! between a [`TieredDeque`]'s private Chase–Lev tier and its shared
+//! level is traced by [`Recorded`] and audited for linearizability.
 //!
-//! The tiered deque's correctness story is that the owner's private
-//! ring is invisible to other threads, so **all** inter-thread traffic
-//! — spills, refills, steals — still flows through the paper's
-//! linearizable deque in chunk-atomic batches. This suite checks
-//! exactly that boundary: the shared level is a
-//! `Recorded<ListDeque<u64>>`, so the captured history is precisely the
-//! spill (`push_right_n`), refill (`pop_right_n`), and steal
-//! (`pop_left_n`) batches, and the windowed checker requires them to
-//! linearize from the empty deque while conservation is verified
-//! end-to-end at the element level.
+//! The tiered deque's correctness story is that all inter-thread
+//! traffic either crosses the paper's linearizable deque in
+//! chunk-atomic batches or is a Chase–Lev steal from the tier's top.
+//! This suite checks the first half of that boundary: the shared level
+//! is a `Recorded<ListDeque<u64>>`, so the captured history is
+//! precisely the spill (`push_right_n`), refill (`pop_right_n`), and
+//! steal (`pop_left_n`) batches, and the windowed checker requires them
+//! to linearize from the empty deque. Thieves also steal straight from
+//! the owner's tier — traffic the recorder does not see, by design, as
+//! it is not shared-level traffic — so conservation is verified
+//! end-to-end at the element level over both exits combined.
 //!
 //! The workload is pulsed on a barrier (like `recorded_linearizability`)
 //! so the audit finds quiescent cuts: one owner thread pushes and pops
-//! through the ring while thief threads run `steal_half` against the
-//! shared level — the scheduler's exact access pattern.
+//! through the tier while thief threads run `steal_half` — the
+//! scheduler's exact access pattern.
 
 #![cfg(feature = "obs")]
 
@@ -46,7 +47,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn run_tiered_recorded<P: dcas_deques::workstealing::PrivateTier<u64>>(test: &str) {
+fn run_tiered_recorded(test: &str) {
     let seed = trace_seed(test);
     let dog = Watchdog::arm_with_seed_var(test, "TRACE_SEED", seed, Duration::from_secs(120));
     for &thieves in &[1usize, 3] {
@@ -54,14 +55,14 @@ fn run_tiered_recorded<P: dcas_deques::workstealing::PrivateTier<u64>>(test: &st
         let shared: Recorded<ListDeque<u64>> =
             Recorded::with_atomic_batches(ListDeque::new(), threads, RING_CAPACITY);
         dog.attach_recorder(shared.recorder(), 6);
-        let tiered: TieredDeque<u64, _, P> = TieredDeque::with_tier(shared);
+        let tiered = TieredDeque::new(shared);
         let barrier = Barrier::new(threads);
         // Every value each thread removed, for end-to-end conservation.
         let taken: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let mut pushed = 0u64;
 
         std::thread::scope(|s| {
-            // Thieves: steal_half pulses against the shared level.
+            // Thieves: steal_half pulses against both levels.
             for t in 0..thieves as u64 {
                 let (tiered, barrier, taken) = (&tiered, &barrier, &taken);
                 s.spawn(move || {
@@ -77,9 +78,9 @@ fn run_tiered_recorded<P: dcas_deques::workstealing::PrivateTier<u64>>(test: &st
                     taken.lock().unwrap().extend(got);
                 });
             }
-            // Owner: pushes bursts (forcing spills past RING_CAP) and
-            // pops (forcing refills once the ring drains), ring-private
-            // by contract. Runs on this scope thread so `pushed` and the
+            // Owner: pushes bursts (spilling past RING_CAP whenever the
+            // shared level is empty) and pops (forcing refills once the
+            // tier drains), owner-only by contract. Runs on this scope thread so `pushed` and the
             // final drain need no extra synchronisation.
             let mut rng = seed ^ 0xACE5;
             let mut owner_got = Vec::new();
@@ -95,7 +96,7 @@ fn run_tiered_recorded<P: dcas_deques::workstealing::PrivateTier<u64>>(test: &st
                 }
                 barrier.wait();
             }
-            // Drain: publish the ring, then steal everything back (the
+            // Drain: publish the tier, then steal everything back (the
             // owner acting as its own thief keeps the trace shape to
             // shared-level batches only).
             assert!(tiered.flush_local().is_empty());
@@ -129,21 +130,6 @@ fn run_tiered_recorded<P: dcas_deques::workstealing::PrivateTier<u64>>(test: &st
 }
 
 #[test]
-fn tiered_spill_refill_and_steals_linearize() {
-    run_tiered_recorded::<dcas_deques::workstealing::VecRing<u64>>(
-        "tiered_spill_refill_and_steals_linearize",
-    );
-}
-
-/// Same audit over the Chase-Lev private tier. Thieves additionally
-/// steal straight from the owner's tier (traffic the recorder does not
-/// see, by design — it is not shared-level traffic), so the recorded
-/// history is a *subset* of the removals; the audit checks that the
-/// spill/refill/steal batches that do cross the shared level still
-/// linearize, and conservation is verified over both exits combined.
-#[test]
 fn tiered_chaselev_spill_refill_and_steals_linearize() {
-    run_tiered_recorded::<dcas_deques::workstealing::ChaseLevTier<u64>>(
-        "tiered_chaselev_spill_refill_and_steals_linearize",
-    );
+    run_tiered_recorded("tiered_chaselev_spill_refill_and_steals_linearize");
 }

@@ -593,15 +593,12 @@ fn workstealing_scheduler_survives_dead_workers() {
 /// death-flush (`flush_local`, what the scheduler's `abandon` runs on a
 /// poisoned worker) must publish the partial chunk, and conservation
 /// must be exact to the element.
-fn tiered_mid_spill_run<P>(label: &str, seed: u64, with_thief: bool, skip_spills: u64)
-where
-    P: dcas_deques::workstealing::PrivateTier<Counted>,
-{
+fn tiered_mid_spill_run(label: &str, seed: u64, with_thief: bool, skip_spills: u64) {
     use dcas_deques::workstealing::{TieredDeque, RING_CAP};
 
     let live = Arc::new(AtomicI64::new(0));
-    let deque: Arc<TieredDeque<Counted, ListDeque<Counted>, P>> =
-        Arc::new(TieredDeque::with_tier(ListDeque::new()));
+    let deque: Arc<TieredDeque<Counted, ListDeque<Counted>>> =
+        Arc::new(TieredDeque::new(ListDeque::new()));
     let watchdog = Watchdog::arm(label, seed, Duration::from_secs(120));
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -685,27 +682,16 @@ where
 }
 
 #[test]
-fn tiered_vecring_mid_spill_kill_conserves_values() {
-    use dcas_deques::workstealing::VecRing;
-    let test = "tiered_vecring_mid_spill_kill_conserves_values";
-    let seed = torture_seed(test);
-    // Survive two spills, die inside the third: deterministic for a
-    // VecRing tier, which spills on every ring overflow.
-    tiered_mid_spill_run::<VecRing<Counted>>(test, seed, false, 2);
-}
-
-#[test]
 fn tiered_chaselev_mid_spill_kill_conserves_values() {
-    use dcas_deques::workstealing::ChaseLevTier;
     let test = "tiered_chaselev_mid_spill_kill_conserves_values";
     let seed = torture_seed(test);
     // A live thief steals from both levels while the owner dies
     // mid-spill: the staged chunk is invisible to the thief (owner
     // private), so the flush must still deliver it. Kill on the *first*
-    // spill — the stealable tier only restocks an empty shared level,
-    // so later spills depend on thief timing, but the first (shared
-    // level starts empty) always fires.
-    tiered_mid_spill_run::<ChaseLevTier<Counted>>(test, seed, true, 0);
+    // spill — the tier only restocks an empty shared level, so later
+    // spills depend on thief timing, but the first (shared level starts
+    // empty) always fires.
+    tiered_mid_spill_run(test, seed, true, 0);
 }
 
 /// The same window under the real scheduler: a worker dies *inside* a
@@ -713,7 +699,7 @@ fn tiered_chaselev_mid_spill_kill_conserves_values() {
 /// death-flush must hand every already-spawned task to the survivors.
 #[test]
 fn tiered_scheduler_survives_mid_spill_kill() {
-    use dcas_deques::workstealing::{Scheduler, TieredListWorkDeque};
+    use dcas_deques::workstealing::{Scheduler, TieredChaseLevWorkDeque};
 
     let test = "tiered_scheduler_survives_mid_spill_kill";
     let base = torture_seed(test);
@@ -724,15 +710,41 @@ fn tiered_scheduler_survives_mid_spill_kill() {
         splitmix64(&mut seed);
         let attempted = Arc::new(AtomicU64::new(0));
         let completed = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<TieredListWorkDeque> = Scheduler::new(4);
+        let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(4);
         let (a, c) = (Arc::clone(&attempted), Arc::clone(&completed));
         let report = sched.run_report(move |w| {
+            // Park the three other workers in gate tasks first. Thieves
+            // may steal straight from the Chase–Lev tier, so with them
+            // running the tier can stay under RING_CAP for the whole
+            // burst and no spill fires. Gated, they cannot steal: the
+            // 33rd spawn deterministically overflows the tier into the
+            // empty shared level, and the kill lands in that first
+            // spill. The gates open when the root unwinds, so the
+            // survivors race the dying worker's death-flush.
+            let running = Arc::new(AtomicU64::new(0));
+            let open = Arc::new(AtomicBool::new(false));
+            for _ in 0..3 {
+                let (running, open) = (Arc::clone(&running), Arc::clone(&open));
+                w.spawn(move |_| {
+                    running.fetch_add(1, Ordering::AcqRel);
+                    while !open.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            while running.load(Ordering::Acquire) < 3 {
+                std::thread::yield_now();
+            }
+            struct OpenOnDrop(Arc<AtomicBool>);
+            impl Drop for OpenOnDrop {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+            let _gates = OpenOnDrop(open);
             // Arm on this worker's thread and leak the guard so the plan
-            // outlives the root task. With a VecRing tier the 33rd spawn
-            // deterministically overflows the ring (thieves cannot touch
-            // the private tier before the first spill), so the kill
-            // always lands.
-            let plan = FaultPlan::new(seed).kill(FaultPoint::SpillStaged, 1, KillKind::Panic);
+            // outlives the root task.
+            let plan = FaultPlan::new(seed).kill(FaultPoint::SpillStaged, 0, KillKind::Panic);
             std::mem::forget(fault::arm(&plan, 0));
             for _ in 0..4_000u64 {
                 // Counted before the spawn: the task enters the private
