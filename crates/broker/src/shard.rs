@@ -9,7 +9,7 @@
 //!   produce lands at the right end in chunk-atomic batches and consume
 //!   drains the left end, so each shard serves FIFO.
 //! * [`TieredShard`] wraps the two-level
-//!   [`TieredDeque`](dcas_workstealing::TieredDeque), whose private
+//!   [`TieredDeque`], whose private
 //!   tier is a stealable Chase–Lev deque. Its push side is **single-owner** (the
 //!   tier's safety contract), so the broker binds at most one producer
 //!   to it ([`BrokerShard::PRODUCER_EXCLUSIVE`]); consumers go through

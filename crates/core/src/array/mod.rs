@@ -29,16 +29,6 @@
 //! * lines 17–18 (use the *strong* DCAS that returns an atomic view on
 //!   failure, to detect "the deque became empty/full under me" without
 //!   retrying).
-//!
-//! Unlike the unbounded list deque, this deque deliberately has **no
-//! elimination-backoff knob** ([`dcas::EndConfig`]). Eliminating a
-//! same-end push/pop pair linearizes the push immediately before the pop
-//! at the exchange instant — legal only if the push could succeed there.
-//! On a bounded deque the exchanger cannot prove the deque is non-full at
-//! that instant, so an eliminated push could complete while the deque was
-//! full for the push's entire duration (it must return `Full` then):
-//! a non-linearizable history. On the list deque pushes never fail, so
-//! the pairing is unconditionally legal and the knob lives there.
 
 // The nested `if` structure deliberately mirrors the paper's line-numbered
 // listings (line 7 gates lines 8-10); do not collapse it.

@@ -662,9 +662,7 @@ fn batch_concurrent_conservation() {
 fn same_end_push_pop_races_conserve() {
     use std::sync::Mutex;
     // Same-end push/pop races on a small deque (constant boundary
-    // traffic): every pushed value is popped exactly once. (Elimination
-    // is deliberately unavailable on the bounded deque — see the module
-    // docs — so the races resolve through the deque alone.)
+    // traffic): every pushed value is popped exactly once.
     let d = RawArrayDeque::<u32, HarrisMcas>::new(8);
     let popped = Mutex::new(Vec::<u32>::new());
     // Poppers must outlive the pushers: an idle-countdown exit can fire

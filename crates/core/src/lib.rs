@@ -25,7 +25,7 @@
 //!   Counting methodology (Section 1.1 of the paper; reference \[12\]).
 //!
 //! All deques are **linearizable** and, when instantiated with the
-//! lock-free [`HarrisMcas`](dcas::HarrisMcas) strategy, **non-blocking**
+//! lock-free [`HarrisMcas`] strategy, **non-blocking**
 //! end-to-end. Each deque is generic over the DCAS emulation
 //! ([`dcas::DcasStrategy`]). The lock-free strategy's feature-gated
 //! operation counters are re-exported here as [`StrategyStats`] (build
@@ -72,11 +72,8 @@ pub use sundell::SundellDeque;
 pub use value::{Boxed, TraceId, WordValue};
 
 // The default lock-free DCAS emulation and its observability, re-exported
-// so deque users need not depend on the `dcas` crate directly. `EndConfig`
-// gates the per-end elimination arrays consulted by the unbounded deques'
-// retry loops (off by default; the bounded array deque has no such knob —
-// see its module docs).
-pub use dcas::{EndConfig, HarrisMcas, StrategyStats};
+// so deque users need not depend on the `dcas` crate directly.
+pub use dcas::{HarrisMcas, StrategyStats};
 
 /// Maximum number of elements a batched deque operation moves in **one**
 /// atomic transition.

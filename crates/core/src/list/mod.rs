@@ -78,8 +78,7 @@ use std::mem::{align_of, size_of, MaybeUninit};
 
 use crossbeam_utils::CachePadded;
 use dcas::{
-    Backoff, CasnEntry, DcasStrategy, DcasWord, EliminationArray, EndConfig, HarrisMcas,
-    NodeAlloc, NodePool, ReclaimGuard, Reclaimer,
+    Backoff, CasnEntry, DcasStrategy, DcasWord, HarrisMcas, NodePool, ReclaimGuard, Reclaimer,
 };
 
 /// The guard type of a strategy's reclamation backend.
@@ -152,8 +151,7 @@ unsafe fn put_value<V: WordValue>(n: *mut Node, v: V) -> u64 {
 /// # Safety
 ///
 /// The caller uniquely owns `w`'s value: its DCAS or CASN swapped `w`
-/// to `NULL`, an elimination take handed `w` over, or the node is
-/// private. For `IN_NODE` values the node must still be protected (or
+/// to `NULL`, or the node is private. For `IN_NODE` values the node must still be protected (or
 /// private) for the duration of the call.
 #[inline]
 unsafe fn take_value<V: WordValue>(w: u64) -> V {
@@ -187,64 +185,35 @@ unsafe fn drop_value<V: WordValue>(w: u64) {
 /// for the deque's lifetime and want their `CachePadded` wrapper).
 static NODE_POOL: NodePool = NodePool::new("list", std::mem::size_of::<Node>(), 16);
 
-/// Builds a [`NodeAlloc`] handle for this module's node pool:
-/// `pooled = true` selects the page-pool arm, `false` the boxed
-/// seed-compat arm (for A/B comparisons inside one binary).
-pub fn node_alloc(pooled: bool) -> NodeAlloc {
-    if pooled {
-        NodeAlloc::pooled(&NODE_POOL)
-    } else {
-        NodeAlloc::boxed(&NODE_POOL)
-    }
+/// This module's node page pool (read-only; for allocator gauges).
+pub fn node_pool() -> &'static NodePool {
+    &NODE_POOL
 }
 
-/// Allocates a blank node through `alloc`'s arm.
-fn alloc_node(alloc: NodeAlloc) -> *mut Node {
-    if alloc.is_pooled() {
-        let n = alloc.pool().alloc().cast::<Node>();
-        // SAFETY: pool slots are type-stable Node memory; per the pool's
-        // quarantine contract a recycled slot is reinitialized through
-        // the node's atomic fields (`init_store` is a relaxed atomic
-        // store), so a stale validator's probe never races non-atomically.
-        unsafe {
-            (*n).l.init_store(0);
-            (*n).r.init_store(0);
-            (*n).value.init_store(NULL);
-        }
-        n
-    } else {
-        Box::into_raw(Box::new(Node::new_blank()))
+/// Allocates a blank node from the page pool.
+fn alloc_node() -> *mut Node {
+    let n = NODE_POOL.alloc().cast::<Node>();
+    // SAFETY: pool slots are type-stable Node memory; per the pool's
+    // quarantine contract a recycled slot is reinitialized through
+    // the node's atomic fields (`init_store` is a relaxed atomic
+    // store), so a stale validator's probe never races non-atomically.
+    unsafe {
+        (*n).l.init_store(0);
+        (*n).r.init_store(0);
+        (*n).value.init_store(NULL);
     }
+    n
 }
 
-/// Immediately frees a node through `alloc`'s arm (unpublished or
-/// quiescent nodes only — concurrent frees go through `retire`).
+/// Immediately frees a node (unpublished or quiescent nodes only —
+/// concurrent frees go through `retire`).
 ///
 /// # Safety
 ///
-/// `n` must have come from [`alloc_node`] with the same `alloc` mode,
-/// be freed exactly once, and be unreachable by other threads.
-unsafe fn free_node_now(alloc: NodeAlloc, n: *mut Node) {
-    if alloc.is_pooled() {
-        unsafe { NodePool::dealloc(n.cast()) };
-    } else {
-        drop(unsafe { Box::from_raw(n) });
-    }
-}
-
-/// Reclaimer dtor for pooled nodes (chosen at `retire` time, where the
-/// deque's mode is in scope — the dtor itself is context-free).
-unsafe fn free_node_pooled(p: *mut u8) {
-    // SAFETY: `p` came from the node pool and runs exactly once, after
-    // the grace period / hazard scan.
-    unsafe { NodePool::dealloc(p) };
-}
-
-/// Reclaimer dtor for the boxed seed-compat arm.
-unsafe fn free_node_boxed(p: *mut u8) {
-    // SAFETY: `p` came from `Box::into_raw::<Node>` in a push path and
-    // runs exactly once, after the grace period / hazard scan.
-    drop(unsafe { Box::from_raw(p.cast::<Node>()) });
+/// `n` must have come from [`alloc_node`], be freed exactly once, and
+/// be unreachable by other threads.
+unsafe fn free_node_now(n: *mut Node) {
+    unsafe { NodePool::dealloc(n.cast()) };
 }
 
 /// Bit 2 of a pointer word marks the pointed-to node as logically deleted
@@ -271,40 +240,26 @@ fn deleted_of(w: u64) -> bool {
 }
 
 /// An unpublished node plus its value word, owned by a push from
-/// allocation to the splicing DCAS (or an elimination handoff).
+/// allocation to the splicing DCAS.
 /// Dropping it — which happens only if a strategy call unwinds, e.g. a
 /// fault-injected kill — releases the value and frees the node; the
 /// strategy unwinding contract guarantees nothing was published.
 struct PendingNode<V: WordValue> {
     node: *mut Node,
     val: u64,
-    alloc: NodeAlloc,
     _marker: PhantomData<V>,
 }
 
 impl<V: WordValue> PendingNode<V> {
-    fn new(v: V, alloc: NodeAlloc) -> Self {
-        let node = alloc_node(alloc);
+    fn new(v: V) -> Self {
+        let node = alloc_node();
         // SAFETY: freshly allocated, unpublished.
         let val = unsafe { put_value(node, v) };
-        PendingNode { node, val, alloc, _marker: PhantomData }
+        PendingNode { node, val, _marker: PhantomData }
     }
 
     /// The splicing DCAS published the node (which holds the value).
     fn published(self) {
-        std::mem::forget(self);
-    }
-
-    /// An elimination partner took the value word. A boxed value's
-    /// never-published node is freed here; an `IN_NODE` value's node
-    /// still holds the payload, so the taker frees it after reading
-    /// (see [`RawListDeque::take_eliminated`]).
-    fn eliminated(self) {
-        if !V::IN_NODE {
-            // SAFETY: unpublished, uniquely owned; the value word now
-            // belongs to the taker.
-            unsafe { free_node_now(self.alloc, self.node) };
-        }
         std::mem::forget(self);
     }
 }
@@ -316,7 +271,7 @@ impl<V: WordValue> Drop for PendingNode<V> {
         // the node, which may hold it).
         unsafe {
             drop_value::<V>(self.val);
-            free_node_now(self.alloc, self.node);
+            free_node_now(self.node);
         }
     }
 }
@@ -329,22 +284,21 @@ impl<V: WordValue> Drop for PendingNode<V> {
 struct Chain<V: WordValue> {
     first: *mut Node,
     last: *mut Node,
-    alloc: NodeAlloc,
     _marker: PhantomData<V>,
 }
 
 impl<V: WordValue> Chain<V> {
-    fn new(v: V, alloc: NodeAlloc) -> Self {
-        let n = alloc_node(alloc);
+    fn new(v: V) -> Self {
+        let n = alloc_node();
         // SAFETY: unpublished, exclusive access (and in the methods
         // below likewise: the chain is private until `publish`).
         unsafe { (*n).value.init_store(put_value(n, v)) };
-        Chain { first: n, last: n, alloc, _marker: PhantomData }
+        Chain { first: n, last: n, _marker: PhantomData }
     }
 
     /// Links `v`'s node after `last` (push-right order).
     fn append(&mut self, v: V) {
-        let n = alloc_node(self.alloc);
+        let n = alloc_node();
         // SAFETY: see `new`.
         unsafe {
             (*n).value.init_store(put_value(n, v));
@@ -356,7 +310,7 @@ impl<V: WordValue> Chain<V> {
 
     /// Links `v`'s node before `first` (push-left order).
     fn prepend(&mut self, v: V) {
-        let n = alloc_node(self.alloc);
+        let n = alloc_node();
         // SAFETY: see `new`.
         unsafe {
             (*n).value.init_store(put_value(n, v));
@@ -384,7 +338,7 @@ impl<V: WordValue> Drop for Chain<V> {
             unsafe {
                 let next = ptr_of((*cur).r.unsync_load_shared()) as *mut Node;
                 drop_value::<V>((*cur).value.unsync_load_shared());
-                free_node_now(self.alloc, cur);
+                free_node_now(cur);
                 if at_last {
                     break;
                 }
@@ -429,14 +383,6 @@ pub struct RawListDeque<V: WordValue, S: DcasStrategy> {
     sl: Box<CachePadded<Node>>,
     /// Right sentinel (`SR`).
     sr: Box<CachePadded<Node>>,
-    /// Elimination array for the left end (present iff
-    /// [`EndConfig::elimination`] is on).
-    elim_left: Option<EliminationArray>,
-    /// Elimination array for the right end.
-    elim_right: Option<EliminationArray>,
-    /// Node-allocation arm: the page pool (default) or the boxed
-    /// seed-compat arm.
-    alloc: NodeAlloc,
     _marker: PhantomData<fn(V) -> V>,
 }
 
@@ -457,23 +403,6 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     /// Creates an empty deque (the paper's `make_deque` without a length:
     /// unbounded).
     pub fn new() -> Self {
-        Self::with_end_config(EndConfig::default())
-    }
-
-    /// Creates an empty deque with an explicit per-end configuration
-    /// (elimination-array knobs).
-    pub fn with_end_config(end: EndConfig) -> Self {
-        Self::with_config(end, NodeAlloc::pooled(&NODE_POOL))
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm (the
-    /// E17 bench compares both arms inside one binary).
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
-        Self::with_config(EndConfig::default(), alloc)
-    }
-
-    /// Creates an empty deque with explicit end and allocation configs.
-    pub fn with_config(end: EndConfig, alloc: NodeAlloc) -> Self {
         let sl = Box::new(CachePadded::new(Node::new_blank()));
         let sr = Box::new(CachePadded::new(Node::new_blank()));
         let slp: *const Node = &**sl as *const Node;
@@ -488,23 +417,8 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
             strategy: S::default(),
             sl,
             sr,
-            elim_left: end.elimination.then(|| EliminationArray::new(&end)),
-            elim_right: end.elimination.then(|| EliminationArray::new(&end)),
-            alloc,
             _marker: PhantomData,
         }
-    }
-
-    /// The node-allocation arm this deque was built with.
-    pub fn node_alloc(&self) -> NodeAlloc {
-        self.alloc
-    }
-
-    /// Per-end elimination-array counter snapshots `(left, right)`, or
-    /// `None` when elimination is off. Non-zero only with the
-    /// `dcas/stats` feature.
-    pub fn elim_stats(&self) -> Option<(dcas::StrategyStats, dcas::StrategyStats)> {
-        Some((self.elim_left.as_ref()?.stats(), self.elim_right.as_ref()?.stats()))
     }
 
     #[inline]
@@ -536,32 +450,12 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     /// have just been physically unlinked by a successful DCAS performed
     /// by the calling thread (so it is retired exactly once).
     unsafe fn retire(&self, node: *const Node, guard: &GuardOf<S>) {
-        let dtor = if self.alloc.is_pooled() { free_node_pooled } else { free_node_boxed };
         // SAFETY: the node is unreachable from the list, so no new
         // operation can find it; operations that already hold a
         // reference are pinned (epoch) or have it announced (hazard).
+        // The pool frees it once, after the grace period / hazard scan.
         unsafe {
-            guard.retire(node as *mut u8, std::mem::size_of::<Node>(), dtor);
-        }
-    }
-
-    /// Takes the value a colliding push handed over through an
-    /// elimination array. An `IN_NODE` value still sits in the pusher's
-    /// never-published node, which the pusher left to us: read it, then
-    /// free the node.
-    ///
-    /// # Safety
-    ///
-    /// `w` came from a successful `try_take` on this deque's array.
-    unsafe fn take_eliminated(&self, w: u64) -> V {
-        // SAFETY: the pusher transferred the value word (and, for
-        // `IN_NODE` values, its private node) to us.
-        unsafe {
-            let v = take_value(w);
-            if V::IN_NODE {
-                free_node_now(self.alloc, w as *mut Node);
-            }
-            v
+            guard.retire(node as *mut u8, std::mem::size_of::<Node>(), NodePool::dealloc);
         }
     }
 
@@ -660,16 +554,6 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
                     // still pinned/protected.
                     return Some(unsafe { take_value(v) });
                 }
-                // Contended retry: a colliding pushRight may hand its
-                // value over directly (the pair linearizes back-to-back
-                // at the exchange instant).
-                if let Some(elim) = &self.elim_right {
-                    if let Some(w) = elim.try_take() {
-                        // SAFETY: ownership of the value word was
-                        // transferred by the offering pushRight.
-                        return Some(unsafe { self.take_eliminated(w) });
-                    }
-                }
             }
         }
     }
@@ -681,9 +565,8 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         // the allocator fails; Rust's global allocator aborts instead, so
         // the push path never reports full — matching the unbounded deque
         // specification of Section 2.2.) The pending guard owns node and
-        // value until published or eliminated; an unwinding strategy call
-        // frees both.
-        let pending = PendingNode::<V>::new(v, self.alloc);
+        // value until published; an unwinding strategy call frees both.
+        let pending = PendingNode::<V>::new(v);
         let (node, val) = (pending.node, pending.val);
         loop {
             let old_l = self.load_end_protected(&guard, &self.sr.l, 0); // line 6
@@ -715,14 +598,6 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
                 ) {
                     pending.published();
                     return Ok(()); // "okay"
-                }
-                // Contended retry: hand the value to a colliding popRight
-                // if one is waiting; the unpublished node is ours to free.
-                if let Some(elim) = &self.elim_right {
-                    if elim.offer(val).is_ok() {
-                        pending.eliminated();
-                        return Ok(());
-                    }
                 }
             }
         }
@@ -852,13 +727,6 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
                     // `orp` still pinned/protected.
                     return Some(unsafe { take_value(v) });
                 }
-                // Contended retry: pair with a colliding pushLeft.
-                if let Some(elim) = &self.elim_left {
-                    if let Some(w) = elim.try_take() {
-                        // SAFETY: as in `pop_right`'s elimination arm.
-                        return Some(unsafe { self.take_eliminated(w) });
-                    }
-                }
             }
         }
     }
@@ -868,7 +736,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
         let guard = S::Reclaimer::pin();
         // Guarded as in `push_right`.
-        let pending = PendingNode::<V>::new(v, self.alloc);
+        let pending = PendingNode::<V>::new(v);
         let (node, val) = (pending.node, pending.val);
         loop {
             let old_r = self.load_end_protected(&guard, &self.sl.r, 0); // line 6
@@ -894,13 +762,6 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
                 ) {
                     pending.published();
                     return Ok(());
-                }
-                // Contended retry: hand the value to a colliding popLeft.
-                if let Some(elim) = &self.elim_left {
-                    if elim.offer(val).is_ok() {
-                        pending.eliminated();
-                        return Ok(());
-                    }
                 }
             }
         }
@@ -999,7 +860,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         // guard owns every node and value until the splice: a panicking
         // iterator or an unwinding strategy call releases the partial
         // chain instead of leaking it.
-        let mut chain = Chain::new(v0, self.alloc);
+        let mut chain = Chain::new(v0);
         for v in it {
             chain.append(v);
         }
@@ -1047,7 +908,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         // that the sequence behaves like repeated pushLeft calls: each
         // yielded value's node is *prepended* to the unpublished chain.
         // Guarded as in `push_right_n`.
-        let mut chain = Chain::new(v0, self.alloc);
+        let mut chain = Chain::new(v0);
         for v in it {
             chain.prepend(v);
         }
@@ -1406,7 +1267,7 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawListDeque<V, S> {
                     drop_value::<V>(v);
                 }
                 cur = ptr_of((*node).r.unsync_load_shared());
-                free_node_now(self.alloc, node);
+                free_node_now(node);
             }
         }
     }
@@ -1437,23 +1298,6 @@ impl<T: Send, S: DcasStrategy> ListDeque<T, S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
         ListDeque { raw: RawListDeque::new() }
-    }
-
-    /// Creates an empty deque with an explicit per-end configuration
-    /// (the elimination-array knobs; see [`EndConfig`]).
-    pub fn with_end_config(end: EndConfig) -> Self {
-        ListDeque { raw: RawListDeque::with_end_config(end) }
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm.
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
-        ListDeque { raw: RawListDeque::with_node_alloc(alloc) }
-    }
-
-    /// Per-end elimination counter snapshots `(left, right)`; `None` when
-    /// elimination is off (see [`RawListDeque::elim_stats`]).
-    pub fn elim_stats(&self) -> Option<(dcas::StrategyStats, dcas::StrategyStats)> {
-        self.raw.elim_stats()
     }
 
     /// The DCAS strategy instance (for counter snapshots).

@@ -634,55 +634,6 @@ fn batch_concurrent_conservation() {
 }
 
 #[test]
-fn elimination_deque_conserves_under_push_pop_races() {
-    use dcas::EndConfig;
-    use std::sync::Mutex;
-    let d = RawListDeque::<u32, HarrisMcas>::with_end_config(EndConfig {
-        elimination: true,
-        elim_slots: 2,
-        offer_spins: 64,
-    });
-    let popped = Mutex::new(Vec::<u32>::new());
-    const PER: u32 = 20_000;
-    std::thread::scope(|s| {
-        for t in 0..2u32 {
-            let d = &d;
-            s.spawn(move || {
-                for v in (t * PER + 1)..=(t + 1) * PER {
-                    RawListDeque::push_left(d, v).unwrap();
-                }
-            });
-        }
-        for _ in 0..2 {
-            let d = &d;
-            let popped = &popped;
-            s.spawn(move || {
-                let mut got = Vec::new();
-                let mut idle = 0;
-                while idle < 10_000 {
-                    match RawListDeque::pop_left(d) {
-                        Some(v) => {
-                            got.push(v);
-                            idle = 0;
-                        }
-                        None => idle += 1,
-                    }
-                }
-                popped.lock().unwrap().extend(got);
-            });
-        }
-    });
-    let mut rest = d.pop_right_n(2 * PER as usize);
-    let mut all = popped.into_inner().unwrap();
-    all.append(&mut rest);
-    all.sort_unstable();
-    let before = all.len();
-    all.dedup();
-    assert_eq!(all.len(), before, "duplicate values popped");
-    assert_eq!(all.len(), 2 * PER as usize, "values lost");
-}
-
-#[test]
 fn batch_push_panicking_iterator_leaks_nothing() {
     // The batched list push builds its whole private chain before the
     // single splicing DCAS; a value iterator that panics mid-chain
@@ -797,27 +748,24 @@ fn reclaim_hazard_list_concurrent_mixed_ops_conserve_values() {
     );
 }
 
-/// Both node-allocation arms (page pool and seed-compatible `Box`)
-/// behind the same deque semantics: interleaved two-ended traffic
-/// drains to the exact push count on each arm. Named `pooled_` so CI's
-/// allocator suite can select the per-family A/B units.
+/// Page-pool nodes behind the deque semantics: interleaved two-ended
+/// traffic drains to the exact push count. Named `pooled_` so CI's
+/// allocator suite selects the per-family pool units.
 #[test]
-fn pooled_and_boxed_arms_agree() {
-    for pooled in [false, true] {
-        let d = ListDeque::<u32>::with_node_alloc(super::node_alloc(pooled));
-        for i in 0..200u32 {
-            if i % 2 == 0 {
-                d.push_right(i).unwrap();
-            } else {
-                d.push_left(i).unwrap();
-            }
+fn pooled_nodes_drain_to_push_count() {
+    let d = ListDeque::<u32>::new();
+    for i in 0..200u32 {
+        if i % 2 == 0 {
+            d.push_right(i).unwrap();
+        } else {
+            d.push_left(i).unwrap();
         }
-        let mut got = 0;
-        while d.pop_left().is_some() || d.pop_right().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 200, "pooled={pooled}");
     }
+    let mut got = 0;
+    while d.pop_left().is_some() || d.pop_right().is_some() {
+        got += 1;
+    }
+    assert_eq!(got, 200);
 }
 
 // ---------------------------------------------------------------------
@@ -842,29 +790,23 @@ fn live(audit: &std::sync::Arc<()>) -> usize {
 }
 
 /// Every path that moves an in-node payload — single and batch push and
-/// pop, the elimination handoff, a panicking batch iterator unwinding
-/// `Chain`, and dropping a non-empty deque — drops each value exactly
-/// once, on both node-alloc arms and both reclaimers.
+/// pop, a panicking batch iterator unwinding `Chain`, contended
+/// same-end traffic, and dropping a non-empty deque — drops each value
+/// exactly once, under both reclaimers.
 #[test]
 fn in_node_payloads_drop_exactly_once() {
     const { assert!(<super::NodeValue<Counted> as crate::value::WordValue>::IN_NODE) };
-    for pooled in [false, true] {
-        in_node_audit::<HarrisMcas>(pooled);
-        in_node_audit::<HarrisMcasHazard>(pooled);
-    }
+    in_node_audit::<HarrisMcas>();
+    in_node_audit::<HarrisMcasHazard>();
 }
 
-fn in_node_audit<S: DcasStrategy>(pooled: bool) {
+fn in_node_audit<S: DcasStrategy>() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
 
-    use dcas::EndConfig;
-
-    use super::{node_alloc, NodeValue, PendingNode};
-
     let audit = Arc::new(());
     let mk = || Counted { _audit: audit.clone() };
-    let d: ListDeque<Counted, S> = ListDeque::with_node_alloc(node_alloc(pooled));
+    let d: ListDeque<Counted, S> = ListDeque::new();
 
     // Single push/pop at both ends.
     for _ in 0..4 {
@@ -912,36 +854,9 @@ fn in_node_audit<S: DcasStrategy>(pooled: bool) {
     drop(d);
     assert_eq!(live(&audit), 0, "drop of a non-empty deque");
 
-    // The elimination handoff, driven directly: the pusher's node is
-    // never published, and the taker reads the payload before freeing
-    // it.
-    let raw: RawListDeque<NodeValue<Counted>, S> =
-        RawListDeque::with_config(EndConfig::eliminating(), node_alloc(pooled));
-    let elim = raw.elim_right.as_ref().unwrap();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            let pending = PendingNode::new(NodeValue(mk()), raw.alloc);
-            while elim.offer(pending.val).is_err() {}
-            pending.eliminated();
-        });
-        s.spawn(|| loop {
-            if let Some(w) = elim.try_take() {
-                // SAFETY: the offering push transferred `w`.
-                drop(unsafe { raw.take_eliminated(w) });
-                break;
-            }
-            std::thread::yield_now();
-        });
-    });
-    assert_eq!(live(&audit), 0, "elimination handoff");
-
-    // And under real contention: same-end pushers and poppers with
-    // elimination on, then a drain and a drop of the rest.
-    let d: ListDeque<Counted, S> = ListDeque::with_end_config(EndConfig {
-        elimination: true,
-        elim_slots: 1,
-        offer_spins: 64,
-    });
+    // And under real contention: same-end pushers and poppers, then a
+    // drop of the rest.
+    let d: ListDeque<Counted, S> = ListDeque::new();
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
@@ -957,5 +872,5 @@ fn in_node_audit<S: DcasStrategy>(pooled: bool) {
         }
     });
     drop(d);
-    assert_eq!(live(&audit), 0, "contended elimination traffic");
+    assert_eq!(live(&audit), 0, "contended same-end traffic");
 }

@@ -31,7 +31,7 @@
 use std::marker::PhantomData;
 
 use crossbeam_utils::CachePadded;
-use dcas::{DcasStrategy, DcasWord, HarrisMcas, NodeAlloc, NodePool, ReclaimGuard, Reclaimer};
+use dcas::{DcasStrategy, DcasWord, HarrisMcas, NodePool, ReclaimGuard, Reclaimer};
 
 use crate::reserved::{NULL, SENTL, SENTR};
 use crate::value::{Boxed, WordValue};
@@ -65,60 +65,33 @@ impl Node {
 /// Page pool for this module's nodes and dummies (sentinels stay boxed).
 static NODE_POOL: NodePool = NodePool::new("list_dummy", std::mem::size_of::<Node>(), 16);
 
-/// Builds a [`NodeAlloc`] handle for this module's node pool:
-/// `pooled = true` selects the page-pool arm, `false` the boxed
-/// seed-compat arm (for A/B comparisons inside one binary).
-pub fn node_alloc(pooled: bool) -> NodeAlloc {
-    if pooled {
-        NodeAlloc::pooled(&NODE_POOL)
-    } else {
-        NodeAlloc::boxed(&NODE_POOL)
-    }
+/// This module's node page pool (read-only; for allocator gauges).
+pub fn node_pool() -> &'static NodePool {
+    &NODE_POOL
 }
 
-/// Allocates a blank node through `alloc`'s arm.
-fn alloc_node(alloc: NodeAlloc) -> *mut Node {
-    if alloc.is_pooled() {
-        let n = alloc.pool().alloc().cast::<Node>();
-        // SAFETY: type-stable pool slot, reinitialized through the atomic
-        // fields per the pool's quarantine contract (`init_store` is a
-        // relaxed atomic store).
-        unsafe {
-            (*n).l.init_store(0);
-            (*n).r.init_store(0);
-            (*n).value.init_store(NULL);
-        }
-        n
-    } else {
-        Box::into_raw(Box::new(Node::new_blank()))
+/// Allocates a blank node from the page pool.
+fn alloc_node() -> *mut Node {
+    let n = NODE_POOL.alloc().cast::<Node>();
+    // SAFETY: type-stable pool slot, reinitialized through the atomic
+    // fields per the pool's quarantine contract (`init_store` is a
+    // relaxed atomic store).
+    unsafe {
+        (*n).l.init_store(0);
+        (*n).r.init_store(0);
+        (*n).value.init_store(NULL);
     }
+    n
 }
 
-/// Immediately frees an unpublished or quiescent node through `alloc`'s
-/// arm.
+/// Immediately frees an unpublished or quiescent node.
 ///
 /// # Safety
 ///
-/// `n` must come from [`alloc_node`] with the same mode, be freed once,
-/// and be unreachable by other threads.
-unsafe fn free_node_now(alloc: NodeAlloc, n: *mut Node) {
-    if alloc.is_pooled() {
-        unsafe { NodePool::dealloc(n.cast()) };
-    } else {
-        drop(unsafe { Box::from_raw(n) });
-    }
-}
-
-/// Reclaimer dtor for pooled nodes.
-unsafe fn free_node_pooled(p: *mut u8) {
-    // SAFETY: `p` came from the node pool; runs once, post-scan.
-    unsafe { NodePool::dealloc(p) };
-}
-
-/// Reclaimer dtor for the boxed seed-compat arm.
-unsafe fn free_node_boxed(p: *mut u8) {
-    // SAFETY: `p` came from `Box::into_raw::<Node>`; runs once.
-    drop(unsafe { Box::from_raw(p.cast::<Node>()) });
+/// `n` must come from [`alloc_node`], be freed once, and be unreachable
+/// by other threads.
+unsafe fn free_node_now(n: *mut Node) {
+    unsafe { NodePool::dealloc(n.cast()) };
 }
 
 #[inline]
@@ -141,13 +114,12 @@ fn node_of(w: u64) -> *const Node {
 struct PendingNode<V: WordValue> {
     node: *mut Node,
     val: u64,
-    alloc: NodeAlloc,
     _marker: PhantomData<V>,
 }
 
 impl<V: WordValue> PendingNode<V> {
-    fn new(v: V, alloc: NodeAlloc) -> Self {
-        PendingNode { node: alloc_node(alloc), val: v.encode(), alloc, _marker: PhantomData }
+    fn new(v: V) -> Self {
+        PendingNode { node: alloc_node(), val: v.encode(), _marker: PhantomData }
     }
 
     fn published(self) {
@@ -160,7 +132,7 @@ impl<V: WordValue> Drop for PendingNode<V> {
         // SAFETY: reached only by unwinding before publication — the
         // node is private and the encoded value unconsumed.
         unsafe {
-            free_node_now(self.alloc, self.node);
+            free_node_now(self.node);
             V::drop_encoded(self.val);
         }
     }
@@ -171,7 +143,6 @@ impl<V: WordValue> Drop for PendingNode<V> {
 /// lost a race) and an unwinding strategy call.
 struct PendingDummy {
     node: *const Node,
-    alloc: NodeAlloc,
 }
 
 impl PendingDummy {
@@ -183,7 +154,7 @@ impl PendingDummy {
 impl Drop for PendingDummy {
     fn drop(&mut self) {
         // SAFETY: unpublished, uniquely owned; dummies hold no value.
-        unsafe { free_node_now(self.alloc, self.node as *mut Node) };
+        unsafe { free_node_now(self.node as *mut Node) };
     }
 }
 
@@ -205,8 +176,6 @@ pub struct RawDummyListDeque<V: WordValue, S: DcasStrategy> {
     strategy: S,
     sl: Box<CachePadded<Node>>,
     sr: Box<CachePadded<Node>>,
-    /// Node-allocation arm: page pool (default) or boxed seed-compat.
-    alloc: NodeAlloc,
     _marker: PhantomData<fn(V) -> V>,
 }
 
@@ -225,11 +194,6 @@ impl<V: WordValue, S: DcasStrategy> Default for RawDummyListDeque<V, S> {
 impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
-        Self::with_node_alloc(NodeAlloc::pooled(&NODE_POOL))
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm.
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
         let sl = Box::new(CachePadded::new(Node::new_blank()));
         let sr = Box::new(CachePadded::new(Node::new_blank()));
         let slp: *const Node = &**sl as *const Node;
@@ -238,7 +202,7 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
         sr.value.init_store(SENTR);
         sl.r.init_store(direct(srp));
         sr.l.init_store(direct(slp));
-        RawDummyListDeque { strategy: S::default(), sl, sr, alloc, _marker: PhantomData }
+        RawDummyListDeque { strategy: S::default(), sl, sr, _marker: PhantomData }
     }
 
     #[inline]
@@ -317,7 +281,7 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
 
     /// Allocates a dummy node indirecting to `target` (Figure 10).
     fn make_dummy(&self, target: *const Node) -> *const Node {
-        let d = alloc_node(self.alloc);
+        let d = alloc_node();
         // SAFETY: unpublished.
         unsafe {
             (*d).value.init_store(DUMMY);
@@ -330,10 +294,10 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
     ///
     /// As for `RawListDeque::retire`.
     unsafe fn retire(&self, node: *const Node, guard: &GuardOf<S>) {
-        let dtor = if self.alloc.is_pooled() { free_node_pooled } else { free_node_boxed };
-        // SAFETY: forwarded contract.
+        // SAFETY: forwarded contract; the pool frees the node once,
+        // post-scan.
         unsafe {
-            guard.retire(node as *mut u8, std::mem::size_of::<Node>(), dtor);
+            guard.retire(node as *mut u8, std::mem::size_of::<Node>(), NodePool::dealloc);
         }
     }
 
@@ -362,7 +326,7 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
                     return None;
                 }
             } else {
-                let dummy = PendingDummy { node: self.make_dummy(r.real), alloc: self.alloc };
+                let dummy = PendingDummy { node: self.make_dummy(r.real) };
                 // SAFETY: as above.
                 if self.strategy.dcas(
                     &self.sr.l,
@@ -386,7 +350,7 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
         let guard = S::Reclaimer::pin();
         // The pending guard owns node and value until published; an
         // unwinding strategy call frees both.
-        let pending = PendingNode::<V>::new(v, self.alloc);
+        let pending = PendingNode::<V>::new(v);
         let (node, val) = (pending.node, pending.val);
         loop {
             let (old_l, r) = self.load_resolved(&guard, &self.sr.l, 0);
@@ -511,7 +475,7 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
                     return None;
                 }
             } else {
-                let dummy = PendingDummy { node: self.make_dummy(l.real), alloc: self.alloc };
+                let dummy = PendingDummy { node: self.make_dummy(l.real) };
                 // SAFETY: as above.
                 if self.strategy.dcas(
                     &self.sl.r,
@@ -534,7 +498,7 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
     pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
         let guard = S::Reclaimer::pin();
         // Guarded as in `push_right`.
-        let pending = PendingNode::<V>::new(v, self.alloc);
+        let pending = PendingNode::<V>::new(v);
         let (node, val) = (pending.node, pending.val);
         loop {
             let (old_r, l) = self.load_resolved(&guard, &self.sl.r, 0);
@@ -658,14 +622,14 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawDummyListDeque<V, S> {
             let ln = node_of(self.sl.r.unsync_load_shared());
             let start = if (*ln).value.unsync_load_shared() == DUMMY {
                 let target = node_of((*ln).l.unsync_load_shared());
-                free_node_now(self.alloc, ln as *mut Node);
+                free_node_now(ln as *mut Node);
                 target
             } else {
                 ln
             };
             let rn = node_of(self.sr.l.unsync_load_shared());
             if (*rn).value.unsync_load_shared() == DUMMY {
-                free_node_now(self.alloc, rn as *mut Node);
+                free_node_now(rn as *mut Node);
             }
             let mut cur = start;
             while cur != self.srp() {
@@ -675,7 +639,7 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawDummyListDeque<V, S> {
                     V::drop_encoded(v);
                 }
                 cur = node_of((*node).r.unsync_load_shared());
-                free_node_now(self.alloc, node);
+                free_node_now(node);
             }
         }
     }
@@ -697,11 +661,6 @@ impl<T: Send, S: DcasStrategy> DummyListDeque<T, S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
         DummyListDeque { raw: RawDummyListDeque::new() }
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm.
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
-        DummyListDeque { raw: RawDummyListDeque::with_node_alloc(alloc) }
     }
 
     /// The DCAS strategy instance (for counter snapshots).

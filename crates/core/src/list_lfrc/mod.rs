@@ -54,8 +54,8 @@
 //! and pushes execute extra count-maintenance CASes (measured in bench
 //! `e5_array_vs_list` and the `boundary_cases` example); the payoff is
 //! that reclamation *decisions* are immediate and deterministic — the
-//! paper's footnote 2 caveat, discharged — while the allocator is a
-//! plain `Box` per node rather than a never-shrinking pool.
+//! paper's footnote 2 caveat, discharged. Nodes come from this
+//! module's page pool ([`node_pool`]), like the other linked deques'.
 
 // Nested `if`s mirror the paper's listing structure; do not collapse.
 #![allow(clippy::collapsible_if)]
@@ -65,7 +65,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
-use dcas::{DcasStrategy, DcasWord, HarrisMcas, NodeAlloc, NodePool, ReclaimGuard, Reclaimer};
+use dcas::{DcasStrategy, DcasWord, HarrisMcas, NodePool, ReclaimGuard, Reclaimer};
 
 use crate::reserved::{NULL, SENTL, SENTR};
 use crate::value::{Boxed, WordValue};
@@ -119,24 +119,16 @@ impl Node {
 
 /// Frees a dead node: runs as the [`ReclaimGuard::retire`] dtor (on any
 /// thread, possibly after the deque is gone) and from `Drop` for nodes
-/// still linked at teardown.
+/// still linked at teardown. The audit backlink is read out *before*
+/// the slot returns to the pool (a recycler may overwrite it
+/// immediately).
 ///
 /// # Safety
 ///
-/// `p` must come from `Box::into_raw` in [`RawLfrcListDeque::alloc_node`]
-/// and be unreachable; runs exactly once per node.
-unsafe fn free_node_boxed(p: *mut u8) {
-    // SAFETY: per the function contract.
-    let node = unsafe { Box::from_raw(p.cast::<Node>()) };
-    // SAFETY: `audit` holds the strong reference `alloc_node` leaked.
-    unsafe { drop(Arc::from_raw(node.audit)) };
-}
-
-/// Pooled counterpart of [`free_node_boxed`]: the audit backlink must be
-/// read out *before* the slot returns to the pool (a recycler may
-/// overwrite it immediately).
-unsafe fn free_node_pooled(p: *mut u8) {
-    // SAFETY: per the same contract; exclusive access until dealloc.
+/// `p` must come from [`RawLfrcListDeque::alloc_node`] and be
+/// unreachable; runs exactly once per node.
+unsafe fn free_node(p: *mut u8) {
+    // SAFETY: per the function contract; exclusive access until dealloc.
     let audit = unsafe { (*p.cast::<Node>()).audit };
     // SAFETY: `p` came from the node pool; runs once, post-scan.
     unsafe { NodePool::dealloc(p) };
@@ -144,31 +136,12 @@ unsafe fn free_node_pooled(p: *mut u8) {
     unsafe { drop(Arc::from_raw(audit)) };
 }
 
-/// Immediately frees a quiescent node through `alloc`'s arm.
-///
-/// # Safety
-///
-/// Same contract as the retire dtors; the caller has exclusive access.
-unsafe fn free_node_now(alloc: NodeAlloc, p: *mut u8) {
-    if alloc.is_pooled() {
-        unsafe { free_node_pooled(p) };
-    } else {
-        unsafe { free_node_boxed(p) };
-    }
-}
-
 /// Page pool for this module's nodes (sentinels stay boxed).
 static NODE_POOL: NodePool = NodePool::new("list_lfrc", std::mem::size_of::<Node>(), 16);
 
-/// Builds a [`NodeAlloc`] handle for this module's node pool:
-/// `pooled = true` selects the page-pool arm, `false` the boxed
-/// seed-compat arm (for A/B comparisons inside one binary).
-pub fn node_alloc(pooled: bool) -> NodeAlloc {
-    if pooled {
-        NodeAlloc::pooled(&NODE_POOL)
-    } else {
-        NodeAlloc::boxed(&NODE_POOL)
-    }
+/// This module's node page pool (read-only; for allocator gauges).
+pub fn node_pool() -> &'static NodePool {
+    &NODE_POOL
 }
 
 const DELETED_BIT: u64 = 0b100;
@@ -210,8 +183,6 @@ pub struct LfrcStats {
 pub struct RawLfrcListDeque<V: WordValue, S: DcasStrategy> {
     strategy: S,
     audit: Arc<NodeAudit>,
-    /// Node-allocation arm: page pool (default) or boxed seed-compat.
-    alloc: NodeAlloc,
     sl: Box<CachePadded<Node>>,
     sr: Box<CachePadded<Node>>,
     _marker: PhantomData<fn(V) -> V>,
@@ -236,12 +207,6 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
 
     /// Creates an empty deque.
     pub fn new() -> Self {
-        Self::with_node_alloc(NodeAlloc::pooled(&NODE_POOL))
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm (the
-    /// E17 bench compares both arms inside one binary).
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
         let sl = Box::new(CachePadded::new(Node::new_blank()));
         let sr = Box::new(CachePadded::new(Node::new_blank()));
         let slp: *const Node = &**sl as *const Node;
@@ -257,7 +222,6 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
         RawLfrcListDeque {
             strategy: S::default(),
             audit: Arc::new(NodeAudit { allocated: AtomicU64::new(0) }),
-            alloc,
             sl,
             sr,
             _marker: PhantomData,
@@ -287,23 +251,17 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
     /// Allocates a blank node carrying a strong audit reference.
     fn alloc_node(&self) -> *mut Node {
         self.audit.allocated.fetch_add(1, Ordering::Relaxed);
-        let n = if self.alloc.is_pooled() {
-            let n = self.alloc.pool().alloc().cast::<Node>();
-            // SAFETY: type-stable pool slot, reinitialized through the
-            // atomic fields per the pool's quarantine contract; `audit`
-            // is a plain field never read by in-flight validators.
-            unsafe {
-                (*n).l.init_store(0);
-                (*n).r.init_store(0);
-                (*n).value.init_store(NULL);
-                (*n).rc.init_store(0);
-            }
-            n
-        } else {
-            Box::into_raw(Box::new(Node::new_blank()))
-        };
-        // SAFETY: fresh allocation, unpublished.
-        unsafe { (*n).audit = Arc::into_raw(Arc::clone(&self.audit)) };
+        let n = NODE_POOL.alloc().cast::<Node>();
+        // SAFETY: type-stable pool slot, reinitialized through the
+        // atomic fields per the pool's quarantine contract; `audit` is a
+        // plain field never read by in-flight validators. Unpublished.
+        unsafe {
+            (*n).l.init_store(0);
+            (*n).r.init_store(0);
+            (*n).value.init_store(NULL);
+            (*n).rc.init_store(0);
+            (*n).audit = Arc::into_raw(Arc::clone(&self.audit));
+        }
         n
     }
 
@@ -355,15 +313,10 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
                             );
                             stack.push((*n).l.unsync_load_shared());
                             stack.push((*n).r.unsync_load_shared());
-                            let dtor = if self.alloc.is_pooled() {
-                                free_node_pooled
-                            } else {
-                                free_node_boxed
-                            };
                             g.retire(
                                 n as *mut Node as *mut u8,
                                 std::mem::size_of::<Node>(),
-                                dtor,
+                                free_node,
                             );
                         }
                     }
@@ -837,7 +790,7 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawLfrcListDeque<V, S> {
     fn drop(&mut self) {
         // Exclusive access: free still-linked nodes (and their values)
         // directly. Nodes already dead went through `retire` and are
-        // freed by the backend — their dtors only touch the node box
+        // freed by the backend — their dtors only touch the pool slot
         // and the `Arc`-kept audit block, both of which outlive us.
         // SAFETY: quiescence.
         unsafe {
@@ -848,7 +801,7 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawLfrcListDeque<V, S> {
                 if v != NULL {
                     V::drop_encoded(v);
                 }
-                free_node_now(self.alloc, cur as *mut Node as *mut u8);
+                free_node(cur as *mut Node as *mut u8);
                 cur = next;
             }
         }
@@ -871,11 +824,6 @@ impl<T: Send, S: DcasStrategy> LfrcListDeque<T, S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
         LfrcListDeque { raw: RawLfrcListDeque::new() }
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm.
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
-        LfrcListDeque { raw: RawLfrcListDeque::with_node_alloc(alloc) }
     }
 
     /// The DCAS strategy instance (for counter snapshots).

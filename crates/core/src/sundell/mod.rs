@@ -22,7 +22,7 @@
 //! one single-word CAS through [`DcasStrategy::cas`], so the strategy's
 //! DCAS/CASN machinery is never exercised. Wired into the same
 //! [`ConcurrentDeque`] surface as the DCAS deques, this is the repo's
-//! DCAS-vs-CAS study arm (bench E16).
+//! CAS-only comparison arm for them.
 //!
 //! # Memory reclamation
 //!
@@ -69,7 +69,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
-use dcas::{Backoff, DcasStrategy, DcasWord, HarrisMcas, NodeAlloc, NodePool, ReclaimGuard, Reclaimer};
+use dcas::{Backoff, DcasStrategy, DcasWord, HarrisMcas, NodePool, ReclaimGuard, Reclaimer};
 
 use crate::reserved::{SENTL, SENTR};
 use crate::value::{Boxed, WordValue};
@@ -119,12 +119,12 @@ struct Node {
 }
 
 impl Node {
-    fn new_blank(links: u64) -> Node {
+    fn new_blank() -> Node {
         Node {
             prev: DcasWord::new(0),
             next: DcasWord::new(0),
             value: DcasWord::new(0),
-            links: AtomicU64::new(links),
+            links: AtomicU64::new(0),
         }
     }
 }
@@ -132,62 +132,34 @@ impl Node {
 /// Page pool for this module's nodes (sentinels stay boxed).
 static NODE_POOL: NodePool = NodePool::new("sundell", std::mem::size_of::<Node>(), 16);
 
-/// Builds a [`NodeAlloc`] handle for this module's node pool:
-/// `pooled = true` selects the page-pool arm, `false` the boxed
-/// seed-compat arm (for A/B comparisons inside one binary).
-pub fn node_alloc(pooled: bool) -> NodeAlloc {
-    if pooled {
-        NodeAlloc::pooled(&NODE_POOL)
-    } else {
-        NodeAlloc::boxed(&NODE_POOL)
-    }
+/// This module's node page pool (read-only; for allocator gauges).
+pub fn node_pool() -> &'static NodePool {
+    &NODE_POOL
 }
 
-/// Allocates a blank node (with `links` birth units) through `alloc`'s
-/// arm.
-fn alloc_node(alloc: NodeAlloc, links: u64) -> *mut Node {
-    if alloc.is_pooled() {
-        let n = alloc.pool().alloc().cast::<Node>();
-        // SAFETY: type-stable pool slot, reinitialized through the atomic
-        // fields per the pool's quarantine contract (`init_store` and
-        // `store(Relaxed)` are atomic stores).
-        unsafe {
-            (*n).prev.init_store(0);
-            (*n).next.init_store(0);
-            (*n).value.init_store(0);
-            (*n).links.store(links, Ordering::Relaxed);
-        }
-        n
-    } else {
-        Box::into_raw(Box::new(Node::new_blank(links)))
+/// Allocates a blank node (with `links` birth units) from the page pool.
+fn alloc_node(links: u64) -> *mut Node {
+    let n = NODE_POOL.alloc().cast::<Node>();
+    // SAFETY: type-stable pool slot, reinitialized through the atomic
+    // fields per the pool's quarantine contract (`init_store` and
+    // `store(Relaxed)` are atomic stores).
+    unsafe {
+        (*n).prev.init_store(0);
+        (*n).next.init_store(0);
+        (*n).value.init_store(0);
+        (*n).links.store(links, Ordering::Relaxed);
     }
+    n
 }
 
-/// Immediately frees an unpublished or quiescent node through `alloc`'s
-/// arm.
+/// Immediately frees an unpublished or quiescent node.
 ///
 /// # Safety
 ///
-/// `n` must come from [`alloc_node`] with the same mode, be freed once,
-/// and be unreachable by other threads.
-unsafe fn free_node_now(alloc: NodeAlloc, n: *mut Node) {
-    if alloc.is_pooled() {
-        unsafe { NodePool::dealloc(n.cast()) };
-    } else {
-        drop(unsafe { Box::from_raw(n) });
-    }
-}
-
-/// Reclaimer dtor for pooled nodes.
-unsafe fn free_node_pooled(p: *mut u8) {
-    // SAFETY: `p` came from the node pool; runs once, post-scan.
-    unsafe { NodePool::dealloc(p) };
-}
-
-/// Reclaimer dtor for the boxed seed-compat arm.
-unsafe fn free_node_boxed(p: *mut u8) {
-    // SAFETY: `p` came from `Box::into_raw::<Node>`; runs once.
-    drop(unsafe { Box::from_raw(p.cast::<Node>()) });
+/// `n` must come from [`alloc_node`], be freed once, and be unreachable
+/// by other threads.
+unsafe fn free_node_now(n: *mut Node) {
+    unsafe { NodePool::dealloc(n.cast()) };
 }
 
 /// Bit 2 of a link word marks the word's **owner** as logically deleted
@@ -217,19 +189,18 @@ fn deleted_of(w: u64) -> bool {
 struct Pending<V: WordValue> {
     node: *mut Node,
     val: u64,
-    alloc: NodeAlloc,
     _marker: PhantomData<V>,
 }
 
 impl<V: WordValue> Pending<V> {
-    fn new(v: V, alloc: NodeAlloc) -> Self {
+    fn new(v: V) -> Self {
         // Born with one unit: consumed by the predecessor's `next` word
         // at the publish CAS.
-        let node = alloc_node(alloc, 1);
+        let node = alloc_node(1);
         let val = v.encode();
         // SAFETY: the node is private until published.
         unsafe { (*node).value.init_store(val) };
-        Pending { node, val, alloc, _marker: PhantomData }
+        Pending { node, val, _marker: PhantomData }
     }
 
     fn published(self) {
@@ -242,7 +213,7 @@ impl<V: WordValue> Drop for Pending<V> {
         // SAFETY: reached only before publication — node private, value
         // unconsumed.
         unsafe {
-            free_node_now(self.alloc, self.node);
+            free_node_now(self.node);
             V::drop_encoded(self.val);
         }
     }
@@ -265,8 +236,6 @@ pub struct RawSundellDeque<V: WordValue, S: DcasStrategy> {
     head: Box<CachePadded<Node>>,
     /// Right sentinel; its `prev` word is the (lagging) list tail hint.
     tail: Box<CachePadded<Node>>,
-    /// Node-allocation arm: page pool (default) or boxed seed-compat.
-    alloc: NodeAlloc,
     _marker: PhantomData<fn(V) -> V>,
 }
 
@@ -285,14 +254,8 @@ impl<V: WordValue, S: DcasStrategy> Default for RawSundellDeque<V, S> {
 impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
-        Self::with_node_alloc(NodeAlloc::pooled(&NODE_POOL))
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm (the
-    /// E17 bench compares both arms inside one binary).
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
-        let head = Box::new(CachePadded::new(Node::new_blank(0)));
-        let tail = Box::new(CachePadded::new(Node::new_blank(0)));
+        let head = Box::new(CachePadded::new(Node::new_blank()));
+        let tail = Box::new(CachePadded::new(Node::new_blank()));
         let hp: *const Node = &**head;
         let tp: *const Node = &**tail;
         head.value.init_store(SENTL);
@@ -300,7 +263,7 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
         head.next.init_store(pack(tp, false));
         tail.prev.init_store(pack(hp, false));
         // The sentinels' outward words stay null and unmarked.
-        RawSundellDeque { strategy: S::default(), head, tail, alloc, _marker: PhantomData }
+        RawSundellDeque { strategy: S::default(), head, tail, _marker: PhantomData }
     }
 
     /// The DCAS strategy instance (for counter snapshots).
@@ -430,10 +393,10 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
     /// `p` must have been allocated by this deque's push path and have
     /// just taken its unique link-count zero transition.
     unsafe fn retire(&self, p: *const Node, guard: &GuardOf<S>) {
-        let dtor = if self.alloc.is_pooled() { free_node_pooled } else { free_node_boxed };
         // SAFETY: per the method contract; threads that can still reach
         // the memory are pinned (epoch) or have it announced (hazard).
-        unsafe { guard.retire(p as *mut u8, std::mem::size_of::<Node>(), dtor) };
+        // The pool frees the node once, post-scan.
+        unsafe { guard.retire(p as *mut u8, std::mem::size_of::<Node>(), NodePool::dealloc) };
     }
 
     /// Marks `w`'s owner deleted (idempotent; pointer part untouched, so
@@ -453,7 +416,7 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
     /// needed.
     pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
         let guard = S::Reclaimer::pin();
-        let pending = Pending::<V>::new(v, self.alloc);
+        let pending = Pending::<V>::new(v);
         let node = pending.node;
         if Self::NP {
             // Trivially valid: the node is still private.
@@ -491,7 +454,7 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
     /// `prev` backlink.
     pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
         let guard = S::Reclaimer::pin();
-        let pending = Pending::<V>::new(v, self.alloc);
+        let pending = Pending::<V>::new(v);
         let node = pending.node;
         if Self::NP {
             guard.protect(SLOT_OP, node as u64);
@@ -961,7 +924,7 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawSundellDeque<V, S> {
                     V::drop_encoded((*node).value.unsync_load_shared());
                 }
                 cur = ptr_of(nw);
-                free_node_now(self.alloc, node);
+                free_node_now(node);
             }
         }
     }
@@ -987,11 +950,6 @@ impl<T: Send, S: DcasStrategy> SundellDeque<T, S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
         SundellDeque { raw: RawSundellDeque::new() }
-    }
-
-    /// Creates an empty deque with an explicit node-allocation arm.
-    pub fn with_node_alloc(alloc: NodeAlloc) -> Self {
-        SundellDeque { raw: RawSundellDeque::with_node_alloc(alloc) }
     }
 
     /// The DCAS strategy instance (for counter snapshots).

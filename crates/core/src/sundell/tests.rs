@@ -325,25 +325,22 @@ fn concurrent_conservation_locked() {
     concurrent_conservation::<StripedLock>();
 }
 
-/// Both node-allocation arms (page pool and seed-compatible `Box`)
-/// behind the same deque semantics: interleaved two-ended traffic
-/// drains to the exact push count on each arm. Named `pooled_` so CI's
-/// allocator suite can select the per-family A/B units.
+/// Page-pool nodes behind the deque semantics: interleaved two-ended
+/// traffic drains to the exact push count. Named `pooled_` so CI's
+/// allocator suite selects the per-family pool units.
 #[test]
-fn pooled_and_boxed_arms_agree() {
-    for pooled in [false, true] {
-        let d = SundellDeque::<u32>::with_node_alloc(super::node_alloc(pooled));
-        for i in 0..200u32 {
-            if i % 2 == 0 {
-                d.push_right(i).unwrap();
-            } else {
-                d.push_left(i).unwrap();
-            }
+fn pooled_nodes_drain_to_push_count() {
+    let d = SundellDeque::<u32>::new();
+    for i in 0..200u32 {
+        if i % 2 == 0 {
+            d.push_right(i).unwrap();
+        } else {
+            d.push_left(i).unwrap();
         }
-        let mut got = 0;
-        while d.pop_left().is_some() || d.pop_right().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 200, "pooled={pooled}");
     }
+    let mut got = 0;
+    while d.pop_left().is_some() || d.pop_right().is_some() {
+        got += 1;
+    }
+    assert_eq!(got, 200);
 }

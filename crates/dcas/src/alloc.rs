@@ -15,7 +15,7 @@
 //!   consolidation re-carves freed chunks sequentially. (The first cut
 //!   of this module used one flat free stack per thread; it scrambled
 //!   slot order permanently, and on DRAM-resident working sets the
-//!   pooled arm *lost* to `malloc` by 40% — see E17's ring row.)
+//!   pool *lost* to `malloc` by 40%.)
 //! * **Cross-thread frees.** Deque nodes are allocated by the pusher but
 //!   retired on the popper's thread. A free whose slot belongs to a page
 //!   owned by another thread is pushed onto that page's MPSC **remote
@@ -46,8 +46,8 @@
 //! re-enters circulation only after the backend's grace period (epoch)
 //! or a hazard scan proves no protected reference remains — exactly the
 //! point at which `Box::from_raw` would have been legal. Recycling
-//! therefore introduces no lifetime race the `Box` arm did not already
-//! have. What it *does* introduce is benign ABA reads: a hazard
+//! therefore introduces no lifetime race a heap-allocated node would
+//! not already have. What it *does* introduce is benign ABA reads: a hazard
 //! validator may hold a stale pointer into a slot that has since been
 //! recycled and republished, and its announce-and-validate probe reads
 //! the slot's link/value words before discovering the mismatch. Two
@@ -69,7 +69,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// Size and alignment of every pool page. The power-of-two alignment is
-/// load-bearing: [`NodePool::dealloc`] recovers a slot's [`PageHeader`]
+/// load-bearing: [`NodePool::dealloc`] recovers a slot's page header
 /// by masking the slot address with `!(PAGE_SIZE - 1)`.
 pub const PAGE_SIZE: usize = 4096;
 
@@ -786,57 +786,6 @@ pub fn census() -> Vec<(&'static str, u64, u64, u64)> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// The per-deque handle.
-// ---------------------------------------------------------------------
-
-/// Per-deque-instance node-allocation mode: the pool (default) or the
-/// seed-compatible `Box` arm kept for the stress matrix and for the
-/// E17 pooled-vs-boxed comparison.
-///
-/// Copied into every pending-node/chain helper a deque creates, so both
-/// arms can coexist in one binary; a plain constructor picks the pool.
-#[derive(Clone, Copy)]
-pub struct NodeAlloc {
-    pool: &'static NodePool,
-    pooled: bool,
-}
-
-impl std::fmt::Debug for NodeAlloc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeAlloc")
-            .field("pool", &self.pool.name)
-            .field("pooled", &self.pooled)
-            .finish()
-    }
-}
-
-impl NodeAlloc {
-    /// Handle that allocates from `pool`.
-    pub const fn pooled(pool: &'static NodePool) -> Self {
-        NodeAlloc { pool, pooled: true }
-    }
-
-    /// Handle that round-trips the global heap (seed-compat arm).
-    pub const fn boxed(pool: &'static NodePool) -> Self {
-        NodeAlloc {
-            pool,
-            pooled: false,
-        }
-    }
-
-    /// Whether this handle uses the page pool.
-    pub fn is_pooled(&self) -> bool {
-        self.pooled
-    }
-
-    /// The pool behind this handle (meaningful even for the boxed arm,
-    /// which reports census zeros through it).
-    pub fn pool(&self) -> &'static NodePool {
-        self.pool
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -994,15 +943,5 @@ mod tests {
             "churn leaked pages: {} > {bound}",
             P.pages_allocated()
         );
-    }
-
-    #[test]
-    fn node_alloc_handle_modes() {
-        static P: NodePool = NodePool::new("t-handle", 32, 16);
-        let pooled = NodeAlloc::pooled(&P);
-        let boxed = NodeAlloc::boxed(&P);
-        assert!(pooled.is_pooled() && !boxed.is_pooled());
-        assert!(std::ptr::eq(pooled.pool(), boxed.pool()));
-        assert!(census().iter().any(|&(name, ..)| name == "t-handle") || P.pages_allocated() == 0);
     }
 }

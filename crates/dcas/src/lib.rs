@@ -66,7 +66,6 @@
 pub mod alloc;
 mod backoff;
 mod delayed;
-pub mod elimination;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod global_lock;
@@ -94,10 +93,9 @@ macro_rules! fault_point {
 }
 pub(crate) use fault_point;
 
-pub use alloc::{NodeAlloc, NodePool};
+pub use alloc::NodePool;
 pub use backoff::Backoff;
 pub use delayed::Delayed;
-pub use elimination::{EliminationArray, EndConfig};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultInjecting, FaultLog, FaultPlan, FaultPoint, Kill, KillKind, StallGate};
 pub use global_lock::GlobalLock;

@@ -1,6 +1,6 @@
 //! Michael-style hazard pointers: the bounded-garbage backend.
 //!
-//! Each thread owns a [`HazardRecord`] — a fixed array of
+//! Each thread owns a hazard record — a fixed array of
 //! [`SLOTS`] hazard slots plus a private retired list — registered in a
 //! process-wide lock-free list. Readers *announce* a pointer in a slot
 //! before dereferencing it and **validate** by re-reading the word the
@@ -18,8 +18,8 @@
 //! — the bound `tests/reclaim_torture.rs` asserts while a victim thread
 //! is frozen mid-operation. The `MAX_CASN_WORDS` factor comes from
 //! *descriptor expansion*: a slot flagged
-//! [`EXPAND_DESC`](super::EXPAND_DESC) or
-//! [`EXPAND_ENTRY`](super::EXPAND_ENTRY) additionally protects the
+//! [`super::EXPAND_DESC`] or
+//! [`super::EXPAND_ENTRY`] additionally protects the
 //! entry target words the descriptor names (see
 //! `mcas::expand_descriptor_hazard`), which is what keeps helper-side
 //! phase-2 CASes on already-unlinked nodes safe.
@@ -30,7 +30,7 @@
 //! descriptor's `len`/entry addresses. That read races with slot
 //! clears, so it must stay safe even against a *stale* snapshot — which
 //! it is, because descriptor memory is **immortal**: under this backend
-//! every descriptor free goes back to the [`pool`](crate::pool)
+//! every descriptor free goes back to the descriptor pool's
 //! freelists or their global reserve, never to the allocator, so a
 //! once-valid descriptor address always points at a live
 //! `DcasDescriptor` allocation whose `len` and entry-address fields are

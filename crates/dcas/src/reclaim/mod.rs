@@ -16,12 +16,12 @@
 //!   stalls indefinitely, at the cost of a protect/validate store+load
 //!   per pointer traversal.
 //!
-//! Both backends meter themselves through a striped [`Gauge`]
+//! Both backends meter themselves through a striped gauge
 //! (retired/freed pairs on cache-line-padded stripes plus a high-water
 //! mark), so "how much garbage is live right now" is a measured
 //! quantity — per Aksenov et al., *Memory Bounds for Concurrent Bounded
-//! Queues* — rather than an assumption. `tests/reclaim_torture.rs` and
-//! the E15 bench freeze a victim thread and compare the two curves.
+//! Queues* — rather than an assumption. `tests/reclaim_torture.rs`
+//! freezes a victim thread and compares the two curves.
 //!
 //! # Guard protocol
 //!

@@ -19,7 +19,7 @@
 //! therefore split into [`COUNTER_STRIPES`] cache-line-padded lines;
 //! each thread hashes to one line and all its increments stay there, so
 //! threads on different stripes never share a counter cache line.
-//! [`Counters::snapshot`] sums across stripes. One line (ten `u64`s)
+//! [`Counters::snapshot`] sums across stripes. One line (eight `u64`s)
 //! fits a single 128-byte padded slot, so the whole block is
 //! `COUNTER_STRIPES` lines regardless of how many counters exist.
 
@@ -59,11 +59,6 @@ pub struct StrategyStats {
     pub casn_ops: u64,
     /// `casn` invocations that returned `false`.
     pub casn_failures: u64,
-    /// Elimination-array exchanges that paired a push with a pop
-    /// (see [`elimination`](crate::elimination)).
-    pub elim_hits: u64,
-    /// Elimination-array attempts that timed out unpaired.
-    pub elim_misses: u64,
     /// Descriptors quarantined because their owning thread was killed
     /// mid-operation (see [`orphan_count`](crate::orphan_count)).
     /// Process-global — like the thread-local descriptor pools it
@@ -83,8 +78,8 @@ pub struct StrategyStats {
     pub retired_pending: u64,
     /// High-water mark of [`retired_pending`](Self::retired_pending)
     /// since process start — the number the bounded-memory audit
-    /// (`tests/reclaim_torture.rs`, bench E15) compares against the
-    /// hazard backend's static bound. Snapshot-time gauge, reported
+    /// (`tests/reclaim_torture.rs`) compares against the hazard
+    /// backend's static bound. Snapshot-time gauge, reported
     /// regardless of the `stats` feature.
     pub garbage_high_water: u64,
     /// Collection attempts that found the backend stuck (epoch: the
@@ -125,18 +120,11 @@ impl StrategyStats {
         (self.dcas_ops != 0).then(|| self.dcas_failures as f64 / self.dcas_ops as f64)
     }
 
-    /// Fraction of elimination attempts that paired with a partner, in
-    /// `[0, 1]`; `None` when the elimination array was never consulted.
-    pub fn elim_hit_rate(&self) -> Option<f64> {
-        let total = self.elim_hits + self.elim_misses;
-        (total != 0).then(|| self.elim_hits as f64 / total as f64)
-    }
-
     /// Name/value pairs for every counter, in declaration order — the
     /// stable iteration surface for exporters (e.g. `crates/obs`'
     /// metrics registry), so adding a counter here automatically reaches
     /// every report format.
-    pub fn fields(&self) -> [(&'static str, u64); 18] {
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
         [
             ("ops", self.ops),
             ("dcas_ops", self.dcas_ops),
@@ -146,8 +134,6 @@ impl StrategyStats {
             ("descriptor_allocs", self.descriptor_allocs),
             ("casn_ops", self.casn_ops),
             ("casn_failures", self.casn_failures),
-            ("elim_hits", self.elim_hits),
-            ("elim_misses", self.elim_misses),
             ("descriptor_orphans", self.descriptor_orphans),
             ("live_descriptors", self.live_descriptors),
             ("retired_pending", self.retired_pending),
@@ -177,8 +163,6 @@ impl StrategyStats {
             descriptor_allocs: self.descriptor_allocs - earlier.descriptor_allocs,
             casn_ops: self.casn_ops - earlier.casn_ops,
             casn_failures: self.casn_failures - earlier.casn_failures,
-            elim_hits: self.elim_hits - earlier.elim_hits,
-            elim_misses: self.elim_misses - earlier.elim_misses,
             descriptor_orphans: self.descriptor_orphans - earlier.descriptor_orphans,
             live_descriptors: self.live_descriptors.saturating_sub(earlier.live_descriptors),
             retired_pending: self.retired_pending.saturating_sub(earlier.retired_pending),
@@ -204,7 +188,7 @@ impl StrategyStats {
 #[cfg(feature = "stats")]
 const COUNTER_STRIPES: usize = 8;
 
-/// One stripe's worth of counters: ten adjacent `u64`s, deliberately
+/// One stripe's worth of counters: eight adjacent `u64`s, deliberately
 /// *within* a single padded line — only threads hashed to the same
 /// stripe share it.
 #[cfg(feature = "stats")]
@@ -218,8 +202,6 @@ struct CounterLine {
     descriptor_allocs: AtomicU64,
     casn_ops: AtomicU64,
     casn_failures: AtomicU64,
-    elim_hits: AtomicU64,
-    elim_misses: AtomicU64,
 }
 
 /// Index of the calling thread's stripe: assigned round-robin on first
@@ -273,10 +255,6 @@ impl Counters {
         inc_casn => casn_ops;
         /// One failed `casn`.
         inc_casn_failure => casn_failures;
-        /// One elimination pairing (push and pop exchanged directly).
-        inc_elim_hit => elim_hits;
-        /// One elimination attempt that timed out unpaired.
-        inc_elim_miss => elim_misses;
     }
 
     /// Snapshot (all-zero without the `stats` feature): the per-stripe
@@ -294,8 +272,6 @@ impl Counters {
                 s.descriptor_allocs += line.descriptor_allocs.load(Ordering::Relaxed);
                 s.casn_ops += line.casn_ops.load(Ordering::Relaxed);
                 s.casn_failures += line.casn_failures.load(Ordering::Relaxed);
-                s.elim_hits += line.elim_hits.load(Ordering::Relaxed);
-                s.elim_misses += line.elim_misses.load(Ordering::Relaxed);
             }
             // descriptor_orphans is global, not per-counter-block: filled
             // in by the strategies that own pooled descriptors

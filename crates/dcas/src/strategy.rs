@@ -3,8 +3,8 @@
 use crate::DcasWord;
 
 /// Maximum number of target words a single [`DcasStrategy::casn`] may
-/// cover. Sized for the deques' batch operations: a batch of
-/// [`MAX_BATCH`](crate::elimination) elements plus the index/link/
+/// cover. Sized for the deques' batch operations: a batch of up to
+/// eight elements (the deque crate's `MAX_BATCH`) plus the index/link/
 /// terminator words each algorithm adds.
 pub const MAX_CASN_WORDS: usize = 12;
 

@@ -37,7 +37,7 @@
 //!   *between* program counters.
 //! * Helper traversals (finding a marked node's live predecessor or the
 //!   rightmost live node) are folded into the step that consumes them
-//!   ([`Pc::Heal`], [`Pc::DelSplice`]). Every `Heal` step either
+//!   (`Pc::Heal`, `Pc::DelSplice`). Every `Heal` step either
 //!   splices out one marked node or repairs the `tail.prev` hint, and
 //!   is only ever entered from a state where one of the two applies —
 //!   so each retry consumes monotone progress (marks are one-way,

@@ -232,7 +232,6 @@ impl MetricsRegistry {
         for (name, rate) in [
             ("dcas_failure_rate", s.failure_rate()),
             ("descriptor_reuse_rate", s.reuse_rate()),
-            ("elim_hit_rate", s.elim_hit_rate()),
         ] {
             if let Some(r) = rate {
                 fields.push((name.to_string(), Json::F64(r)));

@@ -44,7 +44,6 @@ pub mod prelude {
     pub use dcas::{DcasStrategy, DcasWord, GlobalLock, GlobalSeqLock, HarrisMcas, StripedLock};
     pub use dcas_broker::{Backpressure, BrokerShard, ShardedBroker};
     pub use dcas_deque::{
-        ArrayDeque, ConcurrentDeque, DummyListDeque, EndConfig, Full, ListDeque, SundellDeque,
-        MAX_BATCH,
+        ArrayDeque, ConcurrentDeque, DummyListDeque, Full, ListDeque, SundellDeque, MAX_BATCH,
     };
 }

@@ -3,8 +3,8 @@
 //! deque is dropped and the reclaimers have flushed.
 //!
 //! One `#[test]` covers all four linked families because the pool
-//! gauges (`nodes_outstanding`, `pages_allocated`) are process-global:
-//! interleaved tests would see each other's churn. Each family runs the
+//! gauges (`nodes_outstanding`, `pages_allocated`) are process-global
+//! per family pool: interleaved tests would see each other's churn. Each family runs the
 //! same scenario **twice** — the first round may grow the pool (pages
 //! are immortal), the second must be served entirely from recycled
 //! slots, which is the allocation-free steady-state claim of the
@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use dcas::{EpochReclaimer, HazardReclaimer, Reclaimer};
+use dcas::{EpochReclaimer, HazardReclaimer, NodePool, Reclaimer};
 use dcas_deques::deque::{
     list, list_dummy, list_lfrc, sundell, ConcurrentDeque, DummyListDeque, LfrcListDeque,
     ListDeque, SundellDeque,
@@ -40,25 +40,25 @@ fn churn_and_drop<D: ConcurrentDeque<u64>>(deque: D) {
 }
 
 /// Runs `make`'s deque through [`churn_and_drop`] twice, asserting the
-/// alloc/free balance after each round and zero page growth in the
-/// second (recycled-slot) round.
-fn balance<D: ConcurrentDeque<u64>, F: Fn() -> D>(family: &str, make: F) {
-    let outstanding_before = dcas::alloc::nodes_outstanding();
+/// alloc/free balance of the family's `pool` after each round and zero
+/// page growth in the second (recycled-slot) round.
+fn balance<D: ConcurrentDeque<u64>>(family: &str, pool: &NodePool, make: fn() -> D) {
+    let outstanding_before = pool.nodes_outstanding();
     churn_and_drop(make());
     assert_eq!(
-        dcas::alloc::nodes_outstanding(),
+        pool.nodes_outstanding(),
         outstanding_before,
         "{family}: nodes outstanding after first churn+drop round"
     );
-    let pages_before = dcas::alloc::pages_allocated();
+    let pages_before = pool.pages_allocated();
     churn_and_drop(make());
     assert_eq!(
-        dcas::alloc::nodes_outstanding(),
+        pool.nodes_outstanding(),
         outstanding_before,
         "{family}: nodes outstanding after second churn+drop round"
     );
     assert_eq!(
-        dcas::alloc::pages_allocated(),
+        pool.pages_allocated(),
         pages_before,
         "{family}: second round allocated fresh pages instead of \
          recycling the first round's slots"
@@ -70,18 +70,10 @@ fn pooled_deques_balance_allocs_and_recycle_pages() {
     let test = "pooled_deques_balance_allocs_and_recycle_pages";
     let watchdog = Watchdog::arm(test, torture_seed(test), Duration::from_secs(120));
 
-    balance("list-dcas", || {
-        ListDeque::<u64>::with_node_alloc(list::node_alloc(true))
-    });
-    balance("list-dummy", || {
-        DummyListDeque::<u64>::with_node_alloc(list_dummy::node_alloc(true))
-    });
-    balance("list-lfrc", || {
-        LfrcListDeque::<u64>::with_node_alloc(list_lfrc::node_alloc(true))
-    });
-    balance("sundell-cas", || {
-        SundellDeque::<u64>::with_node_alloc(sundell::node_alloc(true))
-    });
+    balance("list-dcas", list::node_pool(), ListDeque::<u64>::new);
+    balance("list-dummy", list_dummy::node_pool(), DummyListDeque::<u64>::new);
+    balance("list-lfrc", list_lfrc::node_pool(), LfrcListDeque::<u64>::new);
+    balance("sundell-cas", sundell::node_pool(), SundellDeque::<u64>::new);
 
     watchdog.disarm();
 }

@@ -316,27 +316,3 @@ fn batched_pushers_only_then_drain() {
     // batched two-end drain must recover the exact pushed set.
     conservation_batched(ListDeque::<u64, HarrisMcas>::new(), 3, 0, PER);
 }
-
-// --- Elimination backoff (PR 2): with the per-end elimination arrays on,
-// values may bypass the deque entirely (handed pusher-to-popper), so
-// conservation is exactly the property at risk. List deque only: the
-// bounded array deque has no elimination knob (an eliminated push cannot
-// prove the deque non-full at the exchange instant).
-
-fn eliminating() -> dcas_deques::deque::EndConfig {
-    dcas_deques::deque::EndConfig {
-        elimination: true,
-        elim_slots: 2,
-        offer_spins: 64,
-    }
-}
-
-#[test]
-fn eliminating_list_deque_conserves() {
-    conservation(ListDeque::<u64, HarrisMcas>::with_end_config(eliminating()), 3, 3, PER);
-}
-
-#[test]
-fn eliminating_list_deque_conserves_batched() {
-    conservation_batched(ListDeque::<u64, HarrisMcas>::with_end_config(eliminating()), 3, 3, PER);
-}

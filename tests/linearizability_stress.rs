@@ -207,34 +207,3 @@ fn list_deque_batched_ops_linearizable_with_yield_injection() {
     let d: ListDeque<u64, Yielding<HarrisMcas>> = ListDeque::new();
     check(&d, StressConfig { max_batch: 8, ..config(None) });
 }
-
-// --- Elimination backoff (PR 2): pairing a colliding same-end push/pop in
-// the elimination array must look exactly like the push linearizing
-// immediately before the pop. That is legal only where a push can never
-// fail, so elimination exists on the unbounded list deque alone (on the
-// bounded array deque an eliminated push could complete while the deque
-// was full — non-linearizable — and the knob is deliberately absent).
-// `Yielding` widens the retry windows where the arrays are consulted;
-// tiny arrays force slot reuse (version churn).
-
-fn eliminating() -> dcas_deques::deque::EndConfig {
-    dcas_deques::deque::EndConfig {
-        elimination: true,
-        elim_slots: 2,
-        offer_spins: 64,
-    }
-}
-
-#[test]
-fn eliminating_list_deque_is_linearizable() {
-    let d: ListDeque<u64, Yielding<HarrisMcas>> = ListDeque::with_end_config(eliminating());
-    check(&d, config(None));
-}
-
-#[test]
-fn eliminating_list_deque_with_batched_ops_is_linearizable() {
-    // Both PR-2 mechanisms at once: batched chunk CASNs racing eliminated
-    // single-element pairs.
-    let d: ListDeque<u64, Yielding<HarrisMcas>> = ListDeque::with_end_config(eliminating());
-    check(&d, StressConfig { max_batch: 8, ..config(None) });
-}

@@ -28,11 +28,6 @@ fn readme_quickstart_compiles_and_runs() {
     d.push_right_n(vec![1, 2, 3, 4]).unwrap();
     assert_eq!(d.pop_left_n(3), vec![1, 2, 3]);
 
-    // Elimination backoff is off by default and enabled per deque.
-    let d: ListDeque<u64> = ListDeque::with_end_config(EndConfig::eliminating());
-    d.push_right(7).unwrap();
-    assert_eq!(d.pop_right(), Some(7));
-
     // The worked example from the paper's Section 2.2, via the trait.
     let d: DummyListDeque<u32> = DummyListDeque::new();
     ConcurrentDeque::push_right(&d, 1).unwrap();

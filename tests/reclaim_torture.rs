@@ -151,7 +151,7 @@ where
 /// unpinned, holding no guard. Returns the list pool's page growth over
 /// the churn.
 fn quiescent_victim_churn() -> u64 {
-    let pool = dcas_deques::deque::list::node_alloc(true).pool();
+    let pool = dcas_deques::deque::list::node_pool();
     let pages_before = pool.pages_allocated();
     let deque: Arc<ListDeque<u64, HarrisMcas>> = Arc::new(ListDeque::new());
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -195,9 +195,7 @@ fn quiescent_victim_churn() -> u64 {
 /// (workers, victim, main) can strand a partially-used page in its
 /// local cache or carve window, plus fixed slack for batch granularity.
 fn pages_bound(garbage_nodes: u64) -> u64 {
-    let per_page = dcas_deques::deque::list::node_alloc(true)
-        .pool()
-        .nodes_per_page();
+    let per_page = dcas_deques::deque::list::node_pool().nodes_per_page();
     garbage_nodes.div_ceil(per_page) + (WORKERS + 2) * 2 + 8
 }
 

@@ -38,16 +38,14 @@ use std::time::Duration;
 
 use dcas::fault::{self, FaultLog, FAULT_POINTS};
 use dcas::{FaultInjecting, FaultPlan, FaultPoint, HarrisMcas, KillKind, StallGate};
-use dcas_deques::deque::{
-    ArrayDeque, ConcurrentDeque, DummyListDeque, EndConfig, ListDeque, SundellDeque,
-};
+use dcas_deques::deque::{ArrayDeque, ConcurrentDeque, DummyListDeque, ListDeque, SundellDeque};
 use dcas_deques::harness::{torture_seed, Watchdog};
 
 type Fis = FaultInjecting<HarrisMcas>;
 
 /// Drop-counted value: `live` tracks every `Counted` in existence, so a
-/// leak (or double-free) anywhere — deque internals, elimination slots,
-/// unwound batches, quarantined descriptors — shows up as a nonzero
+/// leak (or double-free) anywhere — deque internals, unwound batches,
+/// quarantined descriptors — shows up as a nonzero
 /// count after teardown.
 struct Counted {
     v: u64,
@@ -456,30 +454,16 @@ fn dummy_list_deque_survives_panicked_thread() {
 
 /// No kill: all four threads armed with heavy spurious failures and
 /// bounded stalls. Everything must still terminate and conserve — the
-/// bounded-adversity baseline of the matrix, run on the eliminating
-/// list deque so the exchange path is also under fire.
+/// bounded-adversity baseline of the matrix, run on the list deque.
 #[test]
-fn eliminating_list_deque_survives_stall_chaos() {
-    let test = "eliminating_list_deque_survives_stall_chaos";
+fn list_deque_survives_stall_chaos() {
+    let test = "list_deque_survives_stall_chaos";
     let seed = torture_seed(test);
     let live = Arc::new(AtomicI64::new(0));
-    let deque = Arc::new(ListDeque::<Counted, Fis>::with_end_config(EndConfig {
-        elimination: true,
-        elim_slots: 2,
-        offer_spins: 64,
-    }));
+    let deque = Arc::new(ListDeque::<Counted, Fis>::new());
     let pushed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let popped: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let watchdog = Watchdog::arm(test, seed, Duration::from_secs(120));
-    {
-        // Weak: the diagnostic must not keep the deque alive past the
-        // leak audit's `Arc::try_unwrap`.
-        let d = Arc::downgrade(&deque);
-        watchdog.diagnostic("elimination", move || match d.upgrade() {
-            Some(d) => format!("{:?}", d.elim_stats()),
-            None => "deque already dropped".to_string(),
-        });
-    }
 
     std::thread::scope(|s| {
         for tid in 0u64..4 {
