@@ -668,7 +668,10 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
                 if !last.is_null() {
                     // SAFETY: as above.
                     self.set_mark(unsafe { &(*prev).prev });
-                    let target = ptr_of(prev2);
+                    // Only `prev.next` names `target`: announce it,
+                    // validated against that word, before `reserve`
+                    // touches its count.
+                    let target = ptr_of(self.load_link(g, unsafe { &(*prev).next }, SLOT_TMP));
                     if self.reserve(target) {
                         // SAFETY: `last` stays protected at SLOT_LAST.
                         if self.strategy.cas(
@@ -682,6 +685,7 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
                         }
                     }
                     if Self::NP {
+                        g.clear(SLOT_TMP);
                         g.protect(SLOT_PREV, last as u64);
                         g.clear(SLOT_LAST);
                     }
@@ -745,7 +749,10 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
                 if !last.is_null() {
                     // SAFETY: as above.
                     self.set_mark(unsafe { &(*prev).prev });
-                    let target = ptr_of(prev2);
+                    // Only `prev.next` names `target`: announce it,
+                    // validated against that word, before `reserve`
+                    // touches its count.
+                    let target = ptr_of(self.load_link(g, unsafe { &(*prev).next }, SLOT_TMP));
                     if self.reserve(target) {
                         // SAFETY: `last` protected at SLOT_LAST.
                         if self.strategy.cas(
@@ -759,6 +766,7 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
                         }
                     }
                     if Self::NP {
+                        g.clear(SLOT_TMP);
                         g.protect(SLOT_PREV, last as u64);
                         g.clear(SLOT_LAST);
                     }
@@ -773,33 +781,38 @@ impl<V: WordValue, S: DcasStrategy> RawSundellDeque<V, S> {
             if prev2p != node {
                 if prev2p.is_null() {
                     // Ran off the end of the chain: `prev` is the tail
-                    // sentinel. Either `node` is mid-deletion (the
-                    // `link1` check above ends the walk), or the walk
-                    // stepped past `node`: `step` re-reads `prev.next`,
-                    // and a concurrent splice can swing it straight to
-                    // the tail — `node` itself when the tail's backlink
-                    // is the one being repaired. Retrying from the tail
-                    // would spin alone forever once the other threads
-                    // go quiet, so walk again from the remembered
-                    // predecessor, whose `next` has changed (or from
-                    // the head when there is none).
-                    if last.is_null() {
-                        prev = self.headp();
-                    } else {
-                        if Self::NP {
-                            g.protect(SLOT_PREV, last as u64);
-                            g.clear(SLOT_LAST);
-                        }
-                        prev = last;
-                        last = std::ptr::null();
+                    // sentinel, so the walk is past `node` (the step
+                    // below keeps it from walking onto `node`, but
+                    // nothing else bounds a stale walk). Walking on
+                    // from here or from `last` would spin alone forever
+                    // once the other threads go quiet; `node` is still
+                    // unmarked, hence still reachable from the head.
+                    if Self::NP {
+                        g.clear(SLOT_LAST);
                     }
+                    prev = self.headp();
+                    last = std::ptr::null();
                     continue;
                 }
                 if Self::NP {
                     g.protect(SLOT_LAST, prev as u64);
                 }
+                let stepped = ptr_of(self.step(g, unsafe { &(*prev).next }, SLOT_PREV));
+                if stepped == node {
+                    // `step` re-reads `prev.next`, and a splice since
+                    // `prev2` was read swung it to `node`: `prev` is the
+                    // predecessor now. Stepping onto `node` would walk
+                    // past it to the tail. (`last`'s announce was just
+                    // overwritten, so forget it.)
+                    if Self::NP {
+                        g.protect(SLOT_PREV, prev as u64);
+                        g.clear(SLOT_LAST);
+                    }
+                    last = std::ptr::null();
+                    continue;
+                }
                 last = prev;
-                prev = ptr_of(self.step(g, unsafe { &(*prev).next }, SLOT_PREV));
+                prev = stepped;
                 continue;
             }
             if ptr_of(link1) == prev {

@@ -11,9 +11,12 @@
 //! the history sizes our stress driver produces; visited
 //! (linearized-set, abstract-state) pairs are memoized so equivalent
 //! search prefixes are explored once (P. G. Lowe, *Testing for
-//! linearizability*, 2017).
+//! linearizability*, 2017). A candidate's response is compared before
+//! its successor state is built, so rejected candidates cost no
+//! allocation.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::history::Completed;
 use crate::spec::SeqDeque;
@@ -32,78 +35,16 @@ pub struct Violation {
 /// Returns `Ok(())` with a witness existing, or `Err(Violation)` if no
 /// linearization exists.
 pub fn check_linearizable(initial: SeqDeque, ops: &[Completed]) -> Result<(), Violation> {
-    if ops.len() > 64 {
-        // The memo key packs the linearized set into a u64 bitmask.
-        // Check longer histories in windows at the driver level instead.
-        panic!("checker supports at most 64 operations per history, got {}", ops.len());
+    let mut found = false;
+    let deepest = search(&[initial], ops, |_| {
+        found = true;
+        true
+    });
+    if found {
+        Ok(())
+    } else {
+        Err(Violation { deepest_prefix: deepest })
     }
-    let all_mask: u64 = if ops.len() == 64 { !0 } else { (1u64 << ops.len()) - 1 };
-
-    let mut memo: HashSet<(u64, Vec<u64>)> = HashSet::new();
-    let mut deepest: Vec<usize> = Vec::new();
-
-    // Iterative DFS over (mask of linearized ops, abstract state).
-    struct Frame {
-        state: SeqDeque,
-        mask: u64,
-        next_candidate: usize,
-        chosen: Option<usize>,
-    }
-    let mut stack = vec![Frame { state: initial, mask: 0, next_candidate: 0, chosen: None }];
-    let mut path: Vec<usize> = Vec::new();
-
-    while let Some(frame) = stack.last_mut() {
-        if frame.mask == all_mask {
-            return Ok(());
-        }
-        // An op may linearize first among the remaining ones iff its
-        // invocation precedes every remaining op's response; equivalently
-        // iff it is invoked before the minimal remaining response.
-        let min_resp = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| frame.mask & (1 << i) == 0)
-            .map(|(_, c)| c.respond_ts)
-            .min()
-            .expect("non-full mask has remaining ops");
-
-        let mut advanced = false;
-        while frame.next_candidate < ops.len() {
-            let i = frame.next_candidate;
-            frame.next_candidate += 1;
-            if frame.mask & (1 << i) != 0 {
-                continue;
-            }
-            if ops[i].invoke_ts > min_resp {
-                continue;
-            }
-            let (ret, next_state) = frame.state.peek_apply(ops[i].op);
-            if ret != ops[i].ret {
-                continue;
-            }
-            let next_mask = frame.mask | (1 << i);
-            let key = (next_mask, next_state.items().collect::<Vec<_>>());
-            if !memo.insert(key) {
-                continue;
-            }
-            path.push(i);
-            if path.len() > deepest.len() {
-                deepest = path.clone();
-            }
-            stack.push(Frame {
-                state: next_state,
-                mask: next_mask,
-                next_candidate: 0,
-                chosen: Some(i),
-            });
-            advanced = true;
-            break;
-        }
-        if !advanced && stack.pop().and_then(|f| f.chosen).is_some() {
-            path.pop();
-        }
-    }
-    Err(Violation { deepest_prefix: deepest })
 }
 
 /// Enumerates **every** abstract state the sequential specification can be
@@ -127,99 +68,155 @@ pub fn linearization_final_states(
     ops: &[Completed],
 ) -> Result<Vec<SeqDeque>, Violation> {
     assert!(!initials.is_empty(), "need at least one initial state");
-    if ops.len() > 64 {
-        panic!("checker supports at most 64 operations per history, got {}", ops.len());
-    }
-    if ops.is_empty() {
-        let mut out: Vec<SeqDeque> = Vec::new();
-        for s in initials {
-            if !out.contains(s) {
-                out.push(s.clone());
-            }
-        }
-        return Ok(out);
-    }
-    let all_mask: u64 = if ops.len() == 64 { !0 } else { (1u64 << ops.len()) - 1 };
-
-    // Shared across initial states: a (mask, state) pair reached from two
-    // different initials has identical continuations.
-    let mut memo: HashSet<(u64, Vec<u64>)> = HashSet::new();
     let mut finals: Vec<SeqDeque> = Vec::new();
-    let mut deepest: Vec<usize> = Vec::new();
-
-    struct Frame {
-        state: SeqDeque,
-        mask: u64,
-        next_candidate: usize,
-        chosen: Option<usize>,
-    }
-
-    for initial in initials {
-        let mut stack =
-            vec![Frame { state: initial.clone(), mask: 0, next_candidate: 0, chosen: None }];
-        let mut path: Vec<usize> = Vec::new();
-        while let Some(frame) = stack.last_mut() {
-            if frame.mask == all_mask {
-                if !finals.contains(&frame.state) {
-                    finals.push(frame.state.clone());
-                }
-                // Keep searching for other witnesses' final states.
-                if stack.pop().and_then(|f| f.chosen).is_some() {
-                    path.pop();
-                }
-                continue;
-            }
-            let min_resp = ops
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| frame.mask & (1 << i) == 0)
-                .map(|(_, c)| c.respond_ts)
-                .min()
-                .expect("non-full mask has remaining ops");
-
-            let mut advanced = false;
-            while frame.next_candidate < ops.len() {
-                let i = frame.next_candidate;
-                frame.next_candidate += 1;
-                if frame.mask & (1 << i) != 0 {
-                    continue;
-                }
-                if ops[i].invoke_ts > min_resp {
-                    continue;
-                }
-                let (ret, next_state) = frame.state.peek_apply(ops[i].op);
-                if ret != ops[i].ret {
-                    continue;
-                }
-                let next_mask = frame.mask | (1 << i);
-                let key = (next_mask, next_state.items().collect::<Vec<_>>());
-                if !memo.insert(key) {
-                    continue;
-                }
-                path.push(i);
-                if path.len() > deepest.len() {
-                    deepest = path.clone();
-                }
-                stack.push(Frame {
-                    state: next_state,
-                    mask: next_mask,
-                    next_candidate: 0,
-                    chosen: Some(i),
-                });
-                advanced = true;
-                break;
-            }
-            if !advanced && stack.pop().and_then(|f| f.chosen).is_some() {
-                path.pop();
-            }
+    let mut seen: FxHashSet<SeqDeque> = FxHashSet::default();
+    let deepest = search(initials, ops, |state| {
+        if seen.insert(state.clone()) {
+            finals.push(state.clone());
         }
-    }
+        false
+    });
     if finals.is_empty() {
         Err(Violation { deepest_prefix: deepest })
     } else {
         Ok(finals)
     }
 }
+
+/// The memoized depth-first search behind both entry points. Calls
+/// `on_final` with the final state of every complete linearization it
+/// reaches (each distinct (linearized-set, state) pair is expanded once,
+/// so a final state may be reported more than once from different
+/// initials) and stops as soon as `on_final` returns `true`. Returns the
+/// deepest linearized prefix reached, for diagnostics.
+fn search(
+    initials: &[SeqDeque],
+    ops: &[Completed],
+    mut on_final: impl FnMut(&SeqDeque) -> bool,
+) -> Vec<usize> {
+    // The memo key packs the linearized set into a u64 bitmask. Check
+    // longer histories in windows at the driver level instead.
+    assert!(ops.len() <= 64, "checker supports at most 64 operations per history, got {}", ops.len());
+    let all_mask: u64 = if ops.len() == 64 { !0 } else { (1u64 << ops.len()) - 1 };
+
+    struct Frame {
+        state: SeqDeque,
+        mask: u64,
+        /// Minimal response timestamp among the ops not in `mask`. An op
+        /// may linearize next iff its invocation precedes it.
+        min_resp: u64,
+        next_candidate: usize,
+    }
+    let frame = |state: SeqDeque, mask: u64| Frame {
+        min_resp: ops
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask & (1 << i) == 0)
+            .map(|(_, c)| c.respond_ts)
+            .min()
+            .unwrap_or(u64::MAX),
+        state,
+        mask,
+        next_candidate: 0,
+    };
+
+    // Shared across initial states: a (mask, state) pair reached from two
+    // different initials has identical continuations.
+    let mut memo: FxHashMap<u64, FxHashSet<SeqDeque>> = FxHashMap::default();
+    let mut deepest: Vec<usize> = Vec::new();
+    let mut path: Vec<usize> = Vec::new();
+    for initial in initials {
+        let mut stack = vec![frame(initial.clone(), 0)];
+        while let Some(top) = stack.last_mut() {
+            if top.mask == all_mask {
+                if on_final(&top.state) {
+                    return deepest;
+                }
+                stack.pop();
+                path.pop();
+                continue;
+            }
+            let mut child = None;
+            while top.next_candidate < ops.len() {
+                let i = top.next_candidate;
+                top.next_candidate += 1;
+                let c = &ops[i];
+                if top.mask & (1 << i) != 0
+                    || c.invoke_ts > top.min_resp
+                    || top.state.response(c.op) != c.ret
+                {
+                    continue;
+                }
+                let mut next = top.state.clone();
+                next.apply(c.op);
+                let mask = top.mask | (1 << i);
+                let seen = memo.entry(mask).or_default();
+                if seen.contains(&next) {
+                    continue;
+                }
+                seen.insert(next.clone());
+                child = Some((i, frame(next, mask)));
+                break;
+            }
+            match child {
+                Some((i, f)) => {
+                    path.push(i);
+                    if path.len() > deepest.len() {
+                        deepest.clone_from(&path);
+                    }
+                    stack.push(f);
+                }
+                None => {
+                    stack.pop();
+                    path.pop();
+                }
+            }
+        }
+    }
+    deepest
+}
+
+/// A multiply-rotate hasher (the Firefox/rustc "Fx" hash): far cheaper
+/// than SipHash on the short integer sequences the memo hashes, and
+/// nothing here needs HashDoS resistance.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -15,9 +15,12 @@
 //!   memoization: decides whether a recorded history has *some*
 //!   linearization consistent with its real-time order.
 //! * [`window`] — windowed checking for histories longer than the
-//!   monolithic checker's 64-op cap: splits at quiescent cuts and carries
+//!   monolithic checker's 64-op cap: splits at quiescent cuts (or at cuts
+//!   a few operations cross, branching on their placement) and carries
 //!   the full set of reachable abstract states between windows, enabling
 //!   bounded *online* auditing of live runs.
+//! * [`stateset`] — that carried set, factored into a product of
+//!   segments so ambiguity deep inside a long deque stays linear in size.
 //! * [`driver`] — a stress driver that runs randomized mixed workloads
 //!   over any [`ConcurrentDeque`](dcas_deque::ConcurrentDeque), records
 //!   the history, and checks it.
@@ -28,6 +31,7 @@ pub mod checker;
 pub mod driver;
 pub mod history;
 pub mod spec;
+pub mod stateset;
 pub mod window;
 
 pub use checker::{check_linearizable, linearization_final_states};
@@ -36,4 +40,5 @@ pub use driver::{
 };
 pub use history::{Completed, Event, EventKind, History, Recorder};
 pub use spec::{Batch, DequeOp, DequeRet, SeqDeque};
+pub use stateset::StateSet;
 pub use window::{check_windowed, WindowReport, WindowedChecker, WindowError};

@@ -110,6 +110,18 @@ impl SeqDeque {
         SeqDeque { capacity: None, items: VecDeque::new() }
     }
 
+    /// A deque of `capacity` (`None`: unbounded) holding `items`, left
+    /// to right.
+    pub(crate) fn from_items(capacity: Option<usize>, items: Vec<u64>) -> Self {
+        debug_assert!(capacity.is_none_or(|c| items.len() <= c));
+        SeqDeque { capacity, items: items.into() }
+    }
+
+    /// The capacity `length_S`, or `None` for the unbounded deque.
+    pub(crate) fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
     /// Current sequence length `|S|`.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -142,59 +154,66 @@ impl SeqDeque {
     /// * `popLeft()`: if not empty, `S := <v1..vk>`, returns `v0`; else
     ///   "empty", unchanged.
     pub fn apply(&mut self, op: DequeOp) -> DequeRet {
-        match op {
-            DequeOp::PushRight(v) => {
-                if self.is_full() {
-                    DequeRet::Full
-                } else {
-                    self.items.push_back(v);
-                    DequeRet::Okay
-                }
+        let ret = self.response(op);
+        match (op, ret) {
+            (DequeOp::PushRight(v), DequeRet::Okay) => self.items.push_back(v),
+            (DequeOp::PushLeft(v), DequeRet::Okay) => self.items.push_front(v),
+            (DequeOp::PopRight, DequeRet::Value(_)) => {
+                self.items.pop_back();
             }
-            DequeOp::PushLeft(v) => {
-                if self.is_full() {
-                    DequeRet::Full
-                } else {
+            (DequeOp::PopLeft, DequeRet::Value(_)) => {
+                self.items.pop_front();
+            }
+            (DequeOp::PushRightN(b), DequeRet::Okay) => self.items.extend(b.as_slice()),
+            (DequeOp::PushLeftN(b), DequeRet::Okay) => {
+                for &v in b.as_slice() {
                     self.items.push_front(v);
-                    DequeRet::Okay
                 }
             }
-            DequeOp::PopRight => match self.items.pop_back() {
-                Some(v) => DequeRet::Value(v),
-                None => DequeRet::Empty,
-            },
-            DequeOp::PopLeft => match self.items.pop_front() {
-                Some(v) => DequeRet::Value(v),
-                None => DequeRet::Empty,
-            },
-            DequeOp::PushRightN(b) => {
-                if self.capacity.is_some_and(|c| self.items.len() + b.len() > c) {
-                    DequeRet::Full
+            (DequeOp::PopRightN(_), DequeRet::Values(b)) => {
+                self.items.truncate(self.items.len() - b.len());
+            }
+            (DequeOp::PopLeftN(_), DequeRet::Values(b)) => {
+                self.items.drain(..b.len());
+            }
+            _ => {} // "full" or "empty": unchanged
+        }
+        ret
+    }
+
+    /// The response `op` would return from this state, without applying
+    /// it (the checker compares it with the recorded one before building
+    /// a successor state).
+    pub(crate) fn response(&self, op: DequeOp) -> DequeRet {
+        let fits = |n: usize| self.capacity.is_none_or(|c| self.items.len() + n <= c);
+        let popped = |n: usize, from_right: bool| -> DequeRet {
+            let n = n.min(self.items.len());
+            let mut vals = [0u64; MAX_BATCH];
+            for (k, slot) in vals[..n].iter_mut().enumerate() {
+                let at = if from_right { self.items.len() - 1 - k } else { k };
+                *slot = self.items[at];
+            }
+            DequeRet::Values(Batch::new(&vals[..n]))
+        };
+        match op {
+            DequeOp::PushRight(_) | DequeOp::PushLeft(_) => {
+                if fits(1) {
+                    DequeRet::Okay
                 } else {
-                    self.items.extend(b.as_slice());
-                    DequeRet::Okay
-                }
-            }
-            DequeOp::PushLeftN(b) => {
-                if self.capacity.is_some_and(|c| self.items.len() + b.len() > c) {
                     DequeRet::Full
-                } else {
-                    for &v in b.as_slice() {
-                        self.items.push_front(v);
-                    }
-                    DequeRet::Okay
                 }
             }
-            DequeOp::PopRightN(k) => {
-                let popped: Vec<u64> =
-                    (0..k).filter_map(|_| self.items.pop_back()).collect();
-                DequeRet::Values(Batch::new(&popped))
+            DequeOp::PushRightN(b) | DequeOp::PushLeftN(b) => {
+                if fits(b.len()) {
+                    DequeRet::Okay
+                } else {
+                    DequeRet::Full
+                }
             }
-            DequeOp::PopLeftN(k) => {
-                let popped: Vec<u64> =
-                    (0..k).filter_map(|_| self.items.pop_front()).collect();
-                DequeRet::Values(Batch::new(&popped))
-            }
+            DequeOp::PopRight => self.items.back().map_or(DequeRet::Empty, |&v| DequeRet::Value(v)),
+            DequeOp::PopLeft => self.items.front().map_or(DequeRet::Empty, |&v| DequeRet::Value(v)),
+            DequeOp::PopRightN(k) => popped(usize::from(k), true),
+            DequeOp::PopLeftN(k) => popped(usize::from(k), false),
         }
     }
 

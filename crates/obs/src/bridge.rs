@@ -341,7 +341,7 @@ mod tests {
         let report = audit(d.recorder(), SeqDeque::unbounded(), 16).unwrap();
         assert_eq!(report.window.ops_checked, 100);
         assert_eq!(report.trace.in_flight_excluded, 0);
-        assert!(report.window.final_states.iter().all(SeqDeque::is_empty));
+        assert!(report.window.final_states.iter().all(|s| s.is_empty()));
     }
 
     #[test]
