@@ -68,6 +68,8 @@ use std::alloc::Layout;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
+use crate::stripe::Striped;
+
 /// Size and alignment of every pool page. The power-of-two alignment is
 /// load-bearing: [`NodePool::dealloc`] recovers a slot's page header
 /// by masking the slot address with `!(PAGE_SIZE - 1)`.
@@ -89,64 +91,6 @@ const CLAIMING: usize = usize::MAX - 1;
 /// Owner id marking a page whose owning thread has exited; the page is
 /// (or is about to be) on the orphan stack awaiting adoption.
 const ORPHAN: u64 = u64::MAX;
-
-// ---------------------------------------------------------------------
-// Striped counters (same layout argument as the reclaim gauges: churn-
-// heavy threads must not serialize on one counter cache line).
-// ---------------------------------------------------------------------
-
-const STRIPES: usize = 8;
-
-#[repr(align(128))]
-struct Stripe(AtomicU64);
-
-impl Stripe {
-    const fn new() -> Self {
-        Stripe(AtomicU64::new(0))
-    }
-}
-
-struct Striped {
-    stripes: [Stripe; STRIPES],
-}
-
-impl Striped {
-    const fn new() -> Self {
-        Striped {
-            stripes: [
-                Stripe::new(),
-                Stripe::new(),
-                Stripe::new(),
-                Stripe::new(),
-                Stripe::new(),
-                Stripe::new(),
-                Stripe::new(),
-                Stripe::new(),
-            ],
-        }
-    }
-
-    #[inline]
-    fn inc(&self) {
-        self.stripes[stripe_idx()].0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-#[inline]
-fn stripe_idx() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    IDX.try_with(|i| *i).unwrap_or(0) & (STRIPES - 1)
-}
 
 // ---------------------------------------------------------------------
 // Pages.
@@ -358,9 +302,9 @@ pub struct NodePool {
     /// Pages ever allocated. Monotonic: pages are immortal, so this is
     /// also the pages high-water mark.
     pages: AtomicU64,
-    allocs: Striped,
-    frees: Striped,
-    remote: Striped,
+    allocs: Striped<AtomicU64>,
+    frees: Striped<AtomicU64>,
+    remote: Striped<AtomicU64>,
 }
 
 // SAFETY: the raw page pointers inside are only ever dereferenced
@@ -391,9 +335,9 @@ impl NodePool {
             pending: AtomicUsize::new(0),
             orphans: AtomicUsize::new(0),
             pages: AtomicU64::new(0),
-            allocs: Striped::new(),
-            frees: Striped::new(),
-            remote: Striped::new(),
+            allocs: Striped::zero(),
+            frees: Striped::zero(),
+            remote: Striped::zero(),
         }
     }
 

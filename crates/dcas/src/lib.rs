@@ -75,6 +75,7 @@ pub mod reclaim;
 mod seqlock;
 mod stats;
 mod striped;
+mod stripe;
 mod strategy;
 mod word;
 mod wrappers;

@@ -29,10 +29,16 @@
 //!
 //! The descriptor for each operation comes from a per-thread freelist
 //! ([`pool`](crate::pool)) rather than a fresh `Box`, so a steady-state
-//! `dcas`/`dcas_strong` performs **zero heap allocations** and *zero
-//! atomic operations* to manage descriptor memory (a miss — cold cache,
-//! or releases still aging through the grace period — falls back to
-//! `Box::new`, preserving lock-freedom). Because the RDCSS descriptor of
+//! `dcas`/`dcas_strong` performs **zero heap allocations**: the epoch
+//! collector that runs the deferred releases reuses its buffers too, and
+//! `tests/steady_state_alloc.rs` counts every allocation to hold it to
+//! that (a miss — cold cache, or releases still aging through the grace
+//! period — falls back to `Box::new`, preserving lock-freedom). Managing
+//! descriptor memory costs no lock and no shared write: only relaxed
+//! increments of the calling thread's own gauge stripes (the descriptor
+//! gauge and the reclaimer's garbage gauge, see
+//! [`reclaim`](crate::reclaim)). The hazard backend is the exception to
+//! "zero allocations": each of its scans builds a fresh hazard snapshot. Because the RDCSS descriptor of
 //! each target word (`Entry`) is embedded in its parent `DcasDescriptor`,
 //! recycling the parent recycles the RDCSS descriptors with it. A freshly
 //! boxed descriptor joins the pool when it is retired.
@@ -271,8 +277,9 @@ fn tagged_desc(d: *const DcasDescriptor) -> u64 {
 ///
 /// See the module-level documentation for the protocol. All public
 /// operations are lock-free. Descriptors are pooled — a steady-state
-/// `dcas` performs **zero heap allocations** (a mismatch detected by the
-/// preliminary read fails without even touching the pool) — and
+/// epoch-backed `dcas` performs **zero heap allocations** (a mismatch
+/// detected by the preliminary read fails without even touching the
+/// pool; module docs for the hazard backend's scans) — and
 /// retry/helping loops use exponential backoff.
 ///
 /// `HarrisMcas` (no parameter) is the epoch-backed default;

@@ -7,8 +7,11 @@
 //! of the two dominant costs of software multi-word CAS (the other being
 //! retry storms; see [`backoff`](crate::backoff)). This module removes
 //! it: descriptors are *recycled* through the same epoch machinery
-//! instead of freed, so a steady-state `dcas` touches no allocator — and
-//! no atomic or lock — to obtain its descriptor.
+//! instead of freed, so a steady-state `dcas` touches no allocator and
+//! no lock to obtain its descriptor. The only atomic it pays is one
+//! relaxed increment of the calling thread's own stripe of the
+//! [`live_descriptors`] gauge, a line no other thread writes while at
+//! most [`STRIPES`](crate::stripe::STRIPES) threads run.
 //!
 //! Because the RDCSS descriptor of each target word (an `Entry` record)
 //! is embedded inside its parent DCAS descriptor, pooling the parent
@@ -67,6 +70,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::mcas::DcasDescriptor;
+use crate::stripe::Striped;
 
 /// Maximum idle descriptors retained per thread; releases beyond this
 /// spill to the global reserve. 512
@@ -146,25 +150,33 @@ pub(crate) unsafe fn release(p: *mut DcasDescriptor) {
 // Checked-out descriptor gauge.
 // ---------------------------------------------------------------------
 
-static ACQUIRED: AtomicU64 = AtomicU64::new(0);
-static RELEASED: AtomicU64 = AtomicU64::new(0);
+// Both counters are per-thread stripes: the acquire and the release each
+// bump the calling thread's own line, and only the reader sums.
+static ACQUIRED: Striped<AtomicU64> = Striped::zero();
+static RELEASED: Striped<AtomicU64> = Striped::zero();
 
 /// Records one descriptor checked out to an operation (pool hit or
 /// fresh allocation alike).
+#[inline]
 pub(crate) fn note_alloc() {
-    ACQUIRED.fetch_add(1, Ordering::Relaxed);
+    ACQUIRED.inc();
 }
 
 /// Records one descriptor returned (to a freelist or the reserve).
+#[inline]
 fn note_free() {
-    RELEASED.fetch_add(1, Ordering::Relaxed);
+    RELEASED.inc();
 }
 
 /// Descriptors currently checked out to operations (or aging through a
-/// reclamation grace period), process-wide. Exported as
+/// reclamation grace period), process-wide: the stripe sums, so the
+/// value is exact once the writers are quiet. Exported as
 /// [`StrategyStats::live_descriptors`](crate::StrategyStats).
 pub fn live_descriptors() -> u64 {
-    ACQUIRED.load(Ordering::Relaxed).saturating_sub(RELEASED.load(Ordering::Relaxed))
+    // Releases first: each release follows its acquire, so a reading
+    // that races the writers errs towards more checked-out descriptors.
+    let released = RELEASED.sum();
+    ACQUIRED.sum().saturating_sub(released)
 }
 
 // ---------------------------------------------------------------------
@@ -311,13 +323,17 @@ mod tests {
 
     #[test]
     fn live_descriptor_gauge_moves() {
-        let a0 = ACQUIRED.load(Ordering::Relaxed);
-        let r0 = RELEASED.load(Ordering::Relaxed);
+        let (a0, r0) = (ACQUIRED.sum(), RELEASED.sum());
+        let mine = |c: &Striped<AtomicU64>| c.mine().load(Ordering::Relaxed);
+        let (mine_a0, mine_r0) = (mine(&ACQUIRED), mine(&RELEASED));
         note_alloc();
         note_alloc();
         note_free();
-        assert!(ACQUIRED.load(Ordering::Relaxed) >= a0 + 2);
-        assert!(RELEASED.load(Ordering::Relaxed) > r0);
+        assert!(ACQUIRED.sum() >= a0 + 2);
+        assert!(RELEASED.sum() > r0);
+        // Both counts landed on the caller's own stripe.
+        assert!(mine(&ACQUIRED) >= mine_a0 + 2);
+        assert!(mine(&RELEASED) > mine_r0);
         let _ = live_descriptors(); // saturating — never panics
     }
 

@@ -47,6 +47,11 @@
 //! any reader that announced it *before* the unlink is in the snapshot
 //! while any reader announcing *after* fails its validation re-read.
 //!
+//! A scan still allocates: the candidate list, the hazard snapshot and
+//! the kept list are fresh `Vec`s each time, one scan per
+//! [`SCAN_THRESHOLD`] retirements. The epoch backend's collections, by
+//! contrast, allocate nothing in steady state.
+//!
 //! Thread exit clears the slots, runs a final scan, parks whatever is
 //! still hazard-protected on the global orphan list (drained by other
 //! threads' scans), and releases the record for reuse by future
@@ -75,6 +80,8 @@ struct Retired {
     ptr: *mut u8,
     len: usize,
     dtor: unsafe fn(*mut u8),
+    /// Gauge stripe of the retiring thread, credited by the free.
+    stripe: usize,
 }
 
 // SAFETY: a `Retired` is an exclusively owned unlinked block (retire
@@ -237,7 +244,7 @@ fn scan(rec: &HazardRecord) {
             // no snapshot hazard covers it, so no thread can still hold
             // a validated reference; the dtor runs exactly once.
             unsafe { (r.dtor)(r.ptr) };
-            HAZARD_GAUGE.on_free();
+            HAZARD_GAUGE.on_free(r.stripe);
         }
     }
     rec.retired.borrow_mut().extend(kept);
@@ -330,10 +337,10 @@ impl ReclaimGuard for HazardGuard {
     }
 
     unsafe fn retire(&self, ptr: *mut u8, len: usize, dtor: unsafe fn(*mut u8)) {
-        HAZARD_GAUGE.on_retire();
+        let stripe = HAZARD_GAUGE.on_retire();
         let over = {
             let mut retired = self.rec.retired.borrow_mut();
-            retired.push(Retired { ptr, len, dtor });
+            retired.push(Retired { ptr, len, dtor, stripe });
             retired.len() >= SCAN_THRESHOLD
         };
         if over {

@@ -16,12 +16,27 @@
 //!   stalls indefinitely, at the cost of a protect/validate store+load
 //!   per pointer traversal.
 //!
-//! Both backends meter themselves through a striped gauge
-//! (retired/freed pairs on cache-line-padded stripes plus a high-water
-//! mark), so "how much garbage is live right now" is a measured
-//! quantity — per Aksenov et al., *Memory Bounds for Concurrent Bounded
-//! Queues* — rather than an assumption. `tests/reclaim_torture.rs`
-//! freezes a victim thread and compares the two curves.
+//! Both backends meter themselves through a per-thread gauge, so "how
+//! much garbage is live right now" is a measured quantity — per Aksenov
+//! et al., *Memory Bounds for Concurrent Bounded Queues* — rather than
+//! an assumption. `tests/reclaim_torture.rs` freezes a victim thread and
+//! compares the two curves.
+//!
+//! # Gauge readings
+//!
+//! Measuring garbage must not cost a contended cache line per retire, so
+//! each thread keeps a stripe (a padded line of live count and peak):
+//! a retire bumps the caller's own stripe and raises its own peak, and
+//! the free credits the stripe that retired the block. Nothing on that
+//! path reads or writes another thread's line.
+//!
+//! * [`Reclaimer::live_garbage`] sums the stripes' live counts: the
+//!   exact number of retired-but-unfreed blocks (as a racy snapshot).
+//! * [`Reclaimer::garbage_high_water`] sums the stripes' **peaks**. That
+//!   sum is an *upper bound* on the true process-wide peak, not the peak
+//!   itself: stripes that peaked at different times still add up. A
+//!   dead thread's stripe keeps its peak, and threads past the eighth
+//!   share stripes round-robin.
 //!
 //! # Guard protocol
 //!
@@ -41,9 +56,12 @@
 //! which closes the helper-side phase-2 window (see
 //! `mcas::expand_descriptor_hazard`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch as epoch;
+use crossbeam_utils::CachePadded;
+
+use crate::stripe::{self, Striped, STRIPES};
 
 pub mod hazard;
 
@@ -89,8 +107,9 @@ pub trait Reclaimer: Send + Sync + Default + 'static {
     /// process-wide.
     fn live_garbage() -> u64;
 
-    /// High-water mark of [`live_garbage`](Self::live_garbage) since
-    /// process start.
+    /// Upper bound on the high-water mark of
+    /// [`live_garbage`](Self::live_garbage) since process start: the sum
+    /// of per-thread peaks (module docs, "Gauge readings").
     fn garbage_high_water() -> u64;
 
     /// Collection attempts that could not advance (epoch: the global
@@ -133,87 +152,69 @@ pub trait ReclaimGuard {
 }
 
 // ---------------------------------------------------------------------
-// Striped retire/free gauges.
+// Per-thread garbage gauges.
 // ---------------------------------------------------------------------
 
-const GAUGE_STRIPES: usize = 8;
-
-/// One gauge stripe on its own cache line, so concurrent retire-heavy
-/// threads don't serialize on a single counter line (same layout
-/// argument as the PR 5 striped stats).
-#[repr(align(128))]
+/// One gauge stripe: the blocks its threads retired that are not yet
+/// freed, and the highest value that count ever reached.
 struct GaugeLine {
-    retired: AtomicU64,
-    freed: AtomicU64,
+    live: AtomicU64,
+    peak: AtomicU64,
 }
 
 impl GaugeLine {
     const fn new() -> Self {
-        GaugeLine { retired: AtomicU64::new(0), freed: AtomicU64::new(0) }
+        GaugeLine { live: AtomicU64::new(0), peak: AtomicU64::new(0) }
     }
 }
 
-/// Live-garbage gauge: striped retired/freed counters plus a high-water
-/// mark, one static instance per backend. `live()` is a racy sum — fine
-/// for telemetry and for the bounded-garbage assertions, which compare
-/// against bounds far above any torn-read error.
-pub(crate) struct Gauge {
-    stripes: [GaugeLine; GAUGE_STRIPES],
-    high_water: AtomicU64,
-}
-
-#[inline]
-fn gauge_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    IDX.try_with(|i| *i).unwrap_or(0) & (GAUGE_STRIPES - 1)
-}
+/// Live-garbage gauge, one static instance per backend. A retire
+/// writes only the retiring thread's stripe, and the matching free
+/// credits that same stripe, so the hot path never reads or writes
+/// another thread's line. Readers fold the stripes (module docs: the
+/// high-water is a sum of per-stripe peaks).
+pub(crate) struct Gauge(Striped<GaugeLine>);
 
 impl Gauge {
     pub(crate) const fn new() -> Self {
-        Gauge {
-            stripes: [
-                GaugeLine::new(),
-                GaugeLine::new(),
-                GaugeLine::new(),
-                GaugeLine::new(),
-                GaugeLine::new(),
-                GaugeLine::new(),
-                GaugeLine::new(),
-                GaugeLine::new(),
-            ],
-            high_water: AtomicU64::new(0),
+        Gauge(Striped::new([const { CachePadded::new(GaugeLine::new()) }; STRIPES]))
+    }
+
+    /// Counts one retired block on the caller's stripe and raises that
+    /// stripe's peak if the new count exceeds it. Returns the stripe,
+    /// which the block's [`on_free`](Self::on_free) must credit.
+    #[inline]
+    pub(crate) fn on_retire(&self) -> usize {
+        let stripe = stripe::index();
+        let line = self.0.line(stripe);
+        let live = line.live.fetch_add(1, Ordering::Relaxed) + 1;
+        // `fetch_max`, not a store: threads past the first `STRIPES`
+        // share lines, and the peak must never move down.
+        if live > line.peak.load(Ordering::Relaxed) {
+            line.peak.fetch_max(live, Ordering::Relaxed);
         }
+        stripe
     }
 
-    /// Counts one retired block and folds the new live count into the
-    /// high-water mark.
-    pub(crate) fn on_retire(&self) {
-        self.stripes[gauge_stripe()].retired.fetch_add(1, Ordering::Relaxed);
-        let live = self.live();
-        self.high_water.fetch_max(live, Ordering::Relaxed);
+    /// Counts one freed block against `stripe`, the value its
+    /// [`on_retire`](Self::on_retire) returned. The free happens after
+    /// that retire, so a stripe's count never drops below zero.
+    #[inline]
+    pub(crate) fn on_free(&self, stripe: usize) {
+        self.0.line(stripe).live.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Counts one freed block.
-    pub(crate) fn on_free(&self) {
-        self.stripes[gauge_stripe()].freed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Retired-but-not-freed blocks right now (racy snapshot).
+    /// Retired-but-not-freed blocks right now (racy sum of exact
+    /// per-stripe counts).
     pub(crate) fn live(&self) -> u64 {
-        let (mut retired, mut freed) = (0u64, 0u64);
-        for s in &self.stripes {
-            retired += s.retired.load(Ordering::Relaxed);
-            freed += s.freed.load(Ordering::Relaxed);
-        }
-        retired.saturating_sub(freed)
+        self.0.lines().map(|l| l.live.load(Ordering::Relaxed)).sum()
     }
 
-    /// Highest live count ever folded in by [`Self::on_retire`].
+    /// Sum of the per-stripe peaks: never below the process-wide peak of
+    /// [`live`](Self::live), and above it when stripes peaked at
+    /// different times.
     pub(crate) fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
+        self.0.lines().map(|l| l.peak.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -275,15 +276,16 @@ impl ReclaimGuard for EpochGuard {
     fn clear(&self, _slot: usize) {}
 
     unsafe fn retire(&self, ptr: *mut u8, _len: usize, dtor: unsafe fn(*mut u8)) {
-        EPOCH_GAUGE.on_retire();
-        // The closure captures two words (ptr + fn pointer), staying on
-        // the shim's inline allocation-free path.
+        let stripe = EPOCH_GAUGE.on_retire();
+        // The closure captures three words (ptr, fn pointer, stripe):
+        // exactly the shim's inline capacity, so deferring allocates
+        // nothing (`tests/steady_state_alloc.rs` counts).
         // SAFETY: forwarded caller contract — after the grace period the
         // block is unreachable and `dtor` runs exactly once.
         unsafe {
             self.guard.defer_unchecked(move || {
                 dtor(ptr);
-                EPOCH_GAUGE.on_free();
+                EPOCH_GAUGE.on_free(stripe);
             })
         };
     }
@@ -326,12 +328,24 @@ mod tests {
     #[test]
     fn reclaim_gauge_striped_sums() {
         let g = Gauge::new();
-        g.on_retire();
-        g.on_retire();
+        let (s1, s2) = (g.on_retire(), g.on_retire());
+        // Both retires landed on the caller's own stripe.
+        assert_eq!((s1, s2), (stripe::index(), stripe::index()));
         assert_eq!(g.live(), 2);
-        g.on_free();
+        g.on_free(s1);
         assert_eq!(g.live(), 1);
-        assert!(g.high_water() >= 2);
+        assert_eq!(g.high_water(), 2);
+        // A free on another thread credits the retiring stripe, so the
+        // sum returns to zero and the peak stays.
+        std::thread::scope(|t| {
+            t.spawn(|| g.on_free(s2));
+        });
+        assert_eq!(g.live(), 0);
+        assert_eq!(g.high_water(), 2);
+        // The peak rises only past its old value.
+        let s3 = g.on_retire();
+        assert_eq!(g.high_water(), 2);
+        g.on_free(s3);
     }
 
     #[test]

@@ -16,18 +16,19 @@
 //! A naive counter block is a single cache line that every thread's
 //! every hot-path op RMWs — enabling stats would *add* a globally
 //! contended line to the very operations being measured. The block is
-//! therefore split into [`COUNTER_STRIPES`] cache-line-padded lines;
-//! each thread hashes to one line and all its increments stay there, so
-//! threads on different stripes never share a counter cache line.
-//! [`Counters::snapshot`] sums across stripes. One line (eight `u64`s)
-//! fits a single 128-byte padded slot, so the whole block is
-//! `COUNTER_STRIPES` lines regardless of how many counters exist.
+//! therefore a [`Striped`](crate::stripe::Striped) block of
+//! cache-line-padded lines; each thread writes only its own stripe's
+//! line, so threads on different stripes never share a counter cache
+//! line. [`Counters::snapshot`] sums across stripes. One line (eight
+//! `u64`s) fits a single 128-byte padded slot, so the whole block is
+//! [`STRIPES`](crate::stripe::STRIPES) lines regardless of how many
+//! counters exist.
 
 #[cfg(feature = "stats")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(feature = "stats")]
-use crossbeam_utils::CachePadded;
+use crate::stripe::Striped;
 
 /// Point-in-time snapshot of a strategy's counters.
 ///
@@ -76,11 +77,15 @@ pub struct StrategyStats {
     /// gauge, process-global per backend, reported regardless of the
     /// `stats` feature.
     pub retired_pending: u64,
-    /// High-water mark of [`retired_pending`](Self::retired_pending)
-    /// since process start — the number the bounded-memory audit
-    /// (`tests/reclaim_torture.rs`) compares against the hazard
-    /// backend's static bound. Snapshot-time gauge, reported
-    /// regardless of the `stats` feature.
+    /// Upper bound on the high-water mark of
+    /// [`retired_pending`](Self::retired_pending) since process start:
+    /// the sum of per-thread peaks, which is at least the true
+    /// process-wide peak and above it when threads peaked at different
+    /// times; a dead thread's peak stays in the sum (see
+    /// [`reclaim`](crate::reclaim), "Gauge readings"). It is the number
+    /// the bounded-memory audit (`tests/reclaim_torture.rs`) compares
+    /// against the hazard backend's static bound. Snapshot-time gauge,
+    /// reported regardless of the `stats` feature.
     pub garbage_high_water: u64,
     /// Collection attempts that found the backend stuck (epoch: the
     /// global epoch could not advance while the local deferred queue was
@@ -181,13 +186,6 @@ impl StrategyStats {
     }
 }
 
-/// Number of cache-line-padded counter lines per [`Counters`] block. A
-/// power of two so the per-thread hash is a mask; eight lines keep the
-/// block at 1 KiB while making same-line collisions unlikely at the
-/// thread counts the benches run.
-#[cfg(feature = "stats")]
-const COUNTER_STRIPES: usize = 8;
-
 /// One stripe's worth of counters: eight adjacent `u64`s, deliberately
 /// *within* a single padded line — only threads hashed to the same
 /// stripe share it.
@@ -204,26 +202,13 @@ struct CounterLine {
     casn_failures: AtomicU64,
 }
 
-/// Index of the calling thread's stripe: assigned round-robin on first
-/// use, so the first `COUNTER_STRIPES` threads get private lines.
-#[cfg(feature = "stats")]
-#[inline]
-fn stripe_index() -> usize {
-    use std::sync::atomic::AtomicUsize;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    IDX.with(|i| *i) & (COUNTER_STRIPES - 1)
-}
-
 /// Internal counter block embedded in a strategy. Zero-sized (and all
 /// methods no-ops) unless the `stats` feature is on; with it, a striped
 /// array of cache-line-padded counter lines (module docs).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     #[cfg(feature = "stats")]
-    stripes: [CachePadded<CounterLine>; COUNTER_STRIPES],
+    stripes: Striped<CounterLine>,
 }
 
 macro_rules! counter_inc {
@@ -232,7 +217,7 @@ macro_rules! counter_inc {
         #[inline]
         pub(crate) fn $inc(&self) {
             #[cfg(feature = "stats")]
-            self.stripes[stripe_index()].$field.fetch_add(1, Ordering::Relaxed);
+            self.stripes.mine().$field.fetch_add(1, Ordering::Relaxed);
         }
     )*};
 }
@@ -263,7 +248,7 @@ impl Counters {
         #[cfg(feature = "stats")]
         {
             let mut s = StrategyStats::default();
-            for line in self.stripes.iter() {
+            for line in self.stripes.lines() {
                 s.ops += line.ops.load(Ordering::Relaxed);
                 s.dcas_ops += line.dcas_ops.load(Ordering::Relaxed);
                 s.dcas_failures += line.dcas_failures.load(Ordering::Relaxed);
@@ -286,6 +271,8 @@ impl Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "stats")]
+    use crate::stripe::STRIPES;
 
     #[test]
     fn snapshot_roundtrip() {
@@ -326,7 +313,7 @@ mod tests {
         use std::sync::Arc;
         let c = Arc::new(Counters::default());
         let mut handles = vec![];
-        for _ in 0..2 * COUNTER_STRIPES {
+        for _ in 0..2 * STRIPES {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
@@ -337,7 +324,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(c.snapshot().ops, 2 * COUNTER_STRIPES as u64 * 1000);
+        assert_eq!(c.snapshot().ops, 2 * STRIPES as u64 * 1000);
     }
 
     #[cfg(feature = "stats")]
@@ -346,10 +333,6 @@ mod tests {
         // Each stripe occupies its own 128-byte slot (no false sharing
         // between stripes), and one line's counters all fit within it.
         assert!(std::mem::size_of::<CounterLine>() <= 128);
-        assert_eq!(std::mem::size_of::<CachePadded<CounterLine>>(), 128);
-        assert_eq!(
-            std::mem::size_of::<Counters>(),
-            COUNTER_STRIPES * std::mem::size_of::<CachePadded<CounterLine>>()
-        );
+        assert_eq!(std::mem::size_of::<Counters>(), STRIPES * 128);
     }
 }

@@ -133,6 +133,10 @@ struct Local {
     /// Garbage queued by this thread: `(epoch_at_defer, closure)`
     /// (owner-only; moved wholesale to the orphan list on thread exit).
     garbage: RefCell<Vec<(u64, Deferred)>>,
+    /// Scratch buffer a collection moves ripe closures into before
+    /// running them (owner-only; empty between collections). Reusing it
+    /// keeps a steady-state collection free of heap allocations.
+    ripe: RefCell<Vec<Deferred>>,
 }
 
 // SAFETY: `state` is atomic; every other field is accessed only by the
@@ -180,18 +184,6 @@ impl Global {
         );
         self.epoch.load(Ordering::SeqCst)
     }
-
-    /// Runs every orphaned closure whose tag is two epochs stale.
-    fn collect_orphans(&self, epoch: u64) {
-        let ripe = {
-            let mut orphans = self.orphans.lock().unwrap();
-            drain_ripe(&mut orphans, epoch)
-        };
-        // Run outside the lock: closures may take unrelated locks.
-        for d in ripe {
-            d.call();
-        }
-    }
 }
 
 thread_local! {
@@ -212,6 +204,7 @@ impl LocalHandle {
             pins: Cell::new(0),
             defers: Cell::new(0),
             garbage: RefCell::new(Vec::new()),
+            ripe: RefCell::new(Vec::new()),
         });
         global().registry.lock().unwrap().push(local.clone());
         LocalHandle { local }
@@ -276,10 +269,9 @@ pub fn is_pinned() -> bool {
     LOCAL.with(|h| h.local.depth.get() > 0)
 }
 
-/// Extracts the closures whose tag is two epochs stale (order within the
-/// queue is not preserved; ripeness only depends on the tag).
-fn drain_ripe(queue: &mut Vec<(u64, Deferred)>, epoch: u64) -> Vec<Deferred> {
-    let mut ripe = Vec::new();
+/// Moves the closures whose tag is two epochs stale into `ripe` (order
+/// within the queue is not preserved; ripeness only depends on the tag).
+fn drain_ripe(queue: &mut Vec<(u64, Deferred)>, epoch: u64, ripe: &mut Vec<Deferred>) {
     let mut i = 0;
     while i < queue.len() {
         if queue[i].0 + 2 <= epoch {
@@ -288,7 +280,6 @@ fn drain_ripe(queue: &mut Vec<(u64, Deferred)>, epoch: u64) -> Vec<Deferred> {
             i += 1;
         }
     }
-    ripe
 }
 
 /// Attempts an epoch advance, then runs this thread's and orphaned
@@ -302,14 +293,17 @@ fn collect(local: &Local) {
         // record the stall so monitoring can tell "quiet" from "stuck".
         STALLED.fetch_add(1, Ordering::Relaxed);
     }
-    let ripe = {
-        let mut garbage = local.garbage.borrow_mut();
-        drain_ripe(&mut garbage, epoch)
-    };
-    for d in ripe {
+    // Take the buffer out rather than borrow it across the calls: a
+    // closure that re-enters `collect` then finds an empty buffer.
+    let mut ripe = local.ripe.take();
+    drain_ripe(&mut local.garbage.borrow_mut(), epoch, &mut ripe);
+    drain_ripe(&mut g.orphans.lock().unwrap(), epoch, &mut ripe);
+    // Run outside every lock and borrow: closures may take unrelated
+    // locks or defer more garbage.
+    for d in ripe.drain(..) {
         d.call();
     }
-    g.collect_orphans(epoch);
+    local.ripe.replace(ripe);
 }
 
 impl Guard {
