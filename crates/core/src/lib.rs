@@ -57,6 +57,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod array;
+pub(crate) mod end;
 pub(crate) mod guard;
 pub mod list;
 pub mod list_dummy;

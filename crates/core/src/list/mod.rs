@@ -26,6 +26,18 @@
 //! no operation ever needs to synchronize on *both* sentinel pointers at
 //! once, so the two ends don't interfere while the deque is non-empty.
 //!
+//! # One body per end
+//!
+//! The paper prints each left-end operation as its own listing,
+//! mirroring a right-end one. Here each operation is written once,
+//! generic over the end it works at: one `pop` body is Figure 11 at the
+//! right end and Figure 32 at the left, `push` is Figures 13 and 33,
+//! `delete` is Figures 17 and 34, and the batch operations fold the
+//! same way. The end supplies its own sentinel and the opposite one,
+//! the far sentinel's value (what an empty pop reads), and which of a
+//! node's two links points inward (away from the end) and which
+//! outward. Both ends monomorphize to their own straight-line code.
+//!
 //! # Memory reclamation
 //!
 //! The paper assumes a garbage collector (its computation model is
@@ -70,7 +82,9 @@
 //! two-null branch of Figures 17/34 must also check that the other
 //! sentinel names the null neighbour before its double splice, or it can
 //! unlink a live node. All three are corrected here (see DESIGN.md,
-//! "Known errata").
+//! "Known errata"). The two mirroring slips cannot come back on one end
+//! only, since both ends run the same body, and the two-null check is
+//! written once.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -84,6 +98,7 @@ use dcas::{
 /// The guard type of a strategy's reclamation backend.
 type GuardOf<S> = <<S as DcasStrategy>::Reclaimer as Reclaimer>::Guard;
 
+use crate::end::{End, Left, Links, Right};
 use crate::reserved::{NULL, SENTL, SENTR};
 use crate::value::{NodeValue, WordValue};
 use crate::{ConcurrentDeque, Full, MAX_BATCH};
@@ -110,6 +125,13 @@ struct Node {
     /// or CASN swaps the token to `NULL`, while it still protects the
     /// node. Never touched by the DCAS substrate or stale readers.
     payload: UnsafeCell<MaybeUninit<u64>>,
+}
+
+impl Links for Node {
+    #[inline(always)]
+    fn links(&self) -> (&DcasWord, &DcasWord) {
+        (&self.l, &self.r)
+    }
 }
 
 impl Node {
@@ -296,28 +318,28 @@ impl<V: WordValue> Chain<V> {
         Chain { first: n, last: n, _marker: PhantomData }
     }
 
-    /// Links `v`'s node after `last` (push-right order).
-    fn append(&mut self, v: V) {
-        let n = alloc_node();
-        // SAFETY: see `new`.
-        unsafe {
-            (*n).value.init_store(put_value(n, v));
-            (*n).l.init_store(pack(self.last, false));
-            (*self.last).r.init_store(pack(n, false));
-        }
-        self.last = n;
+    /// The chain node nearest end `E` (`last` at `Right`).
+    fn outer<E: End>(&self) -> *mut Node {
+        E::near(self.first, self.last)
     }
 
-    /// Links `v`'s node before `first` (push-left order).
-    fn prepend(&mut self, v: V) {
+    /// The chain node farthest from end `E` (`first` at `Right`).
+    fn inner<E: End>(&self) -> *mut Node {
+        E::far(self.first, self.last)
+    }
+
+    /// Links `v`'s node outside the chain at end `E`: after `last` at
+    /// `Right` (push-right order), before `first` at `Left`.
+    fn insert<E: End>(&mut self, v: V) {
         let n = alloc_node();
+        let outer = self.outer::<E>();
         // SAFETY: see `new`.
         unsafe {
             (*n).value.init_store(put_value(n, v));
-            (*n).r.init_store(pack(self.first, false));
-            (*self.first).l.init_store(pack(n, false));
+            E::inward(&*n).init_store(pack(outer, false));
+            E::outward(&*outer).init_store(pack(n, false));
         }
-        self.first = n;
+        *E::near(&mut self.first, &mut self.last) = n;
     }
 
     /// The splicing DCAS linked `first..last` into the list.
@@ -333,7 +355,7 @@ impl<V: WordValue> Drop for Chain<V> {
             let at_last = cur == self.last;
             // SAFETY: reached only by unwinding before `publish`; the
             // chain is private, every node holds an unconsumed value,
-            // and interior `r` links (set by `append`/`prepend`)
+            // and interior `r` links (set by `insert`)
             // connect `first..last`.
             unsafe {
                 let next = ptr_of((*cur).r.unsync_load_shared()) as *mut Node;
@@ -422,13 +444,27 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     }
 
     #[inline]
-    fn slp(&self) -> *const Node {
-        &**self.sl as *const Node
-    }
-
-    #[inline]
     fn srp(&self) -> *const Node {
         &**self.sr as *const Node
+    }
+
+    /// End `E`'s sentinel (`SR` at `Right`).
+    #[inline]
+    fn sent<E: End>(&self) -> &Node {
+        E::near(&**self.sl, &**self.sr)
+    }
+
+    /// The sentinel opposite end `E` (`SL` at `Right`).
+    #[inline]
+    fn opp<E: End>(&self) -> &Node {
+        E::far(&**self.sl, &**self.sr)
+    }
+
+    /// End `E`'s sentinel inward word (`SR->L` at `Right`), where the
+    /// deleted bit lives.
+    #[inline]
+    fn end_word<E: End>(&self) -> &DcasWord {
+        E::inward(self.sent::<E>())
     }
 
     /// The DCAS strategy instance (for [`dcas::Counting`] statistics).
@@ -508,49 +544,69 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
 
     /// `popRight` — Figure 11.
     pub fn pop_right(&self) -> Option<V> {
+        self.pop::<Right>()
+    }
+
+    /// `popLeft` — Figure 32 (with the paper's line-4 typo corrected).
+    pub fn pop_left(&self) -> Option<V> {
+        self.pop::<Left>()
+    }
+
+    /// `pushRight` — Figure 13.
+    pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
+        self.push::<Right>(v)
+    }
+
+    /// `pushLeft` — Figure 33 (with the paper's line-10 typo corrected:
+    /// the new node's left pointer aims at `SL`, not `SR`).
+    pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
+        self.push::<Left>(v)
+    }
+
+    // Register names in the bodies below are end-neutral: `old` is the
+    // end sentinel's inward word (Figure 11's `oldL`, Figure 32's
+    // `oldR`) and `cur` the node it names; `nb` is that node's inward
+    // neighbour (Figure 17's `oldLL`, Figure 34's `oldRR`) and `nb_out`
+    // the neighbour's outward link (`oldLLR`, `oldRRL`).
+
+    /// Figure 11 at `Right`, Figure 32 at `Left`.
+    fn pop<E: End>(&self) -> Option<V> {
         let guard = S::Reclaimer::pin();
+        let end = self.end_word::<E>();
         loop {
-            let old_l = self.load_end_protected(&guard, &self.sr.l, 0); // line 3
-            let olp = ptr_of(old_l);
-            // SAFETY: `olp` was linked at line 3 and is pinned/protected,
+            let old = self.load_end_protected(&guard, end, 0); // line 3
+            let cur = ptr_of(old);
+            // SAFETY: `cur` was linked at line 3 and is pinned/protected,
             // so the node cannot have been freed.
-            let v = self.strategy.load(unsafe { &(*olp).value }); // line 4
-            if v == SENTL {
+            let v = self.strategy.load(unsafe { &(*cur).value }); // line 4
+            if v == E::FAR_SENT {
                 return None; // line 5: "empty"
             }
-            if deleted_of(old_l) {
-                self.delete_right(&guard); // lines 6-7
+            if deleted_of(old) {
+                self.delete::<E>(&guard); // lines 6-7
             } else if v == NULL {
-                // Lines 8-12: the node was deleted by a popLeft; the deque
-                // is empty if nothing changed — confirm with an identity
-                // DCAS over (SR->L, node value).
+                // Lines 8-12: the node was deleted by a pop at the other
+                // end; the deque is empty if nothing changed — confirm
+                // with an identity DCAS over (end word, node value).
                 // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*olp).value },
-                    old_l,
-                    v,
-                    old_l,
-                    v,
-                ) {
+                if self.strategy.dcas(end, unsafe { &(*cur).value }, old, v, old, v) {
                     return None;
                 }
             } else {
                 // Lines 13-19: logically delete — swap the value to null
-                // and set the deleted bit in SR->L, in one DCAS
+                // and set the deleted bit in the end word, in one DCAS
                 // (Figure 12).
-                let new_l = pack(olp, true);
                 // SAFETY: as above.
                 if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*olp).value },
-                    old_l,
+                    end,
+                    unsafe { &(*cur).value },
+                    old,
                     v,
-                    new_l,
+                    pack(cur, true),
                     NULL,
                 ) {
                     // SAFETY: the successful DCAS moved the value out of
-                    // the node; we are its unique owner, and `olp` is
+                    // the node; we are its unique owner, and `cur` is
                     // still pinned/protected.
                     return Some(unsafe { take_value(v) });
                 }
@@ -558,8 +614,8 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         }
     }
 
-    /// `pushRight` — Figure 13.
-    pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
+    /// Figure 13 at `Right`, Figure 33 at `Left`.
+    fn push<E: End>(&self, v: V) -> Result<(), Full<V>> {
         let guard = S::Reclaimer::pin();
         // Lines 2-4: allocate the new node. (The paper returns "full" if
         // the allocator fails; Rust's global allocator aborts instead, so
@@ -568,31 +624,34 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         // value until published; an unwinding strategy call frees both.
         let pending = PendingNode::<V>::new(v);
         let (node, val) = (pending.node, pending.val);
+        let end = self.end_word::<E>();
+        let sent = pack(self.sent::<E>(), false);
         loop {
-            let old_l = self.load_end_protected(&guard, &self.sr.l, 0); // line 6
-            if deleted_of(old_l) {
-                self.delete_right(&guard); // lines 7-8
+            let old = self.load_end_protected(&guard, end, 0); // line 6
+            if deleted_of(old) {
+                self.delete::<E>(&guard); // lines 7-8
             } else {
-                let olp = ptr_of(old_l);
-                // Lines 10-13: initialize the unpublished node. These are
-                // plain stores; the publishing DCAS below provides the
-                // release edge.
+                let cur = ptr_of(old);
+                // Lines 10-13: initialize the unpublished node; its
+                // outward link names this end's own sentinel (the
+                // Figure 33 correction). These are plain stores; the
+                // publishing DCAS below provides the release edge.
                 // SAFETY: `node` is not yet published, we have exclusive
                 // access.
                 unsafe {
-                    (*node).r.init_store(pack(self.srp(), false));
-                    (*node).l.init_store(old_l);
+                    E::outward(&*node).init_store(sent);
+                    E::inward(&*node).init_store(old);
                     (*node).value.init_store(val);
                 }
-                let old_lr = pack(self.srp(), false); // lines 14-15
-                // Lines 16-18: splice in by redirecting SR->L and the old
-                // neighbor's R pointer to the new node (Figure 14).
-                // SAFETY: `olp` reachable at line 6, pinned.
+                // Lines 14-18: splice in by redirecting the end word and
+                // the old neighbor's outward pointer (expected to name
+                // the sentinel) to the new node (Figure 14).
+                // SAFETY: `cur` reachable at line 6, pinned.
                 if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*olp).r },
-                    old_l,
-                    old_lr,
+                    end,
+                    E::outward(unsafe { &*cur }),
+                    old,
+                    sent,
                     pack(node, false),
                     pack(node, false),
                 ) {
@@ -603,233 +662,89 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         }
     }
 
-    /// `deleteRight` — Figure 17: completes a pending physical deletion on
-    /// the right-hand side.
-    fn delete_right(&self, guard: &GuardOf<S>) {
+    /// Figure 17 (`deleteRight`) at `Right`, Figure 34 (`deleteLeft`) at
+    /// `Left`: completes a pending physical deletion at end `E`.
+    fn delete<E: End>(&self, guard: &GuardOf<S>) {
+        let end = self.end_word::<E>();
         loop {
-            let old_l = self.load_end_protected(guard, &self.sr.l, 0); // line 3
-            if !deleted_of(old_l) {
+            let old = self.load_end_protected(guard, end, 0); // line 3
+            if !deleted_of(old) {
                 return; // line 4: someone else finished the deletion
             }
-            let olp = ptr_of(old_l);
-            // SAFETY (this and subsequent derefs): `olp` is protected via
-            // the sentinel root above; `old_ll` via the dual validation
+            let cur = ptr_of(old);
+            // SAFETY (this and subsequent derefs): `cur` is protected via
+            // the sentinel root above; `nb` via the dual validation
             // below. See the module docs' reclamation section.
-            let old_ll = ptr_of(self.strategy.load(unsafe { &(*olp).l })); // line 5
+            let nb = ptr_of(self.strategy.load(E::inward(unsafe { &*cur }))); // line 5
             if Self::NP {
-                guard.protect(1, old_ll as u64);
-                // `olp`'s link words freeze once it is spliced out, so a
-                // link re-read alone cannot prove `old_ll` is alive; the
-                // sentinel re-read pins `olp` as still-linked (retired
+                guard.protect(1, nb as u64);
+                // `cur`'s link words freeze once it is spliced out, so a
+                // link re-read alone cannot prove `nb` is alive; the
+                // sentinel re-read pins `cur` as still-linked (retired
                 // nodes are never relinked, so no ABA), and any removal
-                // of `old_ll` while `olp` is linked rewrites `olp->L`.
-                if ptr_of(self.strategy.load(unsafe { &(*olp).l })) != old_ll
-                    || self.strategy.load(&self.sr.l) != old_l
+                // of `nb` while `cur` is linked rewrites `cur`'s link.
+                if ptr_of(self.strategy.load(E::inward(unsafe { &*cur }))) != nb
+                    || self.strategy.load(end) != old
                 {
                     guard.clear(1);
                     continue;
                 }
             }
-            let v = self.strategy.load(unsafe { &(*old_ll).value }); // line 6
+            let v = self.strategy.load(unsafe { &(*nb).value }); // line 6
             if v != NULL {
-                // Lines 6-14: the left neighbor is live (or is the left
-                // sentinel); splice out the null node by pointing SR and
-                // that neighbor at each other (Figure 15).
-                let old_llr = self.strategy.load(unsafe { &(*old_ll).r }); // line 7
-                // A deleted bit on a neighbor's R pointer is a batch-pop
-                // tombstone: `old_ll` is retired, so the splice below must
-                // not resurrect it (re-read and take the other path).
-                if olp == ptr_of(old_llr) && !deleted_of(old_llr) {
-                    // lines 8-13
-                    let new_r = pack(self.srp(), false);
+                // Lines 6-14: the neighbor is live (or is the far
+                // sentinel); splice out the null node by pointing this
+                // end's sentinel and that neighbor at each other
+                // (Figure 15).
+                let nb_out = self.strategy.load(E::outward(unsafe { &*nb })); // line 7
+                // A deleted bit on a neighbor's outward pointer is a
+                // batch-pop tombstone: `nb` is retired, so the splice
+                // below must not resurrect it (re-read and take the
+                // other path).
+                if cur == ptr_of(nb_out) && !deleted_of(nb_out) {
+                    // Lines 8-13 (Figure 34: 8-14).
                     if self.strategy.dcas(
-                        &self.sr.l,
-                        unsafe { &(*old_ll).r },
-                        old_l,
-                        old_llr,
-                        pack(old_ll, false),
-                        new_r,
+                        end,
+                        E::outward(unsafe { &*nb }),
+                        old,
+                        nb_out,
+                        pack(nb, false),
+                        pack(self.sent::<E>(), false),
                     ) {
-                        // SAFETY: our DCAS unlinked `olp`.
-                        unsafe { self.retire(olp, guard) };
+                        // SAFETY: our DCAS unlinked `cur`.
+                        unsafe { self.retire(cur, guard) };
                         return;
                     }
                 }
             } else {
                 // Lines 16-26: two null items — both remaining nodes are
                 // logically deleted. Point the sentinels at each other,
-                // racing any concurrent deleteLeft (Figure 16).
-                let old_r = self.strategy.load(&self.sl.r); // line 17
-                // Line 18, plus a check the paper omits: `SL->R` must name
-                // the null neighbour read at line 5. Otherwise the left
-                // end moved in between and a live node may sit between
-                // the two null ones (DESIGN.md, "Known errata").
-                if deleted_of(old_r) && ptr_of(old_r) == old_ll {
-                    let new_l = pack(self.slp(), false);
-                    let new_r = pack(self.srp(), false);
-                    if self.strategy.dcas(
-                        &self.sr.l,
-                        &self.sl.r,
-                        old_l,
-                        old_r,
-                        new_l,
-                        new_r,
-                    ) {
-                        // SAFETY: our DCAS unlinked both null nodes.
-                        unsafe {
-                            self.retire(olp, guard);
-                            self.retire(old_ll, guard);
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// `popLeft` — Figure 32 (with the paper's line-4 typo corrected).
-    pub fn pop_left(&self) -> Option<V> {
-        let guard = S::Reclaimer::pin();
-        loop {
-            let old_r = self.load_end_protected(&guard, &self.sl.r, 0); // line 3
-            let orp = ptr_of(old_r);
-            // SAFETY: as in `pop_right`.
-            let v = self.strategy.load(unsafe { &(*orp).value }); // line 4 (corrected)
-            if v == SENTR {
-                return None; // line 5
-            }
-            if deleted_of(old_r) {
-                self.delete_left(&guard); // lines 6-7
-            } else if v == NULL {
-                // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*orp).value },
-                    old_r,
-                    v,
-                    old_r,
-                    v,
-                ) {
-                    return None;
-                }
-            } else {
-                let new_r = pack(orp, true);
-                // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*orp).value },
-                    old_r,
-                    v,
-                    new_r,
-                    NULL,
-                ) {
-                    // SAFETY: unique ownership via successful DCAS;
-                    // `orp` still pinned/protected.
-                    return Some(unsafe { take_value(v) });
-                }
-            }
-        }
-    }
-
-    /// `pushLeft` — Figure 33 (with the paper's line-10 typo corrected:
-    /// the new node's left pointer aims at `SL`, not `SR`).
-    pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
-        let guard = S::Reclaimer::pin();
-        // Guarded as in `push_right`.
-        let pending = PendingNode::<V>::new(v);
-        let (node, val) = (pending.node, pending.val);
-        loop {
-            let old_r = self.load_end_protected(&guard, &self.sl.r, 0); // line 6
-            if deleted_of(old_r) {
-                self.delete_left(&guard); // lines 7-8
-            } else {
-                let orp = ptr_of(old_r);
-                // SAFETY: unpublished node, exclusive access.
-                unsafe {
-                    (*node).l.init_store(pack(self.slp(), false)); // corrected
-                    (*node).r.init_store(old_r);
-                    (*node).value.init_store(val);
-                }
-                let old_rl = pack(self.slp(), false);
-                // SAFETY: `orp` reachable at line 6, pinned.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*orp).l },
-                    old_r,
-                    old_rl,
-                    pack(node, false),
-                    pack(node, false),
-                ) {
-                    pending.published();
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// `deleteLeft` — Figure 34.
-    fn delete_left(&self, guard: &GuardOf<S>) {
-        loop {
-            let old_r = self.load_end_protected(guard, &self.sl.r, 0); // line 3
-            if !deleted_of(old_r) {
-                return; // line 4
-            }
-            let orp = ptr_of(old_r);
-            // SAFETY: as in `delete_right` (mirrored dual validation).
-            let old_rr = ptr_of(self.strategy.load(unsafe { &(*orp).r })); // line 5
-            if Self::NP {
-                guard.protect(1, old_rr as u64);
-                if ptr_of(self.strategy.load(unsafe { &(*orp).r })) != old_rr
-                    || self.strategy.load(&self.sl.r) != old_r
+                // racing any concurrent delete at the other end
+                // (Figure 16).
+                let far = E::outward(self.opp::<E>());
+                let far_old = self.strategy.load(far); // line 17
+                // Line 18 (Figure 34: line 22), plus a check the paper
+                // omits: the far sentinel's word must name the null
+                // neighbour read at line 5. Otherwise the other end moved
+                // in between and a live node may sit between the two null
+                // ones (DESIGN.md, "Known errata").
+                if deleted_of(far_old)
+                    && ptr_of(far_old) == nb
+                    && self.strategy.dcas(
+                        end,
+                        far,
+                        old,
+                        far_old,
+                        pack(self.opp::<E>(), false),
+                        pack(self.sent::<E>(), false),
+                    )
                 {
-                    guard.clear(1);
-                    continue;
-                }
-            }
-            let v = self.strategy.load(unsafe { &(*old_rr).value }); // line 6
-            if v != NULL {
-                let old_rrl = self.strategy.load(unsafe { &(*old_rr).l }); // line 7
-                // Deleted bit here = batch-pop tombstone on a retired
-                // node's L pointer; see `delete_right`.
-                if orp == ptr_of(old_rrl) && !deleted_of(old_rrl) {
-                    // lines 8-14
-                    let new_l = pack(self.slp(), false);
-                    if self.strategy.dcas(
-                        &self.sl.r,
-                        unsafe { &(*old_rr).l },
-                        old_r,
-                        old_rrl,
-                        pack(old_rr, false),
-                        new_l,
-                    ) {
-                        // SAFETY: our DCAS unlinked `orp`.
-                        unsafe { self.retire(orp, guard) };
-                        return;
+                    // SAFETY: our DCAS unlinked both null nodes.
+                    unsafe {
+                        self.retire(cur, guard);
+                        self.retire(nb, guard);
                     }
-                }
-            } else {
-                // Lines 16-26: two null items.
-                let old_l = self.strategy.load(&self.sr.l); // line 17
-                // Line 22, plus the mirror of `delete_right`'s check that
-                // `SR->L` names the null neighbour read at line 5.
-                if deleted_of(old_l) && ptr_of(old_l) == old_rr {
-                    let new_r = pack(self.srp(), false);
-                    let new_l = pack(self.slp(), false);
-                    if self.strategy.dcas(
-                        &self.sl.r,
-                        &self.sr.l,
-                        old_r,
-                        old_l,
-                        new_r,
-                        new_l,
-                    ) {
-                        // SAFETY: our DCAS unlinked both null nodes.
-                        unsafe {
-                            self.retire(orp, guard);
-                            self.retire(old_rr, guard);
-                        }
-                        return;
-                    }
+                    return;
                 }
             }
         }
@@ -852,46 +767,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     where
         I: IntoIterator<Item = V>,
     {
-        let mut it = vals.into_iter();
-        let Some(v0) = it.next() else { return Ok(()) };
-        let guard = S::Reclaimer::pin();
-        // Build the chain left-to-right in push order, linking each node
-        // as the iterator yields it — no intermediate buffers. The chain
-        // guard owns every node and value until the splice: a panicking
-        // iterator or an unwinding strategy call releases the partial
-        // chain instead of leaking it.
-        let mut chain = Chain::new(v0);
-        for v in it {
-            chain.append(v);
-        }
-        let (first, last) = (chain.first, chain.last);
-        // SAFETY: the chain is unpublished; we have exclusive access.
-        unsafe { (*last).r.init_store(pack(self.srp(), false)) };
-        let mut backoff = Backoff::new();
-        loop {
-            let old_l = self.load_end_protected(&guard, &self.sr.l, 0);
-            if deleted_of(old_l) {
-                self.delete_right(&guard);
-            } else {
-                let olp = ptr_of(old_l);
-                // SAFETY: `first` is still unpublished.
-                unsafe { (*first).l.init_store(old_l) };
-                let old_lr = pack(self.srp(), false);
-                // SAFETY: `olp` reachable above, pinned.
-                if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*olp).r },
-                    old_l,
-                    old_lr,
-                    pack(last, false),
-                    pack(first, false),
-                ) {
-                    chain.publish();
-                    return Ok(());
-                }
-                backoff.snooze();
-            }
-        }
+        self.push_n::<Right, _>(vals)
     }
 
     /// Pushes all of `vals` at the left end in **one** DCAS, in order
@@ -901,38 +777,48 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     where
         I: IntoIterator<Item = V>,
     {
+        self.push_n::<Left, _>(vals)
+    }
+
+    fn push_n<E: End, I>(&self, vals: I) -> Result<(), Full<Vec<V>>>
+    where
+        I: IntoIterator<Item = V>,
+    {
         let mut it = vals.into_iter();
         let Some(v0) = it.next() else { return Ok(()) };
         let guard = S::Reclaimer::pin();
-        // Chain left-to-right holds the values in reverse push order, so
-        // that the sequence behaves like repeated pushLeft calls: each
-        // yielded value's node is *prepended* to the unpublished chain.
-        // Guarded as in `push_right_n`.
+        // Build the chain in push order, linking each node as the
+        // iterator yields it — no intermediate buffers. Each node goes
+        // outside the previous one, so the chain reads like repeated
+        // one-node pushes at `E`. The chain guard owns every node and
+        // value until the splice: a panicking iterator or an unwinding
+        // strategy call releases the partial chain instead of leaking it.
         let mut chain = Chain::new(v0);
         for v in it {
-            chain.prepend(v);
+            chain.insert::<E>(v);
         }
-        let (first, last) = (chain.first, chain.last);
+        let (inner, outer) = (chain.inner::<E>(), chain.outer::<E>());
+        let end = self.end_word::<E>();
+        let sent = pack(self.sent::<E>(), false);
         // SAFETY: the chain is unpublished; we have exclusive access.
-        unsafe { (*first).l.init_store(pack(self.slp(), false)) };
+        unsafe { E::outward(&*outer).init_store(sent) };
         let mut backoff = Backoff::new();
         loop {
-            let old_r = self.load_end_protected(&guard, &self.sl.r, 0);
-            if deleted_of(old_r) {
-                self.delete_left(&guard);
+            let old = self.load_end_protected(&guard, end, 0);
+            if deleted_of(old) {
+                self.delete::<E>(&guard);
             } else {
-                let orp = ptr_of(old_r);
-                // SAFETY: `last` is still unpublished.
-                unsafe { (*last).r.init_store(old_r) };
-                let old_rl = pack(self.slp(), false);
-                // SAFETY: `orp` reachable above, pinned.
+                let cur = ptr_of(old);
+                // SAFETY: `inner` is still unpublished.
+                unsafe { E::inward(&*inner).init_store(old) };
+                // SAFETY: `cur` reachable above, pinned.
                 if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*orp).l },
-                    old_r,
-                    old_rl,
-                    pack(first, false),
-                    pack(last, false),
+                    end,
+                    E::outward(unsafe { &*cur }),
+                    old,
+                    sent,
+                    pack(outer, false),
+                    pack(inner, false),
                 ) {
                     chain.publish();
                     return Ok(());
@@ -942,9 +828,10 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         }
     }
 
-    /// Pops up to `k` leftmost values in one CASN, appending them to
-    /// `out` and returning whether the deque was exhausted. The CASN
-    /// covers:
+    /// Pops up to `k` values nearest end `E` in one CASN, appending them
+    /// to `out` (nearest first) and returning whether the deque was
+    /// exhausted. The walk goes inward from the end word. At `Left` the
+    /// CASN covers (mirrored at `Right`):
     ///
     /// * `SL->R`: swung directly past the `j` victims to their right
     ///   neighbor `n_{j+1}` (logical + physical deletion fused);
@@ -965,53 +852,48 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
     /// n_{j+1}` with `n_{j+1}` the sentinel or a logically-deleted null
     /// node is pinned by the entries plus the fact that a value word
     /// never leaves null once set).
-    fn pop_left_chunk(&self, k: usize, out: &mut Vec<V>, guard: &GuardOf<S>) -> bool {
+    fn pop_chunk<E: End>(&self, k: usize, out: &mut Vec<V>, guard: &GuardOf<S>) -> bool {
         debug_assert!((1..=MAX_BATCH).contains(&k));
+        let end = self.end_word::<E>();
         let mut backoff = Backoff::new();
         loop {
-            let old_r = self.load_end_protected(guard, &self.sl.r, 0);
-            if deleted_of(old_r) {
-                self.delete_left(guard);
+            let old = self.load_end_protected(guard, end, 0);
+            if deleted_of(old) {
+                self.delete::<E>(guard);
                 continue;
             }
-            let orp = ptr_of(old_r);
-            // SAFETY (this and subsequent derefs): `orp` is protected via
+            let cur = ptr_of(old);
+            // SAFETY (this and subsequent derefs): `cur` is protected via
             // the sentinel root; every further node the walk reaches is
             // protected by `protected_step` before it is dereferenced
             // (node at walk position `i` holds slot `i`).
-            let v1 = self.strategy.load(unsafe { &(*orp).value });
-            if v1 == SENTR {
-                return true; // empty at the SL->R read
+            let v1 = self.strategy.load(unsafe { &(*cur).value });
+            if v1 == E::FAR_SENT {
+                return true; // empty at the end-word read
             }
             if v1 == NULL {
-                // Deleted from the right side; empty if nothing changed —
+                // Deleted from the other end; empty if nothing changed —
                 // confirm exactly as the single pop does.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*orp).value },
-                    old_r,
-                    NULL,
-                    old_r,
-                    NULL,
-                ) {
+                if self.strategy.dcas(end, unsafe { &(*cur).value }, old, NULL, old, NULL) {
                     return true;
                 }
                 backoff.snooze();
                 continue;
             }
-            // Collect up to k live nodes left-to-right; `next` ends as
-            // n_{j+1} (SR, a null node, or the first node past the batch).
+            // Collect up to k live nodes inward; `next` ends as n_{j+1}
+            // (the far sentinel, a null node, or the first node past the
+            // batch).
             let mut nodes = [std::ptr::null::<Node>(); MAX_BATCH];
             let mut vals = [0u64; MAX_BATCH];
-            nodes[0] = orp;
+            nodes[0] = cur;
             vals[0] = v1;
             let mut j = 1;
-            // SAFETY: `orp` (and below, each `next` once stored into
+            // SAFETY: `cur` (and below, each `next` once stored into
             // `nodes`) is protected; see the loop-head comment.
             let Some(mut next) = self.protected_step(
                 guard,
-                unsafe { &(*orp).r },
-                unsafe { &(*orp).value },
+                E::inward(unsafe { &*cur }),
+                unsafe { &(*cur).value },
                 1,
             ) else {
                 backoff.snooze();
@@ -1021,7 +903,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
             while j < k {
                 // SAFETY: `next` was protected by the step that found it.
                 let v = self.strategy.load(unsafe { &(*next).value });
-                if v == SENTR || v == NULL {
+                if v == E::FAR_SENT || v == NULL {
                     break;
                 }
                 nodes[j] = next;
@@ -1030,7 +912,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
                 // SAFETY: as above.
                 let step = self.protected_step(
                     guard,
-                    unsafe { &(*next).r },
+                    E::inward(unsafe { &*next }),
                     unsafe { &(*next).value },
                     j,
                 );
@@ -1055,18 +937,18 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
                 continue;
             }
             let n_j = nodes[j - 1];
-            let mut entries = [CasnEntry::new(&self.sl.r, NULL, NULL); MAX_BATCH + 3];
-            entries[0] = CasnEntry::new(&self.sl.r, old_r, pack(next, false));
+            let mut entries = [CasnEntry::new(end, NULL, NULL); MAX_BATCH + 3];
+            entries[0] = CasnEntry::new(end, old, pack(next, false));
             // SAFETY: `n_j` and `next` were reachable during the scan.
             entries[1] = CasnEntry::new(
-                unsafe { &(*n_j).r },
+                E::inward(unsafe { &*n_j }),
                 pack(next, false),
                 pack(next, true), // tombstone (see doc comment)
             );
             entries[2] = CasnEntry::new(
-                unsafe { &(*next).l },
+                E::outward(unsafe { &*next }),
                 pack(n_j, false),
-                pack(self.slp(), false),
+                pack(self.sent::<E>(), false),
             );
             for i in 0..j {
                 entries[3 + i] =
@@ -1088,142 +970,25 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S> {
         }
     }
 
-    /// Mirror of [`pop_left_chunk`](Self::pop_left_chunk) for the right
-    /// end: walks leftward from `SR->L`, returns rightmost first.
-    fn pop_right_chunk(&self, k: usize, out: &mut Vec<V>, guard: &GuardOf<S>) -> bool {
-        debug_assert!((1..=MAX_BATCH).contains(&k));
-        let mut backoff = Backoff::new();
-        loop {
-            let old_l = self.load_end_protected(guard, &self.sr.l, 0);
-            if deleted_of(old_l) {
-                self.delete_right(guard);
-                continue;
-            }
-            let olp = ptr_of(old_l);
-            // SAFETY: as in `pop_left_chunk` (protected walk, mirrored).
-            let v1 = self.strategy.load(unsafe { &(*olp).value });
-            if v1 == SENTL {
-                return true;
-            }
-            if v1 == NULL {
-                if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*olp).value },
-                    old_l,
-                    NULL,
-                    old_l,
-                    NULL,
-                ) {
-                    return true;
-                }
-                backoff.snooze();
-                continue;
-            }
-            let mut nodes = [std::ptr::null::<Node>(); MAX_BATCH];
-            let mut vals = [0u64; MAX_BATCH];
-            nodes[0] = olp;
-            vals[0] = v1;
-            let mut j = 1;
-            // SAFETY: `olp` and each stored `next` are protected; see
-            // `pop_left_chunk`.
-            let Some(mut next) = self.protected_step(
-                guard,
-                unsafe { &(*olp).l },
-                unsafe { &(*olp).value },
-                1,
-            ) else {
-                backoff.snooze();
-                continue;
-            };
-            let mut raced = false;
-            while j < k {
-                // SAFETY: `next` was protected by the step that found it.
-                let v = self.strategy.load(unsafe { &(*next).value });
-                if v == SENTL || v == NULL {
-                    break;
-                }
-                nodes[j] = next;
-                vals[j] = v;
-                j += 1;
-                // SAFETY: as above.
-                let step = self.protected_step(
-                    guard,
-                    unsafe { &(*next).l },
-                    unsafe { &(*next).value },
-                    j,
-                );
-                match step {
-                    Some(n) => next = n,
-                    None => {
-                        raced = true;
-                        break;
-                    }
-                }
-            }
-            if raced {
-                backoff.snooze();
-                continue;
-            }
-            if nodes[..j].contains(&next)
-                || (1..j).any(|i| nodes[..i].contains(&nodes[i]))
-            {
-                backoff.snooze();
-                continue;
-            }
-            let n_j = nodes[j - 1];
-            let mut entries = [CasnEntry::new(&self.sr.l, NULL, NULL); MAX_BATCH + 3];
-            entries[0] = CasnEntry::new(&self.sr.l, old_l, pack(next, false));
-            // SAFETY: `n_j` and `next` were reachable during the scan.
-            entries[1] = CasnEntry::new(
-                unsafe { &(*n_j).l },
-                pack(next, false),
-                pack(next, true), // tombstone (see `pop_left_chunk`)
-            );
-            entries[2] = CasnEntry::new(
-                unsafe { &(*next).r },
-                pack(n_j, false),
-                pack(self.srp(), false),
-            );
-            for i in 0..j {
-                entries[3 + i] =
-                    CasnEntry::new(unsafe { &(*nodes[i]).value }, vals[i], NULL);
-            }
-            if self.strategy.casn(&mut entries[..j + 3]) {
-                // SAFETY: as in `pop_left_chunk` (payloads first).
-                out.extend(vals[..j].iter().map(|&w| unsafe { take_value(w) }));
-                for &n in &nodes[..j] {
-                    // SAFETY: our CASN unlinked the chain.
-                    unsafe { self.retire(n, guard) };
-                }
-                return j < k;
-            }
-            backoff.snooze();
-        }
-    }
-
     /// Pops up to `n` values from the left end, leftmost first, in
     /// atomic chunks of up to [`MAX_BATCH`]; stops early at a chunk that
     /// certified the deque exhausted.
     pub fn pop_left_n(&self, n: usize) -> Vec<V> {
-        let guard = S::Reclaimer::pin();
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let k = (n - out.len()).min(MAX_BATCH);
-            if self.pop_left_chunk(k, &mut out, &guard) {
-                break;
-            }
-        }
-        out
+        self.pop_n::<Left>(n)
     }
 
     /// Pops up to `n` values from the right end, rightmost first, in
     /// atomic chunks. See [`pop_left_n`](Self::pop_left_n).
     pub fn pop_right_n(&self, n: usize) -> Vec<V> {
+        self.pop_n::<Right>(n)
+    }
+
+    fn pop_n<E: End>(&self, n: usize) -> Vec<V> {
         let guard = S::Reclaimer::pin();
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
             let k = (n - out.len()).min(MAX_BATCH);
-            if self.pop_right_chunk(k, &mut out, &guard) {
+            if self.pop_chunk::<E>(k, &mut out, &guard) {
                 break;
             }
         }

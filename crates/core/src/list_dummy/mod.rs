@@ -24,6 +24,12 @@
 //!   fresh allocation sidesteps it and is what a GC-hosted implementation
 //!   would do anyway. The cost is one extra allocation per pop, measured
 //!   against the deleted-bit variant in bench `e5_array_vs_list`.
+//!
+//! As in the deleted-bit variant, each operation is one body generic
+//! over the end it works at: `pop` is Figure 11 at the right end and
+//! Figure 32 at the left, `push` Figures 13 and 33, `delete` Figures 17
+//! and 34. A dummy's target is always its `l` word, whichever end made
+//! it.
 
 // Nested `if`s mirror the paper's listing structure; do not collapse.
 #![allow(clippy::collapsible_if)]
@@ -33,6 +39,7 @@ use std::marker::PhantomData;
 use crossbeam_utils::CachePadded;
 use dcas::{DcasStrategy, DcasWord, HarrisMcas, NodePool, ReclaimGuard, Reclaimer};
 
+use crate::end::{End, Left, Links, Right};
 use crate::reserved::{NULL, SENTL, SENTR};
 use crate::value::{Boxed, WordValue};
 use crate::{ConcurrentDeque, Full};
@@ -54,6 +61,13 @@ struct Node {
     r: DcasWord,
     /// `NULL`, `SENTL`, `SENTR`, `DUMMY`, or an encoded user value.
     value: DcasWord,
+}
+
+impl Links for Node {
+    #[inline(always)]
+    fn links(&self) -> (&DcasWord, &DcasWord) {
+        (&self.l, &self.r)
+    }
 }
 
 impl Node {
@@ -206,13 +220,26 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
     }
 
     #[inline]
-    fn slp(&self) -> *const Node {
-        &**self.sl as *const Node
-    }
-
-    #[inline]
     fn srp(&self) -> *const Node {
         &**self.sr as *const Node
+    }
+
+    /// End `E`'s sentinel (`SR` at `Right`).
+    #[inline]
+    fn sent<E: End>(&self) -> &Node {
+        E::near(&**self.sl, &**self.sr)
+    }
+
+    /// The sentinel opposite end `E` (`SL` at `Right`).
+    #[inline]
+    fn opp<E: End>(&self) -> &Node {
+        E::far(&**self.sl, &**self.sr)
+    }
+
+    /// End `E`'s sentinel inward word (`SR->L` at `Right`).
+    #[inline]
+    fn end_word<E: End>(&self) -> &DcasWord {
+        E::inward(self.sent::<E>())
     }
 
     /// The DCAS strategy instance.
@@ -303,35 +330,54 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
 
     /// `popRight` with dummy-node indirection in place of the deleted bit.
     pub fn pop_right(&self) -> Option<V> {
+        self.pop::<Right>()
+    }
+
+    /// `popLeft` with dummy-node indirection.
+    pub fn pop_left(&self) -> Option<V> {
+        self.pop::<Left>()
+    }
+
+    /// `pushRight` with dummy-node indirection.
+    pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
+        self.push::<Right>(v)
+    }
+
+    /// `pushLeft` with dummy-node indirection.
+    pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
+        self.push::<Left>(v)
+    }
+
+    // Register names follow the deleted-bit variant's bodies: `old` is
+    // the end word, `cur` what it resolves to, `nb` the victim's inward
+    // neighbour and `nb_out` that neighbour's outward link.
+
+    /// Figure 11 at `Right`, Figure 32 at `Left`, with a dummy in place
+    /// of the deleted bit.
+    fn pop<E: End>(&self) -> Option<V> {
         let guard = S::Reclaimer::pin();
+        let end = self.end_word::<E>();
         loop {
-            let (old_l, r) = self.load_resolved(&guard, &self.sr.l, 0);
-            // SAFETY: `r.real` is protected by `load_resolved`.
-            let v = self.strategy.load(unsafe { &(*r.real).value });
-            if v == SENTL {
+            let (old, cur) = self.load_resolved(&guard, end, 0);
+            // SAFETY: `cur.real` is protected by `load_resolved`.
+            let v = self.strategy.load(unsafe { &(*cur.real).value });
+            if v == E::FAR_SENT {
                 return None;
             }
-            if r.deleted {
-                self.delete_right(&guard);
+            if cur.deleted {
+                self.delete::<E>(&guard);
             } else if v == NULL {
                 // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*r.real).value },
-                    old_l,
-                    v,
-                    old_l,
-                    v,
-                ) {
+                if self.strategy.dcas(end, unsafe { &(*cur.real).value }, old, v, old, v) {
                     return None;
                 }
             } else {
-                let dummy = PendingDummy { node: self.make_dummy(r.real) };
+                let dummy = PendingDummy { node: self.make_dummy(cur.real) };
                 // SAFETY: as above.
                 if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*r.real).value },
-                    old_l,
+                    end,
+                    unsafe { &(*cur.real).value },
+                    old,
                     v,
                     direct(dummy.node),
                     NULL,
@@ -345,31 +391,33 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
         }
     }
 
-    /// `pushRight` with dummy-node indirection.
-    pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
+    /// Figure 13 at `Right`, Figure 33 at `Left`, with dummy-node
+    /// indirection.
+    fn push<E: End>(&self, v: V) -> Result<(), Full<V>> {
         let guard = S::Reclaimer::pin();
         // The pending guard owns node and value until published; an
         // unwinding strategy call frees both.
         let pending = PendingNode::<V>::new(v);
         let (node, val) = (pending.node, pending.val);
+        let end = self.end_word::<E>();
+        let sent = direct(self.sent::<E>());
         loop {
-            let (old_l, r) = self.load_resolved(&guard, &self.sr.l, 0);
-            if r.deleted {
-                self.delete_right(&guard);
+            let (old, cur) = self.load_resolved(&guard, end, 0);
+            if cur.deleted {
+                self.delete::<E>(&guard);
             } else {
                 // SAFETY: unpublished node.
                 unsafe {
-                    (*node).r.init_store(direct(self.srp()));
-                    (*node).l.init_store(direct(r.real));
+                    E::outward(&*node).init_store(sent);
+                    E::inward(&*node).init_store(direct(cur.real));
                     (*node).value.init_store(val);
                 }
-                let old_lr = direct(self.srp());
                 // SAFETY: as above.
                 if self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*r.real).r },
-                    old_l,
-                    old_lr,
+                    end,
+                    E::outward(unsafe { &*cur.real }),
+                    old,
+                    sent,
                     direct(node),
                     direct(node),
                 ) {
@@ -380,210 +428,72 @@ impl<V: WordValue, S: DcasStrategy> RawDummyListDeque<V, S> {
         }
     }
 
-    fn delete_right(&self, guard: &GuardOf<S>) {
+    /// Figure 17 at `Right`, Figure 34 at `Left`, with dummy-node
+    /// indirection: a splice also retires the dummies it unlinks.
+    fn delete<E: End>(&self, guard: &GuardOf<S>) {
+        let end = self.end_word::<E>();
         loop {
-            let (old_l, r) = self.load_resolved(guard, &self.sr.l, 0);
-            if !r.deleted {
+            let (old, cur) = self.load_resolved(guard, end, 0);
+            if !cur.deleted {
                 return;
             }
-            let victim = r.real;
-            // SAFETY: `victim` is protected by `load_resolved`; `old_ll`
-            // by the dual validation below (the victim's link words
-            // freeze once it is spliced out, so the sentinel re-read is
-            // needed to pin the victim as still-linked — see the
-            // deleted-bit variant's `delete_right`).
-            let old_ll = node_of(self.strategy.load(unsafe { &(*victim).l }));
+            let victim = cur.real;
+            // SAFETY: `victim` is protected by `load_resolved`; `nb` by
+            // the dual validation below (the victim's link words freeze
+            // once it is spliced out, so the sentinel re-read is needed
+            // to pin the victim as still-linked — see the deleted-bit
+            // variant's `delete`).
+            let nb = node_of(self.strategy.load(E::inward(unsafe { &*victim })));
             if Self::NP {
-                guard.protect(2, old_ll as u64);
-                if node_of(self.strategy.load(unsafe { &(*victim).l })) != old_ll
-                    || self.strategy.load(&self.sr.l) != old_l
+                guard.protect(2, nb as u64);
+                if node_of(self.strategy.load(E::inward(unsafe { &*victim }))) != nb
+                    || self.strategy.load(end) != old
                 {
                     guard.clear(2);
                     continue;
                 }
             }
-            let v = self.strategy.load(unsafe { &(*old_ll).value });
+            let v = self.strategy.load(unsafe { &(*nb).value });
             if v != NULL {
-                let old_llr = self.strategy.load(unsafe { &(*old_ll).r });
-                if victim == node_of(old_llr) {
+                let nb_out = self.strategy.load(E::outward(unsafe { &*nb }));
+                if victim == node_of(nb_out) {
                     if self.strategy.dcas(
-                        &self.sr.l,
-                        unsafe { &(*old_ll).r },
-                        old_l,
-                        old_llr,
-                        direct(old_ll),
-                        direct(self.srp()),
+                        end,
+                        E::outward(unsafe { &*nb }),
+                        old,
+                        nb_out,
+                        direct(nb),
+                        direct(self.sent::<E>()),
                     ) {
                         // SAFETY: our DCAS unlinked the victim and its dummy.
                         unsafe {
                             self.retire(victim, guard);
-                            self.retire(node_of(old_l), guard);
+                            self.retire(node_of(old), guard);
                         }
                         return;
                     }
                 }
             } else {
-                // Two null items: race the left side for the double splice,
-                // once `SL->R` resolves to the null neighbour read above
-                // (DESIGN.md, "Known errata").
-                let (old_r, l) = self.load_resolved(guard, &self.sl.r, 3);
-                if l.deleted && l.real == old_ll {
+                // Two null items: race the other end for the double
+                // splice, once the far sentinel's word resolves to the
+                // null neighbour read above (DESIGN.md, "Known errata").
+                let far = E::outward(self.opp::<E>());
+                let (far_old, f) = self.load_resolved(guard, far, 3);
+                if f.deleted && f.real == nb {
                     if self.strategy.dcas(
-                        &self.sr.l,
-                        &self.sl.r,
-                        old_l,
-                        old_r,
-                        direct(self.slp()),
-                        direct(self.srp()),
+                        end,
+                        far,
+                        old,
+                        far_old,
+                        direct(self.opp::<E>()),
+                        direct(self.sent::<E>()),
                     ) {
                         // SAFETY: both nodes and both dummies unlinked.
                         unsafe {
                             self.retire(victim, guard);
-                            self.retire(node_of(old_l), guard);
-                            self.retire(l.real, guard);
-                            self.retire(node_of(old_r), guard);
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// `popLeft` with dummy-node indirection.
-    pub fn pop_left(&self) -> Option<V> {
-        let guard = S::Reclaimer::pin();
-        loop {
-            let (old_r, l) = self.load_resolved(&guard, &self.sl.r, 0);
-            // SAFETY: `l.real` is protected by `load_resolved`.
-            let v = self.strategy.load(unsafe { &(*l.real).value });
-            if v == SENTR {
-                return None;
-            }
-            if l.deleted {
-                self.delete_left(&guard);
-            } else if v == NULL {
-                // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*l.real).value },
-                    old_r,
-                    v,
-                    old_r,
-                    v,
-                ) {
-                    return None;
-                }
-            } else {
-                let dummy = PendingDummy { node: self.make_dummy(l.real) };
-                // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*l.real).value },
-                    old_r,
-                    v,
-                    direct(dummy.node),
-                    NULL,
-                ) {
-                    dummy.published();
-                    // SAFETY: as above.
-                    return Some(unsafe { V::decode(v) });
-                }
-                // Not published: `dummy` drops and frees the node.
-            }
-        }
-    }
-
-    /// `pushLeft` with dummy-node indirection.
-    pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
-        let guard = S::Reclaimer::pin();
-        // Guarded as in `push_right`.
-        let pending = PendingNode::<V>::new(v);
-        let (node, val) = (pending.node, pending.val);
-        loop {
-            let (old_r, l) = self.load_resolved(&guard, &self.sl.r, 0);
-            if l.deleted {
-                self.delete_left(&guard);
-            } else {
-                // SAFETY: unpublished node.
-                unsafe {
-                    (*node).l.init_store(direct(self.slp()));
-                    (*node).r.init_store(direct(l.real));
-                    (*node).value.init_store(val);
-                }
-                let old_rl = direct(self.slp());
-                // SAFETY: as above.
-                if self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*l.real).l },
-                    old_r,
-                    old_rl,
-                    direct(node),
-                    direct(node),
-                ) {
-                    pending.published();
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    fn delete_left(&self, guard: &GuardOf<S>) {
-        loop {
-            let (old_r, l) = self.load_resolved(guard, &self.sl.r, 0);
-            if !l.deleted {
-                return;
-            }
-            let victim = l.real;
-            // SAFETY: as in `delete_right` (mirrored dual validation).
-            let old_rr = node_of(self.strategy.load(unsafe { &(*victim).r }));
-            if Self::NP {
-                guard.protect(2, old_rr as u64);
-                if node_of(self.strategy.load(unsafe { &(*victim).r })) != old_rr
-                    || self.strategy.load(&self.sl.r) != old_r
-                {
-                    guard.clear(2);
-                    continue;
-                }
-            }
-            let v = self.strategy.load(unsafe { &(*old_rr).value });
-            if v != NULL {
-                let old_rrl = self.strategy.load(unsafe { &(*old_rr).l });
-                if victim == node_of(old_rrl) {
-                    if self.strategy.dcas(
-                        &self.sl.r,
-                        unsafe { &(*old_rr).l },
-                        old_r,
-                        old_rrl,
-                        direct(old_rr),
-                        direct(self.slp()),
-                    ) {
-                        // SAFETY: as in `delete_right`.
-                        unsafe {
-                            self.retire(victim, guard);
-                            self.retire(node_of(old_r), guard);
-                        }
-                        return;
-                    }
-                }
-            } else {
-                // Mirror of `delete_right`'s two-null check.
-                let (old_l, r) = self.load_resolved(guard, &self.sr.l, 3);
-                if r.deleted && r.real == old_rr {
-                    if self.strategy.dcas(
-                        &self.sl.r,
-                        &self.sr.l,
-                        old_r,
-                        old_l,
-                        direct(self.srp()),
-                        direct(self.slp()),
-                    ) {
-                        // SAFETY: as above.
-                        unsafe {
-                            self.retire(victim, guard);
-                            self.retire(node_of(old_r), guard);
-                            self.retire(r.real, guard);
-                            self.retire(node_of(old_l), guard);
+                            self.retire(node_of(old), guard);
+                            self.retire(f.real, guard);
+                            self.retire(node_of(far_old), guard);
                         }
                         return;
                     }

@@ -50,6 +50,11 @@
 //! read). The backend covers exactly that one-window access; every
 //! other dereference rides on a counted reference.
 //!
+//! Each operation is one body generic over the end it works at, as in
+//! the deleted-bit variant: `pop` is Figure 11 at the right end and
+//! Figure 32 at the left, `push` Figures 13 and 33, `delete` Figures 17
+//! and 34, each with the LFRC count maintenance above.
+//!
 //! Compared with the epoch-based [`ListDeque`](crate::ListDeque), pops
 //! and pushes execute extra count-maintenance CASes (measured in bench
 //! `e5_array_vs_list` and the `boundary_cases` example); the payoff is
@@ -67,6 +72,7 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 use dcas::{DcasStrategy, DcasWord, HarrisMcas, NodePool, ReclaimGuard, Reclaimer};
 
+use crate::end::{End, Left, Links, Right};
 use crate::reserved::{NULL, SENTL, SENTR};
 use crate::value::{Boxed, WordValue};
 use crate::{ConcurrentDeque, Full};
@@ -103,6 +109,13 @@ pub(crate) struct Node {
     rc: DcasWord,
     /// Raw `Arc<NodeAudit>` handle, released when the node is freed.
     audit: *const NodeAudit,
+}
+
+impl Links for Node {
+    #[inline(always)]
+    fn links(&self) -> (&DcasWord, &DcasWord) {
+        (&self.l, &self.r)
+    }
 }
 
 impl Node {
@@ -163,6 +176,42 @@ fn ptr_of(w: u64) -> *const Node {
 #[inline]
 fn deleted_of(w: u64) -> bool {
     w & DELETED_BIT != 0
+}
+
+/// Words a [`RawLfrcListDeque::release`] cascade holds inline before
+/// it spills to the heap. A cascade grows by one word per node it frees
+/// (two links pushed, one word popped), so only a chain of more than
+/// this many nodes dying at once spills.
+const CASCADE_INLINE: usize = 16;
+
+/// The LIFO work list of a `release` cascade: an inline stack that
+/// spills to a `Vec` only when a cascade outgrows it. The spill is
+/// empty whenever the inline part has room, so spilled words are newer
+/// than every inline one and popping the spill first keeps the order
+/// LIFO.
+struct Cascade {
+    inline: [u64; CASCADE_INLINE],
+    len: usize,
+    spill: Vec<u64>,
+}
+
+impl Cascade {
+    fn push(&mut self, w: u64) {
+        if self.len < CASCADE_INLINE {
+            self.inline[self.len] = w;
+            self.len += 1;
+        } else {
+            self.spill.push(w);
+        }
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        if let Some(w) = self.spill.pop() {
+            return Some(w);
+        }
+        self.len = self.len.checked_sub(1)?;
+        Some(self.inline[self.len])
+    }
 }
 
 /// Diagnostics snapshot of the census and the reclamation audit.
@@ -238,6 +287,24 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
         &**self.sr as *const Node
     }
 
+    /// End `E`'s sentinel (`SR` at `Right`).
+    #[inline]
+    fn sent<E: End>(&self) -> &Node {
+        E::near(&**self.sl, &**self.sr)
+    }
+
+    /// The sentinel opposite end `E` (`SL` at `Right`).
+    #[inline]
+    fn opp<E: End>(&self) -> &Node {
+        E::far(&**self.sl, &**self.sr)
+    }
+
+    /// End `E`'s sentinel inward word (`SR->L` at `Right`).
+    #[inline]
+    fn end_word<E: End>(&self) -> &DcasWord {
+        E::inward(self.sent::<E>())
+    }
+
     #[inline]
     fn is_sentinel(&self, n: *const Node) -> bool {
         n == self.slp() || n == self.srp()
@@ -287,7 +354,7 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
     /// dropper of the last reference releases the node's outgoing links
     /// and retires it on `g` (freed after the backend's grace period).
     fn release(&self, g: &GuardOf<S>, w: u64) {
-        let mut stack = vec![w];
+        let mut stack = Cascade { inline: [w; CASCADE_INLINE], len: 1, spill: Vec::new() };
         while let Some(w) = stack.pop() {
             let n = ptr_of(w);
             if n.is_null() || self.is_sentinel(n) {
@@ -374,51 +441,69 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
 
     /// `popRight`, LFRC-transformed.
     pub fn pop_right(&self) -> Option<V> {
+        self.pop::<Right>()
+    }
+
+    /// `popLeft`, LFRC-transformed.
+    pub fn pop_left(&self) -> Option<V> {
+        self.pop::<Left>()
+    }
+
+    /// `pushRight`, LFRC-transformed.
+    pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
+        self.push::<Right>(v)
+    }
+
+    /// `pushLeft`, LFRC-transformed.
+    pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
+        self.push::<Left>(v)
+    }
+
+    // Register names follow the deleted-bit variant's bodies: `old` is
+    // the end word and `cur` the node it names, `nb` that node's inward
+    // neighbour and `nb_out` the neighbour's outward link.
+
+    /// Figure 11 at `Right`, Figure 32 at `Left`, LFRC-transformed.
+    fn pop<E: End>(&self) -> Option<V> {
         let g = S::Reclaimer::pin();
+        let end = self.end_word::<E>();
         loop {
             // SAFETY: the sentinel word is always live.
-            let old_l = unsafe { self.load_ptr(&g, &self.sr.l) }; // ref: olp
-            let olp = ptr_of(old_l);
+            let old = unsafe { self.load_ptr(&g, end) }; // ref: cur
+            let cur = ptr_of(old);
             // SAFETY: reference held.
-            let v = self.strategy.load(unsafe { &(*olp).value });
-            if v == SENTL {
-                self.release(&g, old_l);
+            let v = self.strategy.load(unsafe { &(*cur).value });
+            if v == E::FAR_SENT {
+                self.release(&g, old);
                 return None;
             }
-            if deleted_of(old_l) {
-                self.delete_right(&g);
-                self.release(&g, old_l);
+            if deleted_of(old) {
+                self.delete::<E>(&g);
+                self.release(&g, old);
                 continue;
             }
             if v == NULL {
                 // Identity DCAS: no slot retargets, no count changes.
                 // SAFETY: reference held.
-                let ok = self.strategy.dcas(
-                    &self.sr.l,
-                    unsafe { &(*olp).value },
-                    old_l,
-                    v,
-                    old_l,
-                    v,
-                );
-                self.release(&g, old_l);
+                let ok = self.strategy.dcas(end, unsafe { &(*cur).value }, old, v, old, v);
+                self.release(&g, old);
                 if ok {
                     return None;
                 }
                 continue;
             }
-            // Logical deletion: the sentinel slot keeps targeting `olp`
+            // Logical deletion: the sentinel slot keeps targeting `cur`
             // (only the deleted bit flips), so counts are unchanged.
             // SAFETY: reference held.
             let ok = self.strategy.dcas(
-                &self.sr.l,
-                unsafe { &(*olp).value },
-                old_l,
+                end,
+                unsafe { &(*cur).value },
+                old,
                 v,
-                pack(olp, true),
+                pack(cur, true),
                 NULL,
             );
-            self.release(&g, old_l);
+            self.release(&g, old);
             if ok {
                 // SAFETY: the DCAS moved the value out; unique ownership.
                 return Some(unsafe { V::decode(v) });
@@ -426,141 +511,140 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
         }
     }
 
-    /// `pushRight`, LFRC-transformed.
-    pub fn push_right(&self, v: V) -> Result<(), Full<V>> {
+    /// Figure 13 at `Right`, Figure 33 at `Left`, LFRC-transformed.
+    fn push<E: End>(&self, v: V) -> Result<(), Full<V>> {
         let g = S::Reclaimer::pin();
         let node = self.alloc_node();
         let val = v.encode();
         // Creator's local reference.
         // SAFETY: fresh node, unpublished: exclusive access.
         unsafe { (*node).rc.init_store(ONE) };
+        let end = self.end_word::<E>();
+        let sent = pack(self.sent::<E>(), false);
         loop {
             // SAFETY: sentinel word.
-            let old_l = unsafe { self.load_ptr(&g, &self.sr.l) }; // ref: olp
-            if deleted_of(old_l) {
-                self.delete_right(&g);
-                self.release(&g, old_l);
+            let old = unsafe { self.load_ptr(&g, end) }; // ref: cur
+            if deleted_of(old) {
+                self.delete::<E>(&g);
+                self.release(&g, old);
                 continue;
             }
-            let olp = ptr_of(old_l);
+            let cur = ptr_of(old);
             // SAFETY: unpublished node.
             unsafe {
-                (*node).l.init_store(old_l);
-                (*node).r.init_store(pack(self.srp(), false));
+                E::inward(&*node).init_store(old);
+                E::outward(&*node).init_store(sent);
                 (*node).value.init_store(val);
             }
-            // Prospective new counted slots: SR->L -> node, olp.r -> node
-            // (two refs to node) and node.l -> olp (one ref to olp).
+            // Prospective new counted slots: the end word and `cur`'s
+            // outward link -> node (two refs to node) and node's inward
+            // link -> cur (one ref to cur).
             let nw = pack(node, false);
             self.add_ref(nw);
             self.add_ref(nw);
-            self.add_ref(pack(olp, false));
-            // SAFETY: reference to olp held.
-            if self.strategy.dcas(
-                &self.sr.l,
-                unsafe { &(*olp).r },
-                old_l,
-                pack(self.srp(), false),
-                nw,
-                nw,
-            ) {
-                // Overwritten slots: SR->L targeted olp (release); olp.r
-                // targeted SR (sentinel, no-op).
-                self.release(&g, pack(olp, false));
+            self.add_ref(pack(cur, false));
+            // SAFETY: reference to cur held.
+            if self.strategy.dcas(end, E::outward(unsafe { &*cur }), old, sent, nw, nw) {
+                // Overwritten slots: the end word targeted cur (release);
+                // cur's outward link targeted the sentinel (no-op).
+                self.release(&g, pack(cur, false));
                 // Creator's local reference to the now-published node.
                 self.release(&g, nw);
-                self.release(&g, old_l);
+                self.release(&g, old);
                 return Ok(());
             }
             // Undo the prospective counts and retry.
             self.release(&g, nw);
             self.release(&g, nw);
-            self.release(&g, pack(olp, false));
-            self.release(&g, old_l);
+            self.release(&g, pack(cur, false));
+            self.release(&g, old);
         }
     }
 
-    /// `deleteRight`, LFRC-transformed.
-    fn delete_right(&self, g: &GuardOf<S>) {
+    /// Figure 17 at `Right`, Figure 34 at `Left`, LFRC-transformed.
+    fn delete<E: End>(&self, g: &GuardOf<S>) {
+        let end = self.end_word::<E>();
         loop {
             // SAFETY: sentinel word.
-            let old_l = unsafe { self.load_ptr(g, &self.sr.l) }; // ref: olp
-            if !deleted_of(old_l) {
-                self.release(g, old_l);
+            let old = unsafe { self.load_ptr(g, end) }; // ref: cur
+            if !deleted_of(old) {
+                self.release(g, old);
                 return;
             }
-            let olp = ptr_of(old_l);
-            // SAFETY: reference to olp held; its link field is live.
-            let old_ll_w = unsafe { self.load_ptr(g, &(*olp).l) }; // ref: oll
-            let oll = ptr_of(old_ll_w);
-            // SAFETY: reference to oll held.
-            let v = self.strategy.load(unsafe { &(*oll).value });
+            let cur = ptr_of(old);
+            // SAFETY: reference to cur held; its link field is live.
+            let nb_w = unsafe { self.load_ptr(g, E::inward(&*cur)) }; // ref: nb
+            let nb = ptr_of(nb_w);
+            // SAFETY: reference to nb held.
+            let v = self.strategy.load(unsafe { &(*nb).value });
             if v != NULL {
-                // SAFETY: reference to oll held.
-                let old_llr = unsafe { self.load_ptr(g, &(*oll).r) }; // ref: t
-                if ptr_of(old_llr) == olp {
-                    // Splice: SR->L -> oll (new counted slot), oll.r -> SR
-                    // (sentinel).
-                    self.add_ref(pack(oll, false));
+                // SAFETY: reference to nb held.
+                let nb_out = unsafe { self.load_ptr(g, E::outward(&*nb)) }; // ref: t
+                if ptr_of(nb_out) == cur {
+                    // Splice: end word -> nb (new counted slot), nb's
+                    // outward link -> sentinel.
+                    self.add_ref(pack(nb, false));
                     // SAFETY: references held.
                     if self.strategy.dcas(
-                        &self.sr.l,
-                        unsafe { &(*oll).r },
-                        old_l,
-                        old_llr,
-                        pack(oll, false),
-                        pack(self.srp(), false),
+                        end,
+                        E::outward(unsafe { &*nb }),
+                        old,
+                        nb_out,
+                        pack(nb, false),
+                        pack(self.sent::<E>(), false),
                     ) {
-                        // Overwritten slots both targeted olp.
-                        self.release(g, pack(olp, false));
-                        self.release(g, pack(olp, false));
-                        self.release(g, old_llr); // local (t == olp)
-                        self.release(g, old_ll_w);
-                        self.release(g, old_l);
+                        // Overwritten slots both targeted cur.
+                        self.release(g, pack(cur, false));
+                        self.release(g, pack(cur, false));
+                        self.release(g, nb_out); // local (t == cur)
+                        self.release(g, nb_w);
+                        self.release(g, old);
                         return;
                     }
-                    self.release(g, pack(oll, false)); // undo
+                    self.release(g, pack(nb, false)); // undo
                 }
-                self.release(g, old_llr);
-                self.release(g, old_ll_w);
-                self.release(g, old_l);
+                self.release(g, nb_out);
+                self.release(g, nb_w);
+                self.release(g, old);
             } else {
                 // Two null nodes: double splice toward the sentinels, once
-                // `SL->R` names the null neighbour `oll` (DESIGN.md,
-                // "Known errata").
+                // the far sentinel's word names the null neighbour `nb`
+                // (DESIGN.md, "Known errata").
+                let far = E::outward(self.opp::<E>());
                 // SAFETY: sentinel word.
-                let old_r = unsafe { self.load_ptr(g, &self.sl.r) }; // ref: orp
-                let orp = ptr_of(old_r);
-                if deleted_of(old_r) && orp == oll {
+                let far_old = unsafe { self.load_ptr(g, far) }; // ref: fp
+                let fp = ptr_of(far_old);
+                if deleted_of(far_old) && fp == nb {
                     // New slot targets are both sentinels: no pre-counts.
                     if self.strategy.dcas(
-                        &self.sr.l,
-                        &self.sl.r,
-                        old_l,
-                        old_r,
-                        pack(self.slp(), false),
-                        pack(self.srp(), false),
+                        end,
+                        far,
+                        old,
+                        far_old,
+                        pack(self.opp::<E>(), false),
+                        pack(self.sent::<E>(), false),
                     ) {
-                        // The two unlinked null nodes reference each other
-                        // (olp.l -> orp, orp.r -> olp): a dead cycle that
-                        // reference counting cannot reclaim. The winner
-                        // breaks it by retargeting the dead links at the
-                        // (always-valid, uncounted) sentinels — harmless
-                        // for stale readers, which revalidate with DCAS.
-                        self.break_cycle(g, olp, orp);
-                        // Overwritten: SR->L targeted olp, SL->R targeted
-                        // orp.
-                        self.release(g, pack(olp, false));
-                        self.release(g, pack(orp, false));
-                        self.release(g, old_r);
-                        self.release(g, old_ll_w);
-                        self.release(g, old_l);
+                        // The two unlinked null nodes reference each other:
+                        // a dead cycle that reference counting cannot
+                        // reclaim. The winner breaks it by retargeting the
+                        // dead links at the (always-valid, uncounted)
+                        // sentinels — harmless for stale readers, which
+                        // revalidate with DCAS. `cur` is the right node at
+                        // `Right`, the left one at `Left`.
+                        self.break_cycle(g, E::near(fp, cur), E::far(fp, cur));
+                        // Overwritten: the end word targeted cur, the far
+                        // word targeted fp.
+                        self.release(g, pack(cur, false));
+                        self.release(g, pack(fp, false));
+                        self.release(g, far_old);
+                        self.release(g, nb_w);
+                        self.release(g, old);
                         return;
                     }
                 }
-                self.release(g, old_r);
-                self.release(g, old_ll_w);
-                self.release(g, old_l);
+                self.release(g, far_old);
+                self.release(g, nb_w);
+                self.release(g, old);
             }
         }
     }
@@ -584,175 +668,6 @@ impl<V: WordValue, S: DcasStrategy> RawLfrcListDeque<V, S> {
             if ptr_of(lr) == right && self.strategy.cas(&(*left).r, lr, pack(self.srp(), false))
             {
                 self.release(g, lr);
-            }
-        }
-    }
-
-    /// `popLeft`, LFRC-transformed (mirror of `pop_right`).
-    pub fn pop_left(&self) -> Option<V> {
-        let g = S::Reclaimer::pin();
-        loop {
-            // SAFETY: sentinel word.
-            let old_r = unsafe { self.load_ptr(&g, &self.sl.r) }; // ref: orp
-            let orp = ptr_of(old_r);
-            // SAFETY: reference held.
-            let v = self.strategy.load(unsafe { &(*orp).value });
-            if v == SENTR {
-                self.release(&g, old_r);
-                return None;
-            }
-            if deleted_of(old_r) {
-                self.delete_left(&g);
-                self.release(&g, old_r);
-                continue;
-            }
-            if v == NULL {
-                // SAFETY: reference held.
-                let ok = self.strategy.dcas(
-                    &self.sl.r,
-                    unsafe { &(*orp).value },
-                    old_r,
-                    v,
-                    old_r,
-                    v,
-                );
-                self.release(&g, old_r);
-                if ok {
-                    return None;
-                }
-                continue;
-            }
-            // SAFETY: reference held.
-            let ok = self.strategy.dcas(
-                &self.sl.r,
-                unsafe { &(*orp).value },
-                old_r,
-                v,
-                pack(orp, true),
-                NULL,
-            );
-            self.release(&g, old_r);
-            if ok {
-                // SAFETY: unique ownership via the DCAS.
-                return Some(unsafe { V::decode(v) });
-            }
-        }
-    }
-
-    /// `pushLeft`, LFRC-transformed (mirror of `push_right`).
-    pub fn push_left(&self, v: V) -> Result<(), Full<V>> {
-        let g = S::Reclaimer::pin();
-        let node = self.alloc_node();
-        let val = v.encode();
-        // SAFETY: unpublished node.
-        unsafe { (*node).rc.init_store(ONE) };
-        loop {
-            // SAFETY: sentinel word.
-            let old_r = unsafe { self.load_ptr(&g, &self.sl.r) }; // ref: orp
-            if deleted_of(old_r) {
-                self.delete_left(&g);
-                self.release(&g, old_r);
-                continue;
-            }
-            let orp = ptr_of(old_r);
-            // SAFETY: unpublished node.
-            unsafe {
-                (*node).r.init_store(old_r);
-                (*node).l.init_store(pack(self.slp(), false));
-                (*node).value.init_store(val);
-            }
-            let nw = pack(node, false);
-            self.add_ref(nw);
-            self.add_ref(nw);
-            self.add_ref(pack(orp, false));
-            // SAFETY: reference to orp held.
-            if self.strategy.dcas(
-                &self.sl.r,
-                unsafe { &(*orp).l },
-                old_r,
-                pack(self.slp(), false),
-                nw,
-                nw,
-            ) {
-                self.release(&g, pack(orp, false));
-                self.release(&g, nw);
-                self.release(&g, old_r);
-                return Ok(());
-            }
-            self.release(&g, nw);
-            self.release(&g, nw);
-            self.release(&g, pack(orp, false));
-            self.release(&g, old_r);
-        }
-    }
-
-    /// `deleteLeft`, LFRC-transformed (mirror of `delete_right`).
-    fn delete_left(&self, g: &GuardOf<S>) {
-        loop {
-            // SAFETY: sentinel word.
-            let old_r = unsafe { self.load_ptr(g, &self.sl.r) }; // ref: orp
-            if !deleted_of(old_r) {
-                self.release(g, old_r);
-                return;
-            }
-            let orp = ptr_of(old_r);
-            // SAFETY: reference held.
-            let old_rr_w = unsafe { self.load_ptr(g, &(*orp).r) }; // ref: orr
-            let orr = ptr_of(old_rr_w);
-            // SAFETY: reference held.
-            let v = self.strategy.load(unsafe { &(*orr).value });
-            if v != NULL {
-                // SAFETY: reference held.
-                let old_rrl = unsafe { self.load_ptr(g, &(*orr).l) }; // ref: t
-                if ptr_of(old_rrl) == orp {
-                    self.add_ref(pack(orr, false));
-                    // SAFETY: references held.
-                    if self.strategy.dcas(
-                        &self.sl.r,
-                        unsafe { &(*orr).l },
-                        old_r,
-                        old_rrl,
-                        pack(orr, false),
-                        pack(self.slp(), false),
-                    ) {
-                        self.release(g, pack(orp, false));
-                        self.release(g, pack(orp, false));
-                        self.release(g, old_rrl);
-                        self.release(g, old_rr_w);
-                        self.release(g, old_r);
-                        return;
-                    }
-                    self.release(g, pack(orr, false));
-                }
-                self.release(g, old_rrl);
-                self.release(g, old_rr_w);
-                self.release(g, old_r);
-            } else {
-                // SAFETY: sentinel word.
-                let old_l = unsafe { self.load_ptr(g, &self.sr.l) }; // ref: olp
-                let olp = ptr_of(old_l);
-                // Mirror of `delete_right`'s two-null check.
-                if deleted_of(old_l) && olp == orr {
-                    if self.strategy.dcas(
-                        &self.sl.r,
-                        &self.sr.l,
-                        old_r,
-                        old_l,
-                        pack(self.srp(), false),
-                        pack(self.slp(), false),
-                    ) {
-                        self.break_cycle(g, olp, orp);
-                        self.release(g, pack(orp, false));
-                        self.release(g, pack(olp, false));
-                        self.release(g, old_l);
-                        self.release(g, old_rr_w);
-                        self.release(g, old_r);
-                        return;
-                    }
-                }
-                self.release(g, old_l);
-                self.release(g, old_rr_w);
-                self.release(g, old_r);
             }
         }
     }

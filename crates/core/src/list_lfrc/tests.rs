@@ -6,7 +6,7 @@
 
 use dcas::{GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, Reclaimer, StripedLock};
 
-use super::{LfrcListDeque, RawLfrcListDeque};
+use super::{Cascade, LfrcListDeque, RawLfrcListDeque, CASCADE_INLINE};
 use crate::value::WordValue;
 
 /// Flushes the strategy's reclamation backend until the deque's
@@ -341,4 +341,27 @@ fn pooled_nodes_drain_to_push_count() {
         got += 1;
     }
     assert_eq!(got, 200);
+}
+
+#[test]
+fn release_cascade_stays_lifo_across_the_spill() {
+    // Rounds of pushes past the inline part and pops back into it: the
+    // pops must come back newest first throughout, as from one `Vec`.
+    let mut c = Cascade { inline: [0; CASCADE_INLINE], len: 0, spill: Vec::new() };
+    let mut model = Vec::new();
+    let mut next = 0u64;
+    for _ in 0..3 {
+        for _ in 0..CASCADE_INLINE + 4 {
+            c.push(next);
+            model.push(next);
+            next += 1;
+        }
+        for _ in 0..12 {
+            assert_eq!(c.pop(), model.pop());
+        }
+    }
+    while let Some(w) = model.pop() {
+        assert_eq!(c.pop(), Some(w));
+    }
+    assert_eq!(c.pop(), None);
 }

@@ -47,10 +47,10 @@
 //! any reader that announced it *before* the unlink is in the snapshot
 //! while any reader announcing *after* fails its validation re-read.
 //!
-//! A scan still allocates: the candidate list, the hazard snapshot and
-//! the kept list are fresh `Vec`s each time, one scan per
-//! [`SCAN_THRESHOLD`] retirements. The epoch backend's collections, by
-//! contrast, allocate nothing in steady state.
+//! A scan reuses two scratch buffers that live in the record (the
+//! candidates and the hazard snapshot), so once they have grown to
+//! their steady-state size a scan allocates nothing. The snapshot is
+//! still taken afresh on every scan; only its capacity carries over.
 //!
 //! Thread exit clears the slots, runs a final scan, parks whatever is
 //! still hazard-protected on the global orphan list (drained by other
@@ -105,10 +105,16 @@ pub(crate) struct HazardRecord {
     top: Cell<usize>,
     /// This thread's retired blocks (owner-only).
     retired: RefCell<Vec<Retired>>,
+    /// Scan scratch (owner-only): the blocks under test, of which the
+    /// protected ones go back to `retired`.
+    candidates: Cell<Vec<Retired>>,
+    /// Scan scratch (owner-only): the hazard snapshot.
+    hazards: Cell<Vec<usize>>,
 }
 
-// SAFETY: `slots`/`in_use`/`next` are atomics; `top` and `retired` are
-// accessed only by the owning thread (the TLS destructor included).
+// SAFETY: `slots`/`in_use`/`next` are atomics; `top`, `retired` and the
+// scan scratch are accessed only by the owning thread (the TLS
+// destructor included).
 unsafe impl Send for HazardRecord {}
 unsafe impl Sync for HazardRecord {}
 
@@ -145,6 +151,8 @@ fn acquire_record() -> &'static HazardRecord {
         next: AtomicPtr::new(std::ptr::null_mut()),
         top: Cell::new(0),
         retired: RefCell::new(Vec::new()),
+        candidates: Cell::new(Vec::new()),
+        hazards: Cell::new(Vec::new()),
     }));
     let mut head = HEAD.load(Ordering::Acquire);
     loop {
@@ -183,9 +191,10 @@ pub fn static_garbage_bound() -> u64 {
     (registered_records() as u64).saturating_mul(per_record as u64).max(1)
 }
 
-/// Snapshot every announced hazard, expanded, sorted, deduplicated.
-fn snapshot_hazards() -> Vec<usize> {
-    let mut hazards = Vec::with_capacity(64);
+/// Snapshots every announced hazard into `hazards` (cleared first),
+/// expanded, sorted, deduplicated.
+fn snapshot_hazards(hazards: &mut Vec<usize>) {
+    hazards.clear();
     let mut cur = HEAD.load(Ordering::Acquire);
     while !cur.is_null() {
         // SAFETY: records are leaked; list pointers are always live.
@@ -202,18 +211,17 @@ fn snapshot_hazards() -> Vec<usize> {
                 // descriptor memory is immortal under this backend
                 // (module docs), so the atomic field reads inside are
                 // always in-bounds of a live allocation.
-                unsafe { expand_descriptor_hazard(addr as *const u8, &mut hazards) };
+                unsafe { expand_descriptor_hazard(addr as *const u8, hazards) };
             } else if v & EXPAND_ENTRY != 0 {
                 // SAFETY: as above — entries are embedded in immortal
                 // descriptor memory.
-                unsafe { expand_entry_hazard(addr as *const u8, &mut hazards) };
+                unsafe { expand_entry_hazard(addr as *const u8, hazards) };
             }
         }
         cur = rec.next.load(Ordering::Acquire);
     }
     hazards.sort_unstable();
     hazards.dedup();
-    hazards
 }
 
 /// `true` if any hazard address falls inside `[ptr, ptr + len)`.
@@ -226,28 +234,33 @@ fn protected(hazards: &[usize], ptr: *mut u8, len: usize) -> bool {
 /// One scan: take the caller's retired list (plus claimable orphans),
 /// snapshot hazards, free every unprotected block, keep the rest.
 fn scan(rec: &HazardRecord) {
-    let mut candidates: Vec<Retired> = rec.retired.borrow_mut().drain(..).collect();
+    // The scratch buffers are taken out, not borrowed: a dtor that
+    // retires (and so may scan again) finds them empty and allocates
+    // its own.
+    let mut candidates = rec.candidates.take();
+    candidates.append(&mut rec.retired.borrow_mut());
     if let Ok(mut orphaned) = orphans().try_lock() {
         candidates.append(&mut orphaned);
     }
-    if candidates.is_empty() {
-        return;
-    }
-    let hazards = snapshot_hazards();
-    let mut kept = Vec::new();
-    for r in candidates {
-        if protected(&hazards, r.ptr, r.len) {
-            kept.push(r);
-        } else {
+    if !candidates.is_empty() {
+        let mut hazards = rec.hazards.take();
+        snapshot_hazards(&mut hazards);
+        candidates.retain(|r| {
+            if protected(&hazards, r.ptr, r.len) {
+                return true;
+            }
             // SAFETY: `r` was retired (unlinked before our hazard
             // snapshot — scan-ordering argument in the module docs) and
             // no snapshot hazard covers it, so no thread can still hold
             // a validated reference; the dtor runs exactly once.
             unsafe { (r.dtor)(r.ptr) };
             HAZARD_GAUGE.on_free(r.stripe);
-        }
+            false
+        });
+        rec.retired.borrow_mut().append(&mut candidates);
+        rec.hazards.set(hazards);
     }
-    rec.retired.borrow_mut().extend(kept);
+    rec.candidates.set(candidates);
 }
 
 /// Owner-side TLS handle. The destructor empties what it can, orphans

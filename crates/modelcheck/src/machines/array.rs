@@ -4,14 +4,7 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-/// Which end an operation works on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Side {
-    /// The right end (`R`).
-    Right,
-    /// The left end (`L`).
-    Left,
-}
+use super::Side;
 
 /// Shared state: the two indices and the circular array (`0` is the
 /// distinguished null).
@@ -107,16 +100,6 @@ impl ArrayMachine {
         self
     }
 
-    fn side_of(op: DequeOp) -> Side {
-        match op {
-            DequeOp::PushRight(_) | DequeOp::PopRight => Side::Right,
-            DequeOp::PushLeft(_) | DequeOp::PopLeft => Side::Left,
-            // The exhaustive machines model per-element transitions only;
-            // batched chunk CASNs are covered by the linearizability
-            // stress tests (scripts here never contain them).
-            _ => panic!("batched ops are not modelled"),
-        }
-    }
 
     fn idx(&self, sh: &ArrayShared, side: Side) -> usize {
         match side {
@@ -193,7 +176,7 @@ impl System for ArrayMachine {
 
     fn step(&self, sh: &mut ArrayShared, local: &mut ArrayLocal) -> Option<StepEvent> {
         let op = *self.scripts[local.tid].get(local.op_idx)?;
-        let side = Self::side_of(op);
+        let side = Side::of(op);
         let is_pop = matches!(op, DequeOp::PopRight | DequeOp::PopLeft);
 
         let finish = |local: &mut ArrayLocal, ret: DequeRet| {

@@ -28,11 +28,9 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-use super::array::Side;
+use super::{Side, SL, SR};
 use super::list::{NodeM, NodeState};
 
-const SL: usize = 0;
-const SR: usize = 1;
 const SENTL_VAL: u64 = 1;
 const SENTR_VAL: u64 = 2;
 /// The distinguished dummy marker value.
@@ -182,30 +180,8 @@ impl DummyMachine {
         DummyMachine { scripts, initial_items, node_for_push, dummy_for_pop, total_nodes: next }
     }
 
-    fn side_of(op: DequeOp) -> Side {
-        match op {
-            DequeOp::PushRight(_) | DequeOp::PopRight => Side::Right,
-            DequeOp::PushLeft(_) | DequeOp::PopLeft => Side::Left,
-            // The exhaustive machines model per-element transitions only;
-            // batched chunk CASNs are covered by the linearizability
-            // stress tests (scripts here never contain them).
-            _ => panic!("batched ops are not modelled"),
-        }
-    }
 
-    fn sent(side: Side) -> usize {
-        match side {
-            Side::Right => SR,
-            Side::Left => SL,
-        }
-    }
 
-    fn other_sent(side: Side) -> usize {
-        match side {
-            Side::Right => SL,
-            Side::Left => SR,
-        }
-    }
 
     fn sent_inward(sh: &DummyShared, side: Side) -> usize {
         match side {
@@ -278,10 +254,10 @@ impl System for DummyMachine {
 
     fn step(&self, sh: &mut DummyShared, local: &mut DummyLocal) -> Option<StepEvent> {
         let op = *self.scripts[local.tid].get(local.op_idx)?;
-        let side = Self::side_of(op);
+        let side = Side::of(op);
         let is_pop = matches!(op, DequeOp::PopRight | DequeOp::PopLeft);
-        let sent = Self::sent(side);
-        let other = Self::other_sent(side);
+        let sent = side.sent();
+        let other = side.other_sent();
 
         let finish = |local: &mut DummyLocal, ret: DequeRet| {
             local.op_idx += 1;
@@ -474,7 +450,7 @@ impl System for DummyMachine {
             }
 
             Pc::DelReadOtherSent { w, victim, nbr } => {
-                let other_side = if side == Side::Right { Side::Left } else { Side::Right };
+                let other_side = side.other();
                 let ow = Self::sent_inward(sh, other_side);
                 local.pc = Pc::DelResolveOther { w, victim, nbr, ow };
                 StepEvent::Internal
@@ -490,7 +466,7 @@ impl System for DummyMachine {
             }
 
             Pc::DelTwoNullDcas { w, victim, ow, ovictim } => {
-                let other_side = if side == Side::Right { Side::Left } else { Side::Right };
+                let other_side = side.other();
                 if Self::sent_inward(sh, side) == w
                     && Self::sent_inward(sh, other_side) == ow
                 {

@@ -17,7 +17,7 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-use super::array::Side;
+use super::Side;
 
 /// Shared state: the packed index register modeled as a struct, plus the
 /// cells. (Packing is an encoding detail; the model keeps the fields
@@ -79,16 +79,6 @@ impl GreenwaldMachine {
         self
     }
 
-    fn side_of(op: DequeOp) -> Side {
-        match op {
-            DequeOp::PushRight(_) | DequeOp::PopRight => Side::Right,
-            DequeOp::PushLeft(_) | DequeOp::PopLeft => Side::Left,
-            // The exhaustive machines model per-element transitions only;
-            // batched chunk CASNs are covered by the linearizability
-            // stress tests (scripts here never contain them).
-            _ => panic!("batched ops are not modelled"),
-        }
-    }
 
     fn add1(&self, i: usize) -> usize {
         (i + 1) % self.capacity
@@ -130,7 +120,7 @@ impl System for GreenwaldMachine {
 
     fn step(&self, sh: &mut GreenwaldShared, local: &mut GreenwaldLocal) -> Option<StepEvent> {
         let op = *self.scripts[local.tid].get(local.op_idx)?;
-        let side = Self::side_of(op);
+        let side = Side::of(op);
         let is_pop = matches!(op, DequeOp::PopRight | DequeOp::PopLeft);
 
         let finish = |local: &mut GreenwaldLocal, ret: DequeRet| {

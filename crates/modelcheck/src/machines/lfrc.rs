@@ -42,10 +42,8 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-use super::array::Side;
+use super::{Side, SL, SR};
 
-const SL: usize = 0;
-const SR: usize = 1;
 const SENTL_VAL: u64 = 1;
 const SENTR_VAL: u64 = 2;
 
@@ -175,30 +173,8 @@ impl LfrcMachine {
         LfrcMachine { scripts, initial_items, break_cycle_enabled: true, node_for_push, total_nodes: next }
     }
 
-    fn side_of(op: DequeOp) -> Side {
-        match op {
-            DequeOp::PushRight(_) | DequeOp::PopRight => Side::Right,
-            DequeOp::PushLeft(_) | DequeOp::PopLeft => Side::Left,
-            // The exhaustive machines model per-element transitions only;
-            // batched chunk CASNs are covered by the linearizability
-            // stress tests (scripts here never contain them).
-            _ => panic!("batched ops are not modelled"),
-        }
-    }
 
-    fn sent(side: Side) -> usize {
-        match side {
-            Side::Right => SR,
-            Side::Left => SL,
-        }
-    }
 
-    fn other_sent(side: Side) -> usize {
-        match side {
-            Side::Right => SL,
-            Side::Left => SR,
-        }
-    }
 
     fn sent_inward(sh: &LfrcShared, side: Side) -> PtrW {
         match side {
@@ -379,10 +355,10 @@ impl System for LfrcMachine {
 
     fn step(&self, sh: &mut LfrcShared, local: &mut LfrcLocal) -> Option<StepEvent> {
         let op = *self.scripts[local.tid].get(local.op_idx)?;
-        let side = Self::side_of(op);
+        let side = Side::of(op);
         let is_pop = matches!(op, DequeOp::PopRight | DequeOp::PopLeft);
-        let sent = Self::sent(side);
-        let other = Self::other_sent(side);
+        let sent = side.sent();
+        let other = side.other_sent();
 
         let finish = |local: &mut LfrcLocal, ret: DequeRet| {
             local.op_idx += 1;
@@ -603,7 +579,7 @@ impl System for LfrcMachine {
             }
 
             Pc::DelReadOtherSent { w, nbr_w } => {
-                let other_side = if side == Side::Right { Side::Left } else { Side::Right };
+                let other_side = side.other();
                 let ow = Self::sent_inward(sh, other_side);
                 Self::acquire_local(sh, ow.0);
                 // The erratum fix: the other sentinel must name the null
@@ -620,7 +596,7 @@ impl System for LfrcMachine {
             }
 
             Pc::DelTwoNullDcas { w, nbr_w, ow } => {
-                let other_side = if side == Side::Right { Side::Left } else { Side::Right };
+                let other_side = side.other();
                 if Self::sent_inward(sh, side) == w && Self::sent_inward(sh, other_side) == ow {
                     Self::set_sent_inward(sh, side, (other, false));
                     Self::set_sent_inward(sh, other_side, (sent, false));

@@ -28,7 +28,7 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-use super::array::Side;
+use super::{Side, SL, SR};
 
 /// A pointer word: (arena index, deleted bit).
 pub type PtrW = (usize, bool);
@@ -57,8 +57,6 @@ pub struct NodeM {
     pub state: NodeState,
 }
 
-const SL: usize = 0;
-const SR: usize = 1;
 const SENTL_VAL: u64 = 1;
 const SENTR_VAL: u64 = 2;
 
@@ -186,31 +184,8 @@ impl ListMachine {
         ListMachine { scripts, initial_items, node_for_push, total_nodes: next }
     }
 
-    fn side_of(op: DequeOp) -> Side {
-        match op {
-            DequeOp::PushRight(_) | DequeOp::PopRight => Side::Right,
-            DequeOp::PushLeft(_) | DequeOp::PopLeft => Side::Left,
-            // The exhaustive machines model per-element transitions only;
-            // batched chunk CASNs are covered by the linearizability
-            // stress tests (scripts here never contain them).
-            _ => panic!("batched ops are not modelled"),
-        }
-    }
 
-    /// The sentinel a `side` operation works at (`SR` for right ops).
-    fn sent(side: Side) -> usize {
-        match side {
-            Side::Right => SR,
-            Side::Left => SL,
-        }
-    }
 
-    fn other_sent(side: Side) -> usize {
-        match side {
-            Side::Right => SL,
-            Side::Left => SR,
-        }
-    }
 
     /// Reads the operating sentinel's inward pointer (`SR->L` / `SL->R`).
     fn sent_inward(sh: &ListShared, side: Side) -> PtrW {
@@ -303,10 +278,10 @@ impl System for ListMachine {
 
     fn step(&self, sh: &mut ListShared, local: &mut ListLocal) -> Option<StepEvent> {
         let op = *self.scripts[local.tid].get(local.op_idx)?;
-        let side = Self::side_of(op);
+        let side = Side::of(op);
         let is_pop = matches!(op, DequeOp::PopRight | DequeOp::PopLeft);
-        let sent = Self::sent(side);
-        let other = Self::other_sent(side);
+        let sent = side.sent();
+        let other = side.other_sent();
 
         let finish = |local: &mut ListLocal, ret: DequeRet| {
             local.op_idx += 1;
@@ -489,7 +464,7 @@ impl System for ListMachine {
             Pc::DelReadOtherSent { old_p, nbr } => {
                 let other_w = Self::sent_inward(
                     sh,
-                    if side == Side::Right { Side::Left } else { Side::Right },
+                    side.other(),
                 );
                 local.pc = if other_w.1 && other_w.0 == nbr {
                     Pc::DelTwoNullDcas { old_p, other: other_w }
@@ -502,7 +477,7 @@ impl System for ListMachine {
             // Delete lines 19-25: both remaining nodes are null; point the
             // sentinels at each other (the Figure 16 race).
             Pc::DelTwoNullDcas { old_p, other: other_w } => {
-                let other_side = if side == Side::Right { Side::Left } else { Side::Right };
+                let other_side = side.other();
                 if Self::sent_inward(sh, side) == old_p
                     && Self::sent_inward(sh, other_side) == other_w
                 {

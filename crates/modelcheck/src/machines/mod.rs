@@ -17,11 +17,62 @@ pub mod lfrc;
 pub mod list;
 pub mod sundell;
 
+use dcas_linearize::DequeOp;
+
 pub use abp::AbpMachine;
-pub use array::{ArrayMachine, Side};
+pub use array::ArrayMachine;
 pub use chaselev::ChaseLevMachine;
 pub use dummy::DummyMachine;
 pub use greenwald::GreenwaldMachine;
 pub use lfrc::LfrcMachine;
 pub use list::ListMachine;
 pub use sundell::SundellMachine;
+
+/// Which end an operation works on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Side {
+    /// The right end (`R`).
+    Right,
+    /// The left end (`L`).
+    Left,
+}
+
+/// Arena index of the left sentinel in the list machines.
+pub(crate) const SL: usize = 0;
+/// Arena index of the right sentinel.
+pub(crate) const SR: usize = 1;
+
+impl Side {
+    /// The end `op` works on.
+    pub(crate) fn of(op: DequeOp) -> Side {
+        match op {
+            DequeOp::PushRight(_) | DequeOp::PopRight => Side::Right,
+            DequeOp::PushLeft(_) | DequeOp::PopLeft => Side::Left,
+            // The exhaustive machines model per-element transitions only;
+            // batched chunk CASNs are covered by the linearizability
+            // stress tests (scripts here never contain them).
+            _ => panic!("batched ops are not modelled"),
+        }
+    }
+
+    /// The opposite end.
+    pub(crate) fn other(self) -> Side {
+        match self {
+            Side::Right => Side::Left,
+            Side::Left => Side::Right,
+        }
+    }
+
+    /// The sentinel this end's operations work at (`SR` for right ops).
+    pub(crate) fn sent(self) -> usize {
+        match self {
+            Side::Right => SR,
+            Side::Left => SL,
+        }
+    }
+
+    /// The sentinel at the opposite end.
+    pub(crate) fn other_sent(self) -> usize {
+        self.other().sent()
+    }
+}

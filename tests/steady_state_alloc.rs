@@ -1,6 +1,8 @@
-//! Heap-allocation count on the hot paths that promise none: a
-//! steady-state `HarrisMcas::dcas` and steady-state `ListDeque`
-//! push/pop, both over the epoch backend, on one thread.
+//! Heap-allocation count on the hot paths that promise none, on one
+//! thread: a steady-state `HarrisMcas::dcas` and `ListDeque` push/pop
+//! over the epoch backend, a steady-state `HarrisMcasHazard::dcas` over
+//! the hazard-pointer backend, and `RawLfrcListDeque` push/pop over the
+//! epoch backend.
 //!
 //! The binary installs a counting `#[global_allocator]`, which is why it
 //! is a test binary of its own: the override stays local to this
@@ -8,17 +10,23 @@
 //! on other threads do not show. Anything on the measured path that
 //! reaches the allocator fails the test: a descriptor pool miss, a
 //! node-pool miss, the epoch collector building a fresh buffer per
-//! collection, or a deferred closure (such as the garbage gauge's) that
-//! outgrows the collector's inline words and gets boxed.
+//! collection, a deferred closure (such as the garbage gauge's) that
+//! outgrows the collector's inline words and gets boxed, a hazard scan
+//! building fresh candidate or snapshot buffers, or an LFRC `release`
+//! cascade building its work list on the heap.
 //!
-//! One `#[test]` runs both phases in order on the same thread. Separate
+//! One `#[test]` runs all phases in order on the same thread. Separate
 //! tests would run on separate harness threads, and one thread's exit
 //! hands its unripe epoch garbage to whichever thread collects next.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dcas::{DcasStrategy, DcasWord, EpochReclaimer, HarrisMcas, Reclaimer};
+use dcas::{
+    DcasStrategy, DcasWord, EpochReclaimer, HarrisMcas, HarrisMcasHazard, HazardReclaimer,
+    Reclaimer,
+};
+use dcas_deques::deque::list_lfrc::RawLfrcListDeque;
 use dcas_deques::deque::ListDeque;
 
 struct CountingAlloc;
@@ -123,5 +131,49 @@ fn pooled_steady_state_dcas_and_list_deque_make_no_heap_allocations() {
     assert_eq!(
         n, 0,
         "{DEQUE_OPS} steady-state ListDeque ops made {n} heap allocations"
+    );
+
+    // Phase 3: `dcas` over the hazard-pointer backend. Every retired
+    // descriptor goes through the record's retired list, and every
+    // 128th retirement scans; the warmup grows the list and the scan
+    // buffers to their steady-state capacity.
+    let s = HarrisMcasHazard::default();
+    let (a, b) = (DcasWord::new(0), DcasWord::new(4));
+    let mut x = 0u64;
+    let mut step = |s: &HarrisMcasHazard| {
+        assert!(s.dcas(&a, &b, x, x + 4, x + 8, x + 12));
+        x += 8;
+    };
+    for _ in 0..DCAS_OPS {
+        step(&s);
+    }
+    HazardReclaimer::flush();
+    let n = allocations_during(|| {
+        for _ in 0..DCAS_OPS {
+            step(&s);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "{DCAS_OPS} steady-state hazard dcas calls made {n} heap allocations"
+    );
+
+    // Phase 4: LFRC push/pop over both ends: every pop's node dies in a
+    // `release` cascade.
+    let d: RawLfrcListDeque<u32, HarrisMcas> = RawLfrcListDeque::new();
+    let churn = |ops: u64| {
+        for i in 0..(ops / 4) as u32 {
+            d.push_right(i).unwrap();
+            assert_eq!(d.pop_left(), Some(i));
+            d.push_left(i).unwrap();
+            assert_eq!(d.pop_right(), Some(i));
+        }
+    };
+    churn(DEQUE_OPS);
+    flush_epochs();
+    let n = allocations_during(|| churn(DEQUE_OPS));
+    assert_eq!(
+        n, 0,
+        "{DEQUE_OPS} steady-state RawLfrcListDeque ops made {n} heap allocations"
     );
 }
