@@ -21,13 +21,13 @@ mod sealed {
 }
 
 /// A node with a left and a right link word.
-pub(crate) trait Links {
+pub trait Links {
     /// The `(l, r)` link words.
     fn links(&self) -> (&DcasWord, &DcasWord);
 }
 
 /// One end of a deque. Sealed: [`Left`] and [`Right`] are the only ends.
-pub(crate) trait End: sealed::Sealed + 'static {
+pub trait End: sealed::Sealed + 'static {
     /// `true` at [`Right`].
     const RIGHT: bool;
     /// The far sentinel's value, which a pop at this end reads when the

@@ -149,15 +149,7 @@ pub trait ConcurrentDeque<T>: Send + Sync {
     /// elements. The paper deques override it with chunk-atomic batches
     /// of up to [`MAX_BATCH`] elements per transition.
     fn push_right_n(&self, vals: Vec<T>) -> Result<(), Full<Vec<T>>> {
-        let mut it = vals.into_iter();
-        while let Some(v) = it.next() {
-            if let Err(Full(v)) = self.push_right(v) {
-                let mut rest = vec![v];
-                rest.extend(it);
-                return Err(Full(rest));
-            }
-        }
-        Ok(())
+        push_each(vals, |v| self.push_right(v))
     }
 
     /// Pushes every value of `vals` at the left end, in order — as if by
@@ -165,15 +157,7 @@ pub trait ConcurrentDeque<T>: Send + Sync {
     /// element of `vals` ends up leftmost). Same atomicity caveats and
     /// overrides as [`push_right_n`](Self::push_right_n).
     fn push_left_n(&self, vals: Vec<T>) -> Result<(), Full<Vec<T>>> {
-        let mut it = vals.into_iter();
-        while let Some(v) = it.next() {
-            if let Err(Full(v)) = self.push_left(v) {
-                let mut rest = vec![v];
-                rest.extend(it);
-                return Err(Full(rest));
-            }
-        }
-        Ok(())
+        push_each(vals, |v| self.push_left(v))
     }
 
     /// Removes up to `n` values from the right end, rightmost first — as
@@ -183,14 +167,7 @@ pub trait ConcurrentDeque<T>: Send + Sync {
     /// The default implementation is a per-element loop; the paper deques
     /// override it with chunk-atomic batches.
     fn pop_right_n(&self, n: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.pop_right() {
-                Some(v) => out.push(v),
-                None => break,
-            }
-        }
-        out
+        pop_each(n, || self.pop_right())
     }
 
     /// Removes up to `n` values from the left end, leftmost first — as if
@@ -198,13 +175,36 @@ pub trait ConcurrentDeque<T>: Send + Sync {
     /// the deque is observed empty. Same atomicity caveats and overrides
     /// as [`pop_right_n`](Self::pop_right_n).
     fn pop_left_n(&self, n: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.pop_left() {
-                Some(v) => out.push(v),
-                None => break,
-            }
-        }
-        out
+        pop_each(n, || self.pop_left())
     }
+}
+
+/// The per-element loop behind the default batch pushes: pushes `vals`
+/// in order, handing back the unpushed tail on the first `Full`.
+pub(crate) fn push_each<T>(
+    vals: Vec<T>,
+    push: impl Fn(T) -> Result<(), Full<T>>,
+) -> Result<(), Full<Vec<T>>> {
+    let mut it = vals.into_iter();
+    while let Some(v) = it.next() {
+        if let Err(Full(v)) = push(v) {
+            let mut rest = vec![v];
+            rest.extend(it);
+            return Err(Full(rest));
+        }
+    }
+    Ok(())
+}
+
+/// The per-element loop behind the default batch pops: up to `n` pops,
+/// stopping at the first `None`.
+pub(crate) fn pop_each<T>(n: usize, pop: impl Fn() -> Option<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        match pop() {
+            Some(v) => out.push(v),
+            None => break,
+        }
+    }
+    out
 }

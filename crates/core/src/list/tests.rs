@@ -1,37 +1,41 @@
-//! Unit and figure-reproduction tests for the linked-list deque.
+//! Unit and figure-reproduction tests for the linked-list deque. Tests
+//! whose assertions hold for every link policy run on all three list
+//! families: the deleted bit, the dummy node and LFRC.
 
 use dcas::{
     Counting, DcasStrategy, GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, StripedLock,
 };
 
-use super::{ListDeque, RawListDeque};
+use super::{LinkPolicy, ListDeque, ListLayout, RawListDeque};
+use crate::list_dummy::{Dummy, RawDummyListDeque};
+use crate::list_lfrc::RawLfrcListDeque;
 
-fn for_all_strategies(f: impl Fn(Box<dyn Fn() -> Box<dyn DynDeque>>)) {
-    f(Box::new(
-        || Box::new(RawListDeque::<u32, GlobalLock>::new()),
-    ));
-    f(Box::new(|| {
-        Box::new(RawListDeque::<u32, GlobalSeqLock>::new())
-    }));
-    f(Box::new(|| {
-        Box::new(RawListDeque::<u32, StripedLock>::new())
-    }));
-    f(Box::new(
-        || Box::new(RawListDeque::<u32, HarrisMcas>::new()),
-    ));
-    f(Box::new(|| {
-        Box::new(RawListDeque::<u32, HarrisMcasHazard>::new())
-    }));
+/// Runs `f` on a fresh deque of each list family over strategy `S`.
+fn for_all_policies<S: DcasStrategy>(f: impl Fn(&dyn DynDeque)) {
+    f(&RawListDeque::<u32, S>::new());
+    f(&RawDummyListDeque::<u32, S>::new());
+    f(&RawLfrcListDeque::<u32, S>::new());
 }
 
+/// Runs `f` on fresh deques of each list family over every strategy.
+fn for_all_strategies(f: impl Fn(&dyn DynDeque)) {
+    for_all_policies::<GlobalLock>(&f);
+    for_all_policies::<GlobalSeqLock>(&f);
+    for_all_policies::<StripedLock>(&f);
+    for_all_policies::<HarrisMcas>(&f);
+    for_all_policies::<HarrisMcasHazard>(&f);
+}
+
+/// Object-safe facade over the word-level API (list pushes never fail).
 trait DynDeque {
     fn push_right(&self, v: u32);
     fn push_left(&self, v: u32);
     fn pop_right(&self) -> Option<u32>;
     fn pop_left(&self) -> Option<u32>;
+    fn layout(&self) -> ListLayout;
 }
 
-impl<S: DcasStrategy> DynDeque for RawListDeque<u32, S> {
+impl<S: DcasStrategy, P: LinkPolicy> DynDeque for RawListDeque<u32, S, P> {
     fn push_right(&self, v: u32) {
         RawListDeque::push_right(self, v).unwrap();
     }
@@ -44,12 +48,14 @@ impl<S: DcasStrategy> DynDeque for RawListDeque<u32, S> {
     fn pop_left(&self) -> Option<u32> {
         RawListDeque::pop_left(self)
     }
+    fn layout(&self) -> ListLayout {
+        RawListDeque::layout(self)
+    }
 }
 
 #[test]
 fn paper_running_example() {
-    for_all_strategies(|mk| {
-        let d = mk();
+    for_all_strategies(|d| {
         d.push_right(1);
         d.push_left(2);
         d.push_right(3);
@@ -64,13 +70,14 @@ fn paper_running_example() {
 fn fig9_initial_empty_deque() {
     // Figure 9 (top): SR->L == SL, SL->R == SR, no interior nodes, both
     // deleted bits false.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![]);
-    assert!(!lay.left_deleted);
-    assert!(!lay.right_deleted);
-    assert_eq!(d.pop_left(), None);
-    assert_eq!(d.pop_right(), None);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![]);
+        assert!(!lay.left_deleted);
+        assert!(!lay.right_deleted);
+        assert_eq!(d.pop_left(), None);
+        assert_eq!(d.pop_right(), None);
+    });
 }
 
 #[test]
@@ -79,97 +86,103 @@ fn fig9_empty_with_right_deleted_cell() {
     // the right sentinel's deleted bit set — reached by popping the only
     // element from the right (physical deletion is deferred to the next
     // right-side operation).
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(7).unwrap();
-    assert_eq!(d.pop_right(), Some(7));
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![None]);
-    assert!(lay.right_deleted);
-    assert!(!lay.left_deleted);
-    // The deque is empty for both ends despite the lingering node.
-    assert_eq!(d.pop_left(), None);
-    assert_eq!(d.pop_right(), None);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_right(7);
+        assert_eq!(d.pop_right(), Some(7));
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None]);
+        assert!(lay.right_deleted);
+        assert!(!lay.left_deleted);
+        // The deque is empty for both ends despite the lingering node.
+        assert_eq!(d.pop_left(), None);
+        assert_eq!(d.pop_right(), None);
+    });
 }
 
 #[test]
 fn fig9_empty_with_left_deleted_cell() {
     // Figure 9 (third): mirror image via popLeft.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_left(7).unwrap();
-    assert_eq!(d.pop_left(), Some(7));
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![None]);
-    assert!(lay.left_deleted);
-    assert!(!lay.right_deleted);
-    assert_eq!(d.pop_right(), None);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_left(7);
+        assert_eq!(d.pop_left(), Some(7));
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None]);
+        assert!(lay.left_deleted);
+        assert!(!lay.right_deleted);
+        assert_eq!(d.pop_right(), None);
+    });
 }
 
 #[test]
 fn fig9_empty_with_two_deleted_cells() {
     // Figure 9 (bottom): two logically deleted nodes, both sentinel
     // deleted bits set — one pop from each side of a two-element deque.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_left(1).unwrap();
-    d.push_right(2).unwrap();
-    assert_eq!(d.pop_right(), Some(2));
-    assert_eq!(d.pop_left(), Some(1));
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![None, None]);
-    assert!(lay.left_deleted);
-    assert!(lay.right_deleted);
-    // Any subsequent operation completes the physical deletions.
-    assert_eq!(d.pop_right(), None);
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![]);
-    assert!(!lay.left_deleted);
-    assert!(!lay.right_deleted);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_left(1);
+        d.push_right(2);
+        assert_eq!(d.pop_right(), Some(2));
+        assert_eq!(d.pop_left(), Some(1));
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None, None]);
+        assert!(lay.left_deleted);
+        assert!(lay.right_deleted);
+        // Any subsequent operation completes the physical deletions.
+        assert_eq!(d.pop_right(), None);
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![]);
+        assert!(!lay.left_deleted);
+        assert!(!lay.right_deleted);
+    });
 }
 
 #[test]
 fn fig12_pop_right_marks_node() {
     // Figure 12: popRight nulls the value and sets SR's deleted bit; the
     // node stays physically linked.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(10).unwrap();
-    d.push_right(11).unwrap();
-    assert_eq!(d.pop_right(), Some(11));
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![Some(10u32.encode_for_test()), None]);
-    assert!(lay.right_deleted);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_right(10);
+        d.push_right(11);
+        assert_eq!(d.pop_right(), Some(11));
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![Some(10u32.encode_for_test()), None]);
+        assert!(lay.right_deleted);
+    });
 }
 
 #[test]
 fn fig14_push_right_appends_before_sentinel() {
     // Figure 14: pushRight splices the new node between the old rightmost
     // node and SR.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(1).unwrap();
-    let before = d.layout();
-    assert_eq!(before.cells.len(), 1);
-    d.push_right(2).unwrap();
-    let after = d.layout();
-    assert_eq!(after.cells.len(), 2);
-    assert_eq!(after.cells[0], before.cells[0]);
-    assert_eq!(after.cells[1], Some(2u32.encode_for_test()));
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_right(1);
+        let before = d.layout();
+        assert_eq!(before.cells.len(), 1);
+        d.push_right(2);
+        let after = d.layout();
+        assert_eq!(after.cells.len(), 2);
+        assert_eq!(after.cells[0], before.cells[0]);
+        assert_eq!(after.cells[1], Some(2u32.encode_for_test()));
+    });
 }
 
 #[test]
 fn fig15_delete_right_splices_null_node() {
     // Figure 15: after a popRight leaves a null node, the next right-side
     // operation physically deletes it.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(1).unwrap();
-    d.push_right(2).unwrap();
-    assert_eq!(d.pop_right(), Some(2));
-    assert_eq!(d.layout().cells.len(), 2); // null node lingers
-    assert!(d.layout().right_deleted);
-    // The next pushRight first completes the deletion, then appends.
-    d.push_right(3).unwrap();
-    let lay = d.layout();
-    assert_eq!(lay.cells.len(), 2);
-    assert_eq!(lay.cells[0], Some(1u32.encode_for_test()));
-    assert_eq!(lay.cells[1], Some(3u32.encode_for_test()));
-    assert!(!lay.right_deleted);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_right(1);
+        d.push_right(2);
+        assert_eq!(d.pop_right(), Some(2));
+        assert_eq!(d.layout().cells.len(), 2); // null node lingers
+        assert!(d.layout().right_deleted);
+        // The next pushRight first completes the deletion, then appends.
+        d.push_right(3);
+        let lay = d.layout();
+        assert_eq!(lay.cells.len(), 2);
+        assert_eq!(lay.cells[0], Some(1u32.encode_for_test()));
+        assert_eq!(lay.cells[1], Some(3u32.encode_for_test()));
+        assert!(!lay.right_deleted);
+    });
 }
 
 /// Helper so tests can state expected encoded cell words readably.
@@ -188,22 +201,22 @@ impl EncodeForTest for u32 {
 fn pop_on_deleted_side_first_completes_deletion() {
     // popRight must work when SR's deleted bit is set and more values
     // remain.
-    let d = RawListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(1).unwrap();
-    d.push_right(2).unwrap();
-    d.push_right(3).unwrap();
-    assert_eq!(d.pop_right(), Some(3)); // leaves deleted bit set
-    assert_eq!(d.pop_right(), Some(2)); // completes deletion, pops again
-    assert_eq!(d.pop_right(), Some(1));
-    assert_eq!(d.pop_right(), None);
+    for_all_policies::<GlobalSeqLock>(|d| {
+        d.push_right(1);
+        d.push_right(2);
+        d.push_right(3);
+        assert_eq!(d.pop_right(), Some(3)); // leaves deleted bit set
+        assert_eq!(d.pop_right(), Some(2)); // completes deletion, pops again
+        assert_eq!(d.pop_right(), Some(1));
+        assert_eq!(d.pop_right(), None);
+    });
 }
 
 #[test]
 fn single_element_popped_from_far_side() {
     // A node marked by popRight is observed as null by popLeft, which
     // must report empty (the identity-DCAS path, lines 8-12 of Fig 32).
-    for_all_strategies(|mk| {
-        let d = mk();
+    for_all_strategies(|d| {
         d.push_right(9);
         assert_eq!(d.pop_right(), Some(9));
         assert_eq!(d.pop_left(), None);
@@ -213,8 +226,7 @@ fn single_element_popped_from_far_side() {
 
 #[test]
 fn lifo_from_each_end() {
-    for_all_strategies(|mk| {
-        let d = mk();
+    for_all_strategies(|d| {
         for i in 0..50 {
             d.push_right(i);
         }
@@ -232,8 +244,7 @@ fn lifo_from_each_end() {
 
 #[test]
 fn fifo_across_ends() {
-    for_all_strategies(|mk| {
-        let d = mk();
+    for_all_strategies(|d| {
         for i in 0..50 {
             d.push_right(i);
         }
@@ -253,8 +264,7 @@ fn fifo_across_ends() {
 
 #[test]
 fn alternating_push_pop_both_sides() {
-    for_all_strategies(|mk| {
-        let d = mk();
+    for_all_strategies(|d| {
         for round in 0..20 {
             d.push_left(round * 2);
             d.push_right(round * 2 + 1);
@@ -305,31 +315,37 @@ fn drop_releases_remaining_values_and_nodes() {
             DROPS.fetch_add(1, Ordering::SeqCst);
         }
     }
-    DROPS.store(0, Ordering::SeqCst);
-    {
-        let d: ListDeque<Probe, GlobalLock> = ListDeque::new();
-        for _ in 0..6 {
-            d.push_right(Probe).unwrap();
+    fn run<P: LinkPolicy>() {
+        DROPS.store(0, Ordering::SeqCst);
+        {
+            let d: ListDeque<Probe, GlobalLock, P> = ListDeque::new();
+            for _ in 0..6 {
+                d.push_right(Probe).unwrap();
+            }
+            drop(d.pop_left().unwrap());
+            drop(d.pop_right().unwrap());
+            assert_eq!(DROPS.load(Ordering::SeqCst), 2);
+            // 4 values remain, plus two lingering null nodes (and, under
+            // the dummy policy, their two dummies).
         }
-        drop(d.pop_left().unwrap());
-        drop(d.pop_right().unwrap());
-        assert_eq!(DROPS.load(Ordering::SeqCst), 2);
-        // 4 values remain, plus two lingering null nodes.
+        assert_eq!(DROPS.load(Ordering::SeqCst), 6);
     }
-    assert_eq!(DROPS.load(Ordering::SeqCst), 6);
+    run::<super::Bit>();
+    run::<Dummy>();
+    run::<crate::list_lfrc::Lfrc>();
 }
 
 #[test]
 fn drop_with_pending_deleted_nodes() {
     // Dropping while deleted bits are set must not double-free.
-    let d = RawListDeque::<u32, GlobalLock>::new();
-    d.push_left(1).unwrap();
-    d.push_right(2).unwrap();
-    assert_eq!(d.pop_left(), Some(1));
-    assert_eq!(d.pop_right(), Some(2));
-    let lay = d.layout();
-    assert_eq!(lay.cells, vec![None, None]);
-    drop(d);
+    for_all_policies::<GlobalLock>(|d| {
+        d.push_left(1);
+        d.push_right(2);
+        assert_eq!(d.pop_left(), Some(1));
+        assert_eq!(d.pop_right(), Some(2));
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None, None]);
+    });
 }
 
 mod properties {
@@ -354,68 +370,77 @@ mod properties {
         ]
     }
 
+    fn matches_model(d: &dyn DynDeque, ops: &[Op]) {
+        let mut model: VecDeque<u32> = VecDeque::new();
+        for op in ops {
+            match *op {
+                Op::PushRight(v) => {
+                    d.push_right(v);
+                    model.push_back(v);
+                }
+                Op::PushLeft(v) => {
+                    d.push_left(v);
+                    model.push_front(v);
+                }
+                Op::PopRight => prop_assert_eq!(d.pop_right(), model.pop_back()),
+                Op::PopLeft => prop_assert_eq!(d.pop_left(), model.pop_front()),
+            }
+        }
+        prop_assert_eq!(d.layout().live_values(), model.len());
+    }
+
+    // Sequential slice of the representation invariant of Figures
+    // 24-25: at most one null node per side, null nodes are adjacent to
+    // their sentinel, and a null node on a side implies that side's
+    // deleted bit... except transiently when the opposite side's pop
+    // created it (checked loosely: nulls only ever at the extremities).
+    fn invariants_hold(d: &dyn DynDeque, ops: &[Op]) {
+        for op in ops {
+            match *op {
+                Op::PushRight(v) => d.push_right(v),
+                Op::PushLeft(v) => d.push_left(v),
+                Op::PopRight => { d.pop_right(); }
+                Op::PopLeft => { d.pop_left(); }
+            }
+            let lay = d.layout();
+            let n = lay.cells.len();
+            let nulls = lay.cells.iter().filter(|c| c.is_none()).count();
+            prop_assert!(nulls <= 2, "more than two null nodes: {:?}", lay);
+            for (i, c) in lay.cells.iter().enumerate() {
+                if c.is_none() {
+                    prop_assert!(
+                        i == 0 || i == n - 1,
+                        "interior null node at {} in {:?}", i, lay
+                    );
+                }
+            }
+            // A set deleted bit points at a null node.
+            if lay.right_deleted {
+                prop_assert_eq!(lay.cells.last().copied(), Some(None));
+            }
+            if lay.left_deleted {
+                prop_assert_eq!(lay.cells.first().copied(), Some(None));
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn matches_vecdeque_model(
             ops in proptest::collection::vec(op_strategy(), 0..300),
         ) {
-            let d = RawListDeque::<u32, GlobalSeqLock>::new();
-            let mut model: VecDeque<u32> = VecDeque::new();
-            for op in &ops {
-                match *op {
-                    Op::PushRight(v) => {
-                        d.push_right(v).unwrap();
-                        model.push_back(v);
-                    }
-                    Op::PushLeft(v) => {
-                        d.push_left(v).unwrap();
-                        model.push_front(v);
-                    }
-                    Op::PopRight => prop_assert_eq!(d.pop_right(), model.pop_back()),
-                    Op::PopLeft => prop_assert_eq!(d.pop_left(), model.pop_front()),
-                }
-            }
-            prop_assert_eq!(d.layout().live_values(), model.len());
+            matches_model(&RawListDeque::<u32, GlobalSeqLock>::new(), &ops);
+            matches_model(&RawDummyListDeque::<u32, GlobalSeqLock>::new(), &ops);
+            matches_model(&RawLfrcListDeque::<u32, GlobalSeqLock>::new(), &ops);
         }
 
         #[test]
         fn structural_invariants_hold(
             ops in proptest::collection::vec(op_strategy(), 0..150),
         ) {
-            // Sequential slice of the representation invariant of
-            // Figures 24-25: at most one null node per side, null nodes
-            // are adjacent to their sentinel, and a null node on a side
-            // implies that side's deleted bit... except transiently when
-            // the opposite side's pop created it (checked loosely: nulls
-            // only ever at the extremities).
-            let d = RawListDeque::<u32, GlobalLock>::new();
-            for op in &ops {
-                match *op {
-                    Op::PushRight(v) => { d.push_right(v).unwrap(); }
-                    Op::PushLeft(v) => { d.push_left(v).unwrap(); }
-                    Op::PopRight => { d.pop_right(); }
-                    Op::PopLeft => { d.pop_left(); }
-                }
-                let lay = d.layout();
-                let n = lay.cells.len();
-                let nulls = lay.cells.iter().filter(|c| c.is_none()).count();
-                prop_assert!(nulls <= 2, "more than two null nodes: {:?}", lay);
-                for (i, c) in lay.cells.iter().enumerate() {
-                    if c.is_none() {
-                        prop_assert!(
-                            i == 0 || i == n - 1,
-                            "interior null node at {} in {:?}", i, lay
-                        );
-                    }
-                }
-                // A set deleted bit points at a null node.
-                if lay.right_deleted {
-                    prop_assert_eq!(lay.cells.last().copied(), Some(None));
-                }
-                if lay.left_deleted {
-                    prop_assert_eq!(lay.cells.first().copied(), Some(None));
-                }
-            }
+            invariants_hold(&RawListDeque::<u32, GlobalLock>::new(), &ops);
+            invariants_hold(&RawDummyListDeque::<u32, GlobalLock>::new(), &ops);
+            invariants_hold(&RawLfrcListDeque::<u32, GlobalLock>::new(), &ops);
         }
     }
 }
@@ -773,8 +798,15 @@ fn pooled_nodes_drain_to_push_count() {
 // ---------------------------------------------------------------------
 
 /// The payload word fills what was alignment padding: a node stays 32
-/// bytes, so the page pool's slot size (and page count) is unchanged.
-const _: () = assert!(std::mem::size_of::<super::Node>() == 32);
+/// bytes under the bit and dummy policies and 48 under LFRC (whose two
+/// extra words fill one more 16-byte line), so no family's page pool
+/// slot grows.
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<super::Node<super::Bit>>() == 32);
+    assert!(size_of::<super::Node<Dummy>>() == 32);
+    assert!(size_of::<super::Node<crate::list_lfrc::Lfrc>>() == 48);
+};
 
 /// An 8-byte `Drop` value for the exactly-once audit. Each one holds a
 /// clone of the audit's `Arc`, so the strong count is exactly 1 + the

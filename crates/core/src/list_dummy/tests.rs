@@ -1,21 +1,8 @@
 //! Tests for the dummy-node variant (footnote 4 / Figure 10).
 
-use dcas::{GlobalLock, GlobalSeqLock, HarrisMcas};
+use dcas::{GlobalLock, GlobalSeqLock};
 
 use super::{DummyListDeque, RawDummyListDeque};
-use crate::value::WordValue;
-
-#[test]
-fn paper_running_example() {
-    let d = RawDummyListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(1).unwrap();
-    d.push_left(2).unwrap();
-    d.push_right(3).unwrap();
-    assert_eq!(d.pop_left(), Some(2));
-    assert_eq!(d.pop_left(), Some(1));
-    assert_eq!(d.pop_left(), Some(3));
-    assert_eq!(d.pop_left(), None);
-}
 
 #[test]
 fn fig10_dummy_marks_deletion_instead_of_bit() {
@@ -38,51 +25,6 @@ fn fig10_dummy_marks_deletion_instead_of_bit() {
 }
 
 #[test]
-fn four_empty_states_mirror_fig9() {
-    // The dummy variant reaches the same four observable empty states as
-    // Figure 9 of the deleted-bit variant.
-    let d = RawDummyListDeque::<u32, GlobalLock>::new();
-    assert_eq!(d.layout().cells, vec![]);
-
-    d.push_left(1).unwrap();
-    assert_eq!(d.pop_left(), Some(1));
-    let lay = d.layout();
-    assert!(lay.left_deleted && !lay.right_deleted);
-    assert_eq!(d.pop_left(), None);
-
-    d.push_right(2).unwrap();
-    assert_eq!(d.pop_right(), Some(2));
-    let lay = d.layout();
-    assert!(!lay.left_deleted && lay.right_deleted);
-    assert_eq!(d.pop_right(), None);
-
-    d.push_left(3).unwrap();
-    d.push_right(4).unwrap();
-    assert_eq!(d.pop_left(), Some(3));
-    assert_eq!(d.pop_right(), Some(4));
-    let lay = d.layout();
-    assert!(lay.left_deleted && lay.right_deleted);
-    assert_eq!(lay.cells, vec![None, None]);
-    assert_eq!(d.pop_left(), None);
-    assert_eq!(d.layout().cells, vec![]);
-}
-
-#[test]
-fn fifo_and_lifo_semantics() {
-    let d = RawDummyListDeque::<u32, HarrisMcas>::new();
-    for i in 0..40 {
-        d.push_right(i).unwrap();
-    }
-    for i in 0..20 {
-        assert_eq!(d.pop_left(), Some(i));
-    }
-    for i in (20..40).rev() {
-        assert_eq!(d.pop_right(), Some(i));
-    }
-    assert_eq!(d.pop_right(), None);
-}
-
-#[test]
 fn interleaved_boundary_churn() {
     let d = RawDummyListDeque::<u32, GlobalSeqLock>::new();
     for round in 0..30 {
@@ -93,28 +35,6 @@ fn interleaved_boundary_churn() {
         assert_eq!(d.pop_left(), None);
         assert_eq!(d.pop_right(), None);
     }
-}
-
-#[test]
-fn typed_deque_and_drop() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
-    #[derive(Debug)]
-    struct Probe;
-    impl Drop for Probe {
-        fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    {
-        let d: DummyListDeque<Probe, GlobalLock> = DummyListDeque::new();
-        for _ in 0..4 {
-            d.push_right(Probe).unwrap();
-        }
-        drop(d.pop_right().unwrap()); // leaves a dummy on the sentinel
-        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-    }
-    assert_eq!(DROPS.load(Ordering::SeqCst), 4);
 }
 
 #[test]
@@ -153,13 +73,6 @@ fn layout_matches_deleted_bit_variant() {
         assert_eq!(la.left_deleted, lb.left_deleted);
         assert_eq!(la.right_deleted, lb.right_deleted);
     }
-}
-
-#[test]
-fn value_encoding_visible_in_layout() {
-    let d = RawDummyListDeque::<u32, GlobalLock>::new();
-    d.push_right(7).unwrap();
-    assert_eq!(d.layout().cells, vec![Some(7u32.encode())]);
 }
 
 #[test]

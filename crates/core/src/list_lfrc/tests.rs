@@ -4,7 +4,7 @@
 //! every node ever allocated must have been freed (drop-count audit
 //! balances — no leaks, including the two-null mutual-reference cycle).
 
-use dcas::{GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, Reclaimer, StripedLock};
+use dcas::{GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, Reclaimer};
 
 use super::{Cascade, LfrcListDeque, RawLfrcListDeque, CASCADE_INLINE};
 use crate::value::WordValue;
@@ -33,40 +33,6 @@ fn assert_audit_balances<V: WordValue, S: dcas::DcasStrategy>(d: &RawLfrcListDeq
 /// How long [`assert_audit_balances`] waits for the backend to free
 /// every retired node.
 const AUDIT_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
-
-#[test]
-fn paper_running_example() {
-    let d = RawLfrcListDeque::<u32, GlobalSeqLock>::new();
-    d.push_right(1).unwrap();
-    d.push_left(2).unwrap();
-    d.push_right(3).unwrap();
-    assert_eq!(d.pop_left(), Some(2));
-    assert_eq!(d.pop_left(), Some(1));
-    assert_eq!(d.pop_left(), Some(3));
-    assert_eq!(d.pop_left(), None);
-}
-
-#[test]
-fn fifo_lifo_semantics_all_strategies() {
-    fn run<S: dcas::DcasStrategy>() {
-        let d = RawLfrcListDeque::<u32, S>::new();
-        for i in 0..30 {
-            d.push_right(i).unwrap();
-        }
-        for i in 0..15 {
-            assert_eq!(d.pop_left(), Some(i), "strategy {}", S::NAME);
-        }
-        for i in (15..30).rev() {
-            assert_eq!(d.pop_right(), Some(i), "strategy {}", S::NAME);
-        }
-        assert_eq!(d.pop_left(), None);
-    }
-    run::<GlobalLock>();
-    run::<GlobalSeqLock>();
-    run::<StripedLock>();
-    run::<HarrisMcas>();
-    run::<HarrisMcasHazard>();
-}
 
 #[test]
 fn nodes_are_recycled_not_leaked() {
@@ -221,40 +187,9 @@ fn reclaimer_audit_balances_across_backends() {
     churn::<HarrisMcasHazard>();
 }
 
-#[test]
-fn typed_deque_and_drop_with_values() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
-    #[derive(Debug)]
-    struct Probe;
-    impl Drop for Probe {
-        fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    {
-        let d: LfrcListDeque<Probe, GlobalLock> = LfrcListDeque::new();
-        for _ in 0..5 {
-            d.push_right(Probe).unwrap();
-        }
-        drop(d.pop_left().unwrap());
-        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-    }
-    assert_eq!(DROPS.load(Ordering::SeqCst), 5);
-}
-
-#[test]
-fn value_words_roundtrip() {
-    let d = RawLfrcListDeque::<u32, GlobalLock>::new();
-    d.push_right(7).unwrap();
-    assert_eq!(d.layout().cells, vec![Some(7u32.encode())]);
-    assert_eq!(d.pop_right(), Some(7));
-}
-
 mod properties {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -274,29 +209,6 @@ mod properties {
     }
 
     proptest! {
-        #[test]
-        fn matches_vecdeque_model(
-            ops in proptest::collection::vec(op_strategy(), 0..200),
-        ) {
-            let d = RawLfrcListDeque::<u32, GlobalSeqLock>::new();
-            let mut model: VecDeque<u32> = VecDeque::new();
-            for op in &ops {
-                match *op {
-                    Op::PushRight(v) => {
-                        d.push_right(v).unwrap();
-                        model.push_back(v);
-                    }
-                    Op::PushLeft(v) => {
-                        d.push_left(v).unwrap();
-                        model.push_front(v);
-                    }
-                    Op::PopRight => prop_assert_eq!(d.pop_right(), model.pop_back()),
-                    Op::PopLeft => prop_assert_eq!(d.pop_left(), model.pop_front()),
-                }
-            }
-            prop_assert_eq!(d.layout().live_values(), model.len());
-        }
-
         #[test]
         fn no_leaks_after_any_op_sequence(
             ops in proptest::collection::vec(op_strategy(), 0..150),

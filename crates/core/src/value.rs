@@ -7,10 +7,11 @@
 //! concrete encodings:
 //!
 //! * [`Boxed<T>`] — heap-boxes an arbitrary `T` and stores the (16-byte
-//!   aligned) pointer; the encoding behind the typed array, dummy-list,
-//!   LFRC and Sundell deques.
-//! * `NodeValue<T>` — the typed [`ListDeque`](crate::ListDeque)'s
-//!   encoding. When `T` fits a machine word (at most 8 bytes, aligned to
+//!   aligned) pointer; the encoding behind the typed array and Sundell
+//!   deques.
+//! * `NodeValue<T>` — the encoding of the three typed list deques
+//!   ([`ListDeque`](crate::ListDeque), [`DummyListDeque`](crate::DummyListDeque),
+//!   [`LfrcListDeque`](crate::LfrcListDeque)). When `T` fits a machine word (at most 8 bytes, aligned to
 //!   at most 8) it sets [`WordValue::IN_NODE`], and the list keeps `T`
 //!   itself in its node's spare word: one allocation per element, the
 //!   node. Larger `T` (the executor's 16-byte tasks, `String`) is boxed.
@@ -108,8 +109,8 @@ struct Align16<T>(T);
 /// Heap-boxed encoding of an arbitrary `T`.
 ///
 /// `Boxed<T>` is how the typed deque APIs ([`ArrayDeque`](crate::ArrayDeque)
-/// and the other non-`ListDeque` families, plus [`ListDeque`](crate::ListDeque)
-/// for `T` wider than a word) store arbitrary element types: `push`
+/// and [`SundellDeque`](crate::SundellDeque), plus the list deques for `T`
+/// wider than a word) store arbitrary element types: `push`
 /// allocates one box, `pop` frees it. This mirrors the paper's model, in
 /// which values are machine words and anything larger lives behind a
 /// pointer managed by the garbage-collected host (Lisp / Java).
@@ -151,7 +152,7 @@ unsafe impl<T: Send> WordValue for Boxed<T> {
     }
 }
 
-/// The typed list deque's encoding of an arbitrary `T`: the value itself,
+/// The typed list deques' encoding of an arbitrary `T`: the value itself,
 /// kept in the list node's spare word, when `T` fits a word; a
 /// [`Boxed<T>`] pointer otherwise (and whenever a deque without a spare
 /// node word stores it).

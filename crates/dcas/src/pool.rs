@@ -21,7 +21,7 @@
 //! # Why a thread-local freelist
 //!
 //! The cache is a plain `thread_local!` `Vec` of recycled descriptors,
-//! in the spirit of the `list_lfrc/pool.rs` node pool but specialized
+//! in the spirit of the node page pool (`alloc.rs`) but specialized
 //! for the hot path: descriptor churn is symmetric (every retire is
 //! preceded by an acquire on the same thread, and epoch-deferred
 //! releases run on the thread that queued them when it next collects),

@@ -110,14 +110,14 @@ enum Pc {
     DelReadSent,
     /// Delete: resolve the sentinel word.
     DelResolve { w: usize },
-    /// Delete: read victim's outward pointer.
+    /// Delete: read victim's inward pointer.
     DelReadNbr { w: usize, victim: usize },
     /// Delete: read neighbor's value.
     DelReadNbrVal { w: usize, victim: usize, nbr: usize },
-    /// Delete: read neighbor's inward pointer, compare.
-    DelReadNbrInward { w: usize, victim: usize, nbr: usize },
+    /// Delete: read neighbor's outward pointer, compare.
+    DelReadNbrOut { w: usize, victim: usize, nbr: usize },
     /// Delete: splice-out DCAS.
-    DelSpliceDcas { w: usize, victim: usize, nbr: usize, nbr_inward: usize },
+    DelSpliceDcas { w: usize, victim: usize, nbr: usize, nbr_out: usize },
     /// Delete: read the other sentinel word (two-null candidate).
     DelReadOtherSent { w: usize, victim: usize, nbr: usize },
     /// Delete: resolve the other sentinel word; it must resolve to the
@@ -144,6 +144,9 @@ pub struct DummyMachine {
     node_for_push: HashMap<(usize, usize), usize>,
     dummy_for_pop: HashMap<(usize, usize), usize>,
     total_nodes: usize,
+    /// The two-null branch checks that the far sentinel names the null
+    /// neighbour (off only in the negative control).
+    two_null_check: bool,
 }
 
 impl DummyMachine {
@@ -177,46 +180,24 @@ impl DummyMachine {
         for v in &initial_items {
             assert!(*v >= 4);
         }
-        DummyMachine { scripts, initial_items, node_for_push, dummy_for_pop, total_nodes: next }
-    }
-
-
-
-
-    fn sent_inward(sh: &DummyShared, side: Side) -> usize {
-        match side {
-            Side::Right => sh.nodes[SR].l.0,
-            Side::Left => sh.nodes[SL].r.0,
+        DummyMachine {
+            scripts,
+            initial_items,
+            node_for_push,
+            dummy_for_pop,
+            total_nodes: next,
+            two_null_check: true,
         }
     }
 
-    fn set_sent_inward(sh: &mut DummyShared, side: Side, w: usize) {
-        match side {
-            Side::Right => sh.nodes[SR].l = (w, false),
-            Side::Left => sh.nodes[SL].r = (w, false),
-        }
+    /// Drops the neighbour check from the two-null branch, as the paper
+    /// prints it (DESIGN.md, "Known errata"): the negative control that
+    /// the script sweep must catch.
+    pub fn without_two_null_check(mut self) -> Self {
+        self.two_null_check = false;
+        self
     }
 
-    fn outward(sh: &DummyShared, node: usize, side: Side) -> usize {
-        match side {
-            Side::Right => sh.nodes[node].l.0,
-            Side::Left => sh.nodes[node].r.0,
-        }
-    }
-
-    fn inward(sh: &DummyShared, node: usize, side: Side) -> usize {
-        match side {
-            Side::Right => sh.nodes[node].r.0,
-            Side::Left => sh.nodes[node].l.0,
-        }
-    }
-
-    fn set_inward(sh: &mut DummyShared, node: usize, side: Side, w: usize) {
-        match side {
-            Side::Right => sh.nodes[node].r = (w, false),
-            Side::Left => sh.nodes[node].l = (w, false),
-        }
-    }
 }
 
 impl System for DummyMachine {
@@ -268,7 +249,7 @@ impl System for DummyMachine {
         Some(match std::mem::replace(&mut local.pc, Pc::Start) {
             // Read the sentinel inward word.
             Pc::Start => {
-                let w = Self::sent_inward(sh, side);
+                let w = side.sent_inward(&sh.nodes).0;
                 if is_pop && w == other {
                     // Directly at the opposite sentinel: linearize empty
                     // at this read (same argument as the bit variant).
@@ -332,7 +313,7 @@ impl System for DummyMachine {
             }
 
             Pc::PopEmptyDcas { w, real } => {
-                if Self::sent_inward(sh, side) == w && sh.nodes[real].value == 0 {
+                if side.sent_inward(&sh.nodes).0 == w && sh.nodes[real].value == 0 {
                     finish(local, DequeRet::Empty)
                 } else {
                     local.pc = Pc::Start;
@@ -342,7 +323,7 @@ impl System for DummyMachine {
 
             // Install a fresh dummy targeting `real`, null the value.
             Pc::PopMarkDcas { w, real, v } => {
-                if Self::sent_inward(sh, side) == w && sh.nodes[real].value == v {
+                if side.sent_inward(&sh.nodes).0 == w && sh.nodes[real].value == v {
                     let dummy = self.dummy_for_pop[&(local.tid, local.op_idx)];
                     debug_assert_eq!(sh.nodes[dummy].state, NodeState::Unallocated);
                     sh.nodes[dummy] = NodeM {
@@ -351,7 +332,7 @@ impl System for DummyMachine {
                         value: DUMMY_VAL,
                         state: NodeState::Live,
                     };
-                    Self::set_sent_inward(sh, side, dummy);
+                    side.set_sent_inward(&mut sh.nodes, (dummy, false));
                     sh.nodes[real].value = 0;
                     finish(local, DequeRet::Value(v))
                 } else {
@@ -366,22 +347,14 @@ impl System for DummyMachine {
                     _ => unreachable!(),
                 };
                 let node = self.node_for_push[&(local.tid, local.op_idx)];
-                if Self::sent_inward(sh, side) == w && Self::inward(sh, real, side) == sent {
+                if side.sent_inward(&sh.nodes).0 == w && side.outward(&sh.nodes[real]).0 == sent {
                     debug_assert_eq!(sh.nodes[node].state, NodeState::Unallocated);
                     sh.nodes[node].value = v;
                     sh.nodes[node].state = NodeState::Live;
-                    match side {
-                        Side::Right => {
-                            sh.nodes[node].l = (real, false);
-                            sh.nodes[node].r = (SR, false);
-                        }
-                        Side::Left => {
-                            sh.nodes[node].r = (real, false);
-                            sh.nodes[node].l = (SL, false);
-                        }
-                    }
-                    Self::set_sent_inward(sh, side, node);
-                    Self::set_inward(sh, real, side, node);
+                    side.set_outward(&mut sh.nodes[node], (sent, false));
+                    side.set_inward(&mut sh.nodes[node], (real, false));
+                    side.set_sent_inward(&mut sh.nodes, (node, false));
+                    side.set_outward(&mut sh.nodes[real], (node, false));
                     finish(local, DequeRet::Okay)
                 } else {
                     local.pc = Pc::Start;
@@ -390,7 +363,7 @@ impl System for DummyMachine {
             }
 
             Pc::DelReadSent => {
-                let w = Self::sent_inward(sh, side);
+                let w = side.sent_inward(&sh.nodes).0;
                 local.pc = Pc::DelResolve { w };
                 StepEvent::Internal
             }
@@ -406,7 +379,7 @@ impl System for DummyMachine {
             }
 
             Pc::DelReadNbr { w, victim } => {
-                let nbr = Self::outward(sh, victim, side);
+                let nbr = side.inward(&sh.nodes[victim]).0;
                 local.pc = Pc::DelReadNbrVal { w, victim, nbr };
                 StepEvent::Internal
             }
@@ -418,28 +391,28 @@ impl System for DummyMachine {
                 // dummy.
                 debug_assert_ne!(v, DUMMY_VAL);
                 local.pc = if v != 0 {
-                    Pc::DelReadNbrInward { w, victim, nbr }
+                    Pc::DelReadNbrOut { w, victim, nbr }
                 } else {
                     Pc::DelReadOtherSent { w, victim, nbr }
                 };
                 StepEvent::Internal
             }
 
-            Pc::DelReadNbrInward { w, victim, nbr } => {
-                let nbr_inward = Self::inward(sh, nbr, side);
-                local.pc = if nbr_inward == victim {
-                    Pc::DelSpliceDcas { w, victim, nbr, nbr_inward }
+            Pc::DelReadNbrOut { w, victim, nbr } => {
+                let nbr_out = side.outward(&sh.nodes[nbr]).0;
+                local.pc = if nbr_out == victim {
+                    Pc::DelSpliceDcas { w, victim, nbr, nbr_out }
                 } else {
                     Pc::DelReadSent
                 };
                 StepEvent::Internal
             }
 
-            Pc::DelSpliceDcas { w, victim, nbr, nbr_inward } => {
-                if Self::sent_inward(sh, side) == w && Self::inward(sh, nbr, side) == nbr_inward
+            Pc::DelSpliceDcas { w, victim, nbr, nbr_out } => {
+                if side.sent_inward(&sh.nodes).0 == w && side.outward(&sh.nodes[nbr]).0 == nbr_out
                 {
-                    Self::set_sent_inward(sh, side, nbr);
-                    Self::set_inward(sh, nbr, side, sent);
+                    side.set_sent_inward(&mut sh.nodes, (nbr, false));
+                    side.set_outward(&mut sh.nodes[nbr], (sent, false));
                     sh.nodes[victim].state = NodeState::Freed;
                     sh.nodes[w].state = NodeState::Freed; // the dummy
                     local.pc = Pc::Start;
@@ -451,14 +424,15 @@ impl System for DummyMachine {
 
             Pc::DelReadOtherSent { w, victim, nbr } => {
                 let other_side = side.other();
-                let ow = Self::sent_inward(sh, other_side);
+                let ow = other_side.sent_inward(&sh.nodes).0;
                 local.pc = Pc::DelResolveOther { w, victim, nbr, ow };
                 StepEvent::Internal
             }
 
             Pc::DelResolveOther { w, victim, nbr, ow } => {
-                if sh.nodes[ow].value == DUMMY_VAL && sh.nodes[ow].l.0 == nbr {
-                    local.pc = Pc::DelTwoNullDcas { w, victim, ow, ovictim: nbr };
+                let ovictim = sh.nodes[ow].l.0;
+                if sh.nodes[ow].value == DUMMY_VAL && (ovictim == nbr || !self.two_null_check) {
+                    local.pc = Pc::DelTwoNullDcas { w, victim, ow, ovictim };
                 } else {
                     local.pc = Pc::DelReadSent;
                 }
@@ -467,11 +441,11 @@ impl System for DummyMachine {
 
             Pc::DelTwoNullDcas { w, victim, ow, ovictim } => {
                 let other_side = side.other();
-                if Self::sent_inward(sh, side) == w
-                    && Self::sent_inward(sh, other_side) == ow
+                if side.sent_inward(&sh.nodes).0 == w
+                    && other_side.sent_inward(&sh.nodes).0 == ow
                 {
-                    Self::set_sent_inward(sh, side, other);
-                    Self::set_sent_inward(sh, other_side, sent);
+                    side.set_sent_inward(&mut sh.nodes, (other, false));
+                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     assert_ne!(victim, ovictim, "two-null splice on a single node");
                     sh.nodes[victim].state = NodeState::Freed;
                     sh.nodes[ovictim].state = NodeState::Freed;

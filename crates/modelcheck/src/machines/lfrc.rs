@@ -42,13 +42,12 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-use super::{Side, SL, SR};
+use super::{Linked, Side, SL, SR};
 
 const SENTL_VAL: u64 = 1;
 const SENTR_VAL: u64 = 2;
 
-/// Pointer word: (node index, deleted bit).
-pub type PtrW = (usize, bool);
+pub use super::PtrW;
 
 /// Node lifecycle in the type-stable pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +76,16 @@ pub struct NodeL {
     pub ghost_local: u32,
     /// Lifecycle.
     pub life: Life,
+}
+
+impl Linked for NodeL {
+    fn links(&self) -> (PtrW, PtrW) {
+        (self.l, self.r)
+    }
+
+    fn links_mut(&mut self) -> (&mut PtrW, &mut PtrW) {
+        (&mut self.l, &mut self.r)
+    }
 }
 
 /// Shared state.
@@ -121,8 +130,8 @@ enum Pc {
     DelReadSent,
     DelReadNbr { w: PtrW },
     DelReadNbrVal { w: PtrW, nbr_w: PtrW },
-    DelReadNbrInward { w: PtrW, nbr_w: PtrW },
-    DelSpliceDcas { w: PtrW, nbr_w: PtrW, nbr_inward: PtrW },
+    DelReadNbrOut { w: PtrW, nbr_w: PtrW },
+    DelSpliceDcas { w: PtrW, nbr_w: PtrW, nbr_out: PtrW },
     DelReadOtherSent { w: PtrW, nbr_w: PtrW },
     DelTwoNullDcas { w: PtrW, nbr_w: PtrW, ow: PtrW },
 }
@@ -149,6 +158,9 @@ pub struct LfrcMachine {
     pub break_cycle_enabled: bool,
     node_for_push: HashMap<(usize, usize), usize>,
     total_nodes: usize,
+    /// The two-null branch checks that the far sentinel names the null
+    /// neighbour (off only in the negative control).
+    two_null_check: bool,
 }
 
 impl LfrcMachine {
@@ -170,45 +182,22 @@ impl LfrcMachine {
                 }
             }
         }
-        LfrcMachine { scripts, initial_items, break_cycle_enabled: true, node_for_push, total_nodes: next }
-    }
-
-
-
-
-    fn sent_inward(sh: &LfrcShared, side: Side) -> PtrW {
-        match side {
-            Side::Right => sh.nodes[SR].l,
-            Side::Left => sh.nodes[SL].r,
+        LfrcMachine {
+            scripts,
+            initial_items,
+            break_cycle_enabled: true,
+            node_for_push,
+            total_nodes: next,
+            two_null_check: true,
         }
     }
 
-    fn set_sent_inward(sh: &mut LfrcShared, side: Side, w: PtrW) {
-        match side {
-            Side::Right => sh.nodes[SR].l = w,
-            Side::Left => sh.nodes[SL].r = w,
-        }
-    }
-
-    fn outward(sh: &LfrcShared, n: usize, side: Side) -> PtrW {
-        match side {
-            Side::Right => sh.nodes[n].l,
-            Side::Left => sh.nodes[n].r,
-        }
-    }
-
-    fn inward(sh: &LfrcShared, n: usize, side: Side) -> PtrW {
-        match side {
-            Side::Right => sh.nodes[n].r,
-            Side::Left => sh.nodes[n].l,
-        }
-    }
-
-    fn set_inward(sh: &mut LfrcShared, n: usize, side: Side, w: PtrW) {
-        match side {
-            Side::Right => sh.nodes[n].r = w,
-            Side::Left => sh.nodes[n].l = w,
-        }
+    /// Drops the neighbour check from the two-null branch, as the paper
+    /// prints it (DESIGN.md, "Known errata"): the negative control that
+    /// the script sweep must catch.
+    pub fn without_two_null_check(mut self) -> Self {
+        self.two_null_check = false;
+        self
     }
 
     fn is_sentinel(n: usize) -> bool {
@@ -370,7 +359,7 @@ impl System for LfrcMachine {
         Some(match std::mem::replace(&mut local.pc, Pc::Start) {
             // load_ptr of the sentinel inward word: atomic read+acquire.
             Pc::Start => {
-                let w = Self::sent_inward(sh, side);
+                let w = side.sent_inward(&sh.nodes);
                 Self::acquire_local(sh, w.0);
                 if is_pop && w.0 == other && !w.1 {
                     // The pointer read observing the opposite sentinel is
@@ -418,7 +407,7 @@ impl System for LfrcMachine {
             }
 
             Pc::PopEmptyDcas { w } => {
-                let ok = Self::sent_inward(sh, side) == w && sh.nodes[w.0].value == 0;
+                let ok = side.sent_inward(&sh.nodes) == w && sh.nodes[w.0].value == 0;
                 Self::release_local(sh, w);
                 if ok {
                     finish(local, DequeRet::Empty)
@@ -429,10 +418,10 @@ impl System for LfrcMachine {
             }
 
             Pc::PopMarkDcas { w, v } => {
-                if Self::sent_inward(sh, side) == w && sh.nodes[w.0].value == v {
+                if side.sent_inward(&sh.nodes) == w && sh.nodes[w.0].value == v {
                     // Pointer target unchanged; only the bit flips. No
                     // count adjustments.
-                    Self::set_sent_inward(sh, side, (w.0, true));
+                    side.set_sent_inward(&mut sh.nodes, (w.0, true));
                     sh.nodes[w.0].value = 0;
                     Self::release_local(sh, w);
                     finish(local, DequeRet::Value(v))
@@ -470,31 +459,23 @@ impl System for LfrcMachine {
                     sh.nodes[node].ghost_local = 1;
                     local.push_initialized = true;
                 }
-                if Self::sent_inward(sh, side) == w && Self::inward(sh, w.0, side) == (sent, false)
+                if side.sent_inward(&sh.nodes) == w && side.outward(&sh.nodes[w.0]) == (sent, false)
                 {
                     // Initialize fields (unpublished), pre-count the two
                     // slot refs to the node and one to w.0 (node's
-                    // outward link), then the DCAS resolves them into
+                    // inward link), then the DCAS resolves them into
                     // real slots.
                     sh.nodes[node].value = v;
-                    match side {
-                        Side::Right => {
-                            sh.nodes[node].l = w;
-                            sh.nodes[node].r = (SR, false);
-                        }
-                        Side::Left => {
-                            sh.nodes[node].r = w;
-                            sh.nodes[node].l = (SL, false);
-                        }
-                    }
+                    side.set_outward(&mut sh.nodes[node], (sent, false));
+                    side.set_inward(&mut sh.nodes[node], w);
                     // Two new slots target `node`.
                     sh.nodes[node].rc += 2;
-                    // node's outward link is a new slot targeting w.0.
+                    // node's inward link is a new slot targeting w.0.
                     if !Self::is_sentinel(w.0) {
                         sh.nodes[w.0].rc += 1;
                     }
-                    Self::set_sent_inward(sh, side, (node, false));
-                    Self::set_inward(sh, w.0, side, (node, false));
+                    side.set_sent_inward(&mut sh.nodes, (node, false));
+                    side.set_outward(&mut sh.nodes[w.0], (node, false));
                     // Overwritten: the sentinel's slot ref to w.0.
                     Self::release_slot(sh, w.0);
                     // Creator's local ref.
@@ -510,7 +491,7 @@ impl System for LfrcMachine {
             }
 
             Pc::DelReadSent => {
-                let w = Self::sent_inward(sh, side);
+                let w = side.sent_inward(&sh.nodes);
                 if !w.1 {
                     local.pc = Pc::Start;
                     StepEvent::Internal
@@ -522,7 +503,7 @@ impl System for LfrcMachine {
             }
 
             Pc::DelReadNbr { w } => {
-                let nbr_w = Self::outward(sh, w.0, side);
+                let nbr_w = side.inward(&sh.nodes[w.0]);
                 Self::acquire_local(sh, nbr_w.0);
                 local.pc = Pc::DelReadNbrVal { w, nbr_w };
                 StepEvent::Internal
@@ -531,20 +512,20 @@ impl System for LfrcMachine {
             Pc::DelReadNbrVal { w, nbr_w } => {
                 let v = sh.nodes[nbr_w.0].value;
                 local.pc = if v != 0 || Self::is_sentinel(nbr_w.0) {
-                    Pc::DelReadNbrInward { w, nbr_w }
+                    Pc::DelReadNbrOut { w, nbr_w }
                 } else {
                     Pc::DelReadOtherSent { w, nbr_w }
                 };
                 StepEvent::Internal
             }
 
-            Pc::DelReadNbrInward { w, nbr_w } => {
-                let nbr_inward = Self::inward(sh, nbr_w.0, side);
-                Self::acquire_local(sh, nbr_inward.0);
-                local.pc = if nbr_inward.0 == w.0 {
-                    Pc::DelSpliceDcas { w, nbr_w, nbr_inward }
+            Pc::DelReadNbrOut { w, nbr_w } => {
+                let nbr_out = side.outward(&sh.nodes[nbr_w.0]);
+                Self::acquire_local(sh, nbr_out.0);
+                local.pc = if nbr_out.0 == w.0 {
+                    Pc::DelSpliceDcas { w, nbr_w, nbr_out }
                 } else {
-                    Self::release_local(sh, nbr_inward);
+                    Self::release_local(sh, nbr_out);
                     Self::release_local(sh, nbr_w);
                     Self::release_local(sh, w);
                     Pc::DelReadSent
@@ -552,25 +533,25 @@ impl System for LfrcMachine {
                 StepEvent::Internal
             }
 
-            Pc::DelSpliceDcas { w, nbr_w, nbr_inward } => {
-                if Self::sent_inward(sh, side) == w
-                    && Self::inward(sh, nbr_w.0, side) == nbr_inward
+            Pc::DelSpliceDcas { w, nbr_w, nbr_out } => {
+                if side.sent_inward(&sh.nodes) == w
+                    && side.outward(&sh.nodes[nbr_w.0]) == nbr_out
                 {
                     // New slot: sentinel -> nbr.
                     if !Self::is_sentinel(nbr_w.0) {
                         sh.nodes[nbr_w.0].rc += 1;
                     }
-                    Self::set_sent_inward(sh, side, (nbr_w.0, false));
-                    Self::set_inward(sh, nbr_w.0, side, (sent, false));
+                    side.set_sent_inward(&mut sh.nodes, (nbr_w.0, false));
+                    side.set_outward(&mut sh.nodes[nbr_w.0], (sent, false));
                     // Overwritten slots both targeted w.0.
                     Self::release_slot(sh, w.0);
                     Self::release_slot(sh, w.0);
-                    Self::release_local(sh, nbr_inward); // t == w.0
+                    Self::release_local(sh, nbr_out); // t == w.0
                     Self::release_local(sh, nbr_w);
                     Self::release_local(sh, w);
                     local.pc = Pc::Start;
                 } else {
-                    Self::release_local(sh, nbr_inward);
+                    Self::release_local(sh, nbr_out);
                     Self::release_local(sh, nbr_w);
                     Self::release_local(sh, w);
                     local.pc = Pc::DelReadSent;
@@ -580,11 +561,11 @@ impl System for LfrcMachine {
 
             Pc::DelReadOtherSent { w, nbr_w } => {
                 let other_side = side.other();
-                let ow = Self::sent_inward(sh, other_side);
+                let ow = other_side.sent_inward(&sh.nodes);
                 Self::acquire_local(sh, ow.0);
                 // The erratum fix: the other sentinel must name the null
                 // neighbour (DESIGN.md "Known errata").
-                local.pc = if ow.1 && ow.0 == nbr_w.0 {
+                local.pc = if ow.1 && (ow.0 == nbr_w.0 || !self.two_null_check) {
                     Pc::DelTwoNullDcas { w, nbr_w, ow }
                 } else {
                     Self::release_local(sh, ow);
@@ -597,9 +578,9 @@ impl System for LfrcMachine {
 
             Pc::DelTwoNullDcas { w, nbr_w, ow } => {
                 let other_side = side.other();
-                if Self::sent_inward(sh, side) == w && Self::sent_inward(sh, other_side) == ow {
-                    Self::set_sent_inward(sh, side, (other, false));
-                    Self::set_sent_inward(sh, other_side, (sent, false));
+                if side.sent_inward(&sh.nodes) == w && other_side.sent_inward(&sh.nodes) == ow {
+                    side.set_sent_inward(&mut sh.nodes, (other, false));
+                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     // Break the two-node dead cycle, as the
                     // implementation does.
                     if self.break_cycle_enabled {

@@ -28,10 +28,9 @@ use dcas_linearize::{DequeOp, DequeRet};
 
 use crate::explore::{StepEvent, System};
 
-use super::{Side, SL, SR};
+use super::{Linked, Side, SL, SR};
 
-/// A pointer word: (arena index, deleted bit).
-pub type PtrW = (usize, bool);
+pub use super::PtrW;
 
 /// Allocation state of an arena slot (models the GC'd heap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +54,16 @@ pub struct NodeM {
     pub value: u64,
     /// Heap state.
     pub state: NodeState,
+}
+
+impl Linked for NodeM {
+    fn links(&self) -> (PtrW, PtrW) {
+        (self.l, self.r)
+    }
+
+    fn links_mut(&mut self) -> (&mut PtrW, &mut PtrW) {
+        (&mut self.l, &mut self.r)
+    }
 }
 
 const SENTL_VAL: u64 = 1;
@@ -120,14 +129,14 @@ enum Pc {
     PushDcas { old_p: PtrW },
     /// Delete line 3: (re)read the sentinel inward pointer.
     DelReadSent,
-    /// Delete line 5: read the victim's outward pointer.
+    /// Delete line 5: read the victim's inward pointer.
     DelReadNbr { old_p: PtrW },
     /// Delete line 6: read the neighbor's value.
     DelReadNbrVal { old_p: PtrW, nbr: usize },
-    /// Delete lines 7-8: read the neighbor's inward pointer and compare.
-    DelReadNbrInward { old_p: PtrW, nbr: usize },
+    /// Delete lines 7-8: read the neighbor's outward pointer and compare.
+    DelReadNbrOut { old_p: PtrW, nbr: usize },
     /// Delete lines 9-13: the splice-out DCAS.
-    DelSpliceDcas { old_p: PtrW, nbr: usize, nbr_inward: PtrW },
+    DelSpliceDcas { old_p: PtrW, nbr: usize, nbr_out: PtrW },
     /// Delete line 17(-18/22): read the *other* sentinel's inward pointer
     /// and check it names the null neighbour `nbr` read at line 5 (the
     /// erratum fix; see DESIGN.md "Known errata").
@@ -153,6 +162,9 @@ pub struct ListMachine {
     /// Arena slot owned by each push op.
     node_for_push: HashMap<(usize, usize), usize>,
     total_nodes: usize,
+    /// The two-null branch checks that the far sentinel names the null
+    /// neighbour (off only in the negative control).
+    two_null_check: bool,
 }
 
 impl ListMachine {
@@ -181,50 +193,23 @@ impl ListMachine {
         for v in &initial_items {
             assert!(*v >= 3);
         }
-        ListMachine { scripts, initial_items, node_for_push, total_nodes: next }
-    }
-
-
-
-
-    /// Reads the operating sentinel's inward pointer (`SR->L` / `SL->R`).
-    fn sent_inward(sh: &ListShared, side: Side) -> PtrW {
-        match side {
-            Side::Right => sh.nodes[SR].l,
-            Side::Left => sh.nodes[SL].r,
+        ListMachine {
+            scripts,
+            initial_items,
+            node_for_push,
+            total_nodes: next,
+            two_null_check: true,
         }
     }
 
-    fn set_sent_inward(sh: &mut ListShared, side: Side, w: PtrW) {
-        match side {
-            Side::Right => sh.nodes[SR].l = w,
-            Side::Left => sh.nodes[SL].r = w,
-        }
+    /// Drops the neighbour check from the two-null branch, as the paper
+    /// prints it (DESIGN.md, "Known errata"): the negative control that
+    /// the script sweep must catch.
+    pub fn without_two_null_check(mut self) -> Self {
+        self.two_null_check = false;
+        self
     }
 
-    /// A node's pointer *away from* the operating sentinel (the victim's
-    /// left pointer for a right-side delete).
-    fn outward(sh: &ListShared, node: usize, side: Side) -> PtrW {
-        match side {
-            Side::Right => sh.nodes[node].l,
-            Side::Left => sh.nodes[node].r,
-        }
-    }
-
-    /// A node's pointer *toward* the operating sentinel.
-    fn inward(sh: &ListShared, node: usize, side: Side) -> PtrW {
-        match side {
-            Side::Right => sh.nodes[node].r,
-            Side::Left => sh.nodes[node].l,
-        }
-    }
-
-    fn set_inward(sh: &mut ListShared, node: usize, side: Side, w: PtrW) {
-        match side {
-            Side::Right => sh.nodes[node].r = w,
-            Side::Left => sh.nodes[node].l = w,
-        }
-    }
 }
 
 impl System for ListMachine {
@@ -292,7 +277,7 @@ impl System for ListMachine {
         Some(match std::mem::replace(&mut local.pc, Pc::Start) {
             // Pop line 3 / push line 6: read the sentinel inward pointer.
             Pc::Start => {
-                let old_p = Self::sent_inward(sh, side);
+                let old_p = side.sent_inward(&sh.nodes);
                 if is_pop {
                     if old_p.0 == other && !old_p.1 {
                         // The read that observes "sentinel points to
@@ -347,7 +332,7 @@ impl System for ListMachine {
 
             // Pop lines 9-11: identity DCAS on (sentinel word, value).
             Pc::PopEmptyDcas { old_p } => {
-                if Self::sent_inward(sh, side) == old_p && sh.nodes[old_p.0].value == 0 {
+                if side.sent_inward(&sh.nodes) == old_p && sh.nodes[old_p.0].value == 0 {
                     finish(local, DequeRet::Empty)
                 } else {
                     local.pc = Pc::Start;
@@ -357,8 +342,8 @@ impl System for ListMachine {
 
             // Pop lines 14-18: the logical deletion (Figure 12).
             Pc::PopMarkDcas { old_p, v } => {
-                if Self::sent_inward(sh, side) == old_p && sh.nodes[old_p.0].value == v {
-                    Self::set_sent_inward(sh, side, (old_p.0, true));
+                if side.sent_inward(&sh.nodes) == old_p && sh.nodes[old_p.0].value == v {
+                    side.set_sent_inward(&mut sh.nodes, (old_p.0, true));
                     sh.nodes[old_p.0].value = 0;
                     finish(local, DequeRet::Value(v))
                 } else {
@@ -376,24 +361,16 @@ impl System for ListMachine {
                     _ => unreachable!(),
                 };
                 let node = self.node_for_push[&(local.tid, local.op_idx)];
-                if Self::sent_inward(sh, side) == old_p
-                    && Self::inward(sh, old_p.0, side) == (sent, false)
+                if side.sent_inward(&sh.nodes) == old_p
+                    && side.outward(&sh.nodes[old_p.0]) == (sent, false)
                 {
                     debug_assert_eq!(sh.nodes[node].state, NodeState::Unallocated);
                     sh.nodes[node].value = v;
                     sh.nodes[node].state = NodeState::Live;
-                    match side {
-                        Side::Right => {
-                            sh.nodes[node].l = old_p;
-                            sh.nodes[node].r = (SR, false);
-                        }
-                        Side::Left => {
-                            sh.nodes[node].r = old_p;
-                            sh.nodes[node].l = (SL, false);
-                        }
-                    }
-                    Self::set_sent_inward(sh, side, (node, false));
-                    Self::set_inward(sh, old_p.0, side, (node, false));
+                    side.set_outward(&mut sh.nodes[node], (sent, false));
+                    side.set_inward(&mut sh.nodes[node], old_p);
+                    side.set_sent_inward(&mut sh.nodes, (node, false));
+                    side.set_outward(&mut sh.nodes[old_p.0], (node, false));
                     finish(local, DequeRet::Okay)
                 } else {
                     local.pc = Pc::Start;
@@ -403,7 +380,7 @@ impl System for ListMachine {
 
             // Delete line 3.
             Pc::DelReadSent => {
-                let old_p = Self::sent_inward(sh, side);
+                let old_p = side.sent_inward(&sh.nodes);
                 local.pc = if !old_p.1 {
                     Pc::Start // line 4: deletion already completed
                 } else {
@@ -412,11 +389,11 @@ impl System for ListMachine {
                 StepEvent::Internal
             }
 
-            // Delete line 5: read the victim's outward pointer. (The
+            // Delete line 5: read the victim's inward pointer. (The
             // victim may already be Freed — reading its frozen fields is
             // exactly what the GC assumption permits.)
             Pc::DelReadNbr { old_p } => {
-                let nbr = Self::outward(sh, old_p.0, side).0;
+                let nbr = side.inward(&sh.nodes[old_p.0]).0;
                 local.pc = Pc::DelReadNbrVal { old_p, nbr };
                 StepEvent::Internal
             }
@@ -425,7 +402,7 @@ impl System for ListMachine {
             Pc::DelReadNbrVal { old_p, nbr } => {
                 let v = sh.nodes[nbr].value;
                 local.pc = if v != 0 {
-                    Pc::DelReadNbrInward { old_p, nbr }
+                    Pc::DelReadNbrOut { old_p, nbr }
                 } else {
                     Pc::DelReadOtherSent { old_p, nbr }
                 };
@@ -433,10 +410,10 @@ impl System for ListMachine {
             }
 
             // Delete lines 7-8.
-            Pc::DelReadNbrInward { old_p, nbr } => {
-                let nbr_inward = Self::inward(sh, nbr, side);
-                local.pc = if nbr_inward.0 == old_p.0 {
-                    Pc::DelSpliceDcas { old_p, nbr, nbr_inward }
+            Pc::DelReadNbrOut { old_p, nbr } => {
+                let nbr_out = side.outward(&sh.nodes[nbr]);
+                local.pc = if nbr_out.0 == old_p.0 {
+                    Pc::DelSpliceDcas { old_p, nbr, nbr_out }
                 } else {
                     Pc::DelReadSent
                 };
@@ -446,12 +423,12 @@ impl System for ListMachine {
             // Delete lines 9-13: splice the null node out (Figure 15).
             // Not a linearization point: the explorer checks A unchanged
             // (the paper's Figure 29 verification condition).
-            Pc::DelSpliceDcas { old_p, nbr, nbr_inward } => {
-                if Self::sent_inward(sh, side) == old_p
-                    && Self::inward(sh, nbr, side) == nbr_inward
+            Pc::DelSpliceDcas { old_p, nbr, nbr_out } => {
+                if side.sent_inward(&sh.nodes) == old_p
+                    && side.outward(&sh.nodes[nbr]) == nbr_out
                 {
-                    Self::set_sent_inward(sh, side, (nbr, false));
-                    Self::set_inward(sh, nbr, side, (sent, false));
+                    side.set_sent_inward(&mut sh.nodes, (nbr, false));
+                    side.set_outward(&mut sh.nodes[nbr], (sent, false));
                     sh.nodes[old_p.0].state = NodeState::Freed;
                     local.pc = Pc::Start;
                 } else {
@@ -462,11 +439,8 @@ impl System for ListMachine {
 
             // Delete line 17 (+ the deleted-bit test and the neighbour check).
             Pc::DelReadOtherSent { old_p, nbr } => {
-                let other_w = Self::sent_inward(
-                    sh,
-                    side.other(),
-                );
-                local.pc = if other_w.1 && other_w.0 == nbr {
+                let other_w = side.other().sent_inward(&sh.nodes);
+                local.pc = if other_w.1 && (other_w.0 == nbr || !self.two_null_check) {
                     Pc::DelTwoNullDcas { old_p, other: other_w }
                 } else {
                     Pc::DelReadSent
@@ -478,11 +452,11 @@ impl System for ListMachine {
             // sentinels at each other (the Figure 16 race).
             Pc::DelTwoNullDcas { old_p, other: other_w } => {
                 let other_side = side.other();
-                if Self::sent_inward(sh, side) == old_p
-                    && Self::sent_inward(sh, other_side) == other_w
+                if side.sent_inward(&sh.nodes) == old_p
+                    && other_side.sent_inward(&sh.nodes) == other_w
                 {
-                    Self::set_sent_inward(sh, side, (other, false));
-                    Self::set_sent_inward(sh, other_side, (sent, false));
+                    side.set_sent_inward(&mut sh.nodes, (other, false));
+                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     assert_ne!(old_p.0, other_w.0, "two-null splice on a single node");
                     sh.nodes[old_p.0].state = NodeState::Freed;
                     sh.nodes[other_w.0].state = NodeState::Freed;

@@ -37,6 +37,17 @@ pub enum Side {
     Left,
 }
 
+/// A pointer word of the list machines: (arena index, deleted bit).
+pub type PtrW = (usize, bool);
+
+/// A modeled list node's two link words, as `(l, r)`.
+pub(crate) trait Linked {
+    /// The `(l, r)` link words.
+    fn links(&self) -> (PtrW, PtrW);
+    /// The `(l, r)` link words, for writing.
+    fn links_mut(&mut self) -> (&mut PtrW, &mut PtrW);
+}
+
 /// Arena index of the left sentinel in the list machines.
 pub(crate) const SL: usize = 0;
 /// Arena index of the right sentinel.
@@ -74,5 +85,48 @@ impl Side {
     /// The sentinel at the opposite end.
     pub(crate) fn other_sent(self) -> usize {
         self.other().sent()
+    }
+
+    // The link vocabulary of `dcas-deque`'s `End`, so that the list
+    // machines' steps read like the deque body they model.
+
+    /// This end's member of an `(l, r)` pair (`r` at `Right`).
+    fn near<T>(self, l: T, r: T) -> T {
+        match self {
+            Side::Right => r,
+            Side::Left => l,
+        }
+    }
+
+    /// `n`'s link toward this end (`r` at `Right`).
+    pub(crate) fn outward<N: Linked>(self, n: &N) -> PtrW {
+        let (l, r) = n.links();
+        self.near(l, r)
+    }
+
+    /// `n`'s link away from this end (`l` at `Right`).
+    pub(crate) fn inward<N: Linked>(self, n: &N) -> PtrW {
+        self.other().outward(n)
+    }
+
+    /// Sets `n`'s link toward this end.
+    pub(crate) fn set_outward<N: Linked>(self, n: &mut N, w: PtrW) {
+        let (l, r) = n.links_mut();
+        *self.near(l, r) = w;
+    }
+
+    /// Sets `n`'s link away from this end.
+    pub(crate) fn set_inward<N: Linked>(self, n: &mut N, w: PtrW) {
+        self.other().set_outward(n, w);
+    }
+
+    /// This end's sentinel's inward word (`SR->L` at `Right`).
+    pub(crate) fn sent_inward<N: Linked>(self, nodes: &[N]) -> PtrW {
+        self.inward(&nodes[self.sent()])
+    }
+
+    /// Sets this end's sentinel's inward word.
+    pub(crate) fn set_sent_inward<N: Linked>(self, nodes: &mut [N], w: PtrW) {
+        self.set_inward(&mut nodes[self.sent()], w);
     }
 }

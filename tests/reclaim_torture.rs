@@ -27,8 +27,10 @@
 //! The arms share one `#[test]` because the epoch state, the garbage
 //! gauges and the pool-page gauges are process-global: the epoch arm
 //! must release its frozen pin and flush before the hazard arm starts
-//! measuring. BENCH_e15.json and BENCH_e17.json record the first two
-//! arms' curves and the page audits as data.
+//! measuring. The first two arms' curves and the page audits were
+//! recorded as data by the E15 and E17 harnesses (EXPERIMENTS.md §E15
+//! and §E17; `BENCH_e15.json` and `BENCH_e17.json` at commit
+//! `2720b06`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
