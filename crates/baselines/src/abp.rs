@@ -5,8 +5,8 @@
 //! CAS-based deque with applications in job-stealing algorithms" in which
 //! "one side of the deque is accessed by only a single processor, and the
 //! other side allows only pop operations" — restrictions the DCAS deques
-//! remove. We implement it as the CAS-only baseline for the work-stealing
-//! benchmark (E6).
+//! remove. We implement it as the CAS-only baseline of the work-stealing
+//! scheduler (`dcas_workstealing::AbpWorkDeque`).
 //!
 //! The implementation follows the original pseudocode: a bounded array, a
 //! `bot` index only the owner moves, and an `age` word packing `(tag,

@@ -12,9 +12,9 @@
 //! This module reproduces that design point as a baseline: `(l, r, count)`
 //! are packed into one word (20 bits each — the range reduction the paper
 //! mentions), every operation DCASes `(indices, cell)`, and boundary
-//! detection is trivial because one atomic read yields both ends. Bench
-//! `e8_greenwald` measures the two-ends scalability gap against the
-//! paper's algorithm.
+//! detection is trivial because one atomic read yields both ends.
+//! `tests/cross_end_interference.rs` counts the failed DCASes this costs
+//! when two threads work opposite ends, against the paper's algorithm.
 
 use std::marker::PhantomData;
 
@@ -237,7 +237,7 @@ impl<T: Send, S: DcasStrategy> ConcurrentDeque<T> for GreenwaldDeque<T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcas::{GlobalLock, GlobalSeqLock};
+    use dcas::GlobalLock;
 
     #[test]
     fn encoding_roundtrip() {
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn paper_running_example() {
-        let d = RawGreenwaldDeque::<u32, GlobalSeqLock>::new(8);
+        let d = RawGreenwaldDeque::<u32, GlobalLock>::new(8);
         d.push_right(1).unwrap();
         d.push_left(2).unwrap();
         d.push_right(3).unwrap();
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn wraparound() {
-        let d = RawGreenwaldDeque::<u32, GlobalSeqLock>::new(3);
+        let d = RawGreenwaldDeque::<u32, GlobalLock>::new(3);
         d.push_right(0).unwrap();
         d.push_right(1).unwrap();
         for i in 2..50 {

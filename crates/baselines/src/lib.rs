@@ -1,8 +1,8 @@
 //! Baseline deque implementations the paper's algorithms are measured
 //! against.
 //!
-//! * [`MutexDeque`] / [`SpinDeque`] — `VecDeque` behind a `parking_lot`
-//!   mutex / a test-and-test-and-set spinlock: the blocking comparators.
+//! * [`MutexDeque`] — `VecDeque` behind a `parking_lot` mutex: the
+//!   blocking comparator.
 //! * [`AbpDeque`] — the CAS-only work-stealing deque of Arora, Blumofe &
 //!   Plaxton (the paper's reference \[4\]): one end restricted to a single
 //!   owner, the other to pops only. The paper cites it as the elegant
@@ -13,7 +13,7 @@
 //!   two-word DCAS acts like a three-word operation. It is correct, but
 //!   every operation — on either end — contends on the shared index word,
 //!   which is precisely the drawback the paper's algorithms remove
-//!   (bench `e8_greenwald` quantifies it).
+//!   (`tests/cross_end_interference.rs` counts it).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -24,4 +24,4 @@ pub mod locked;
 
 pub use abp::{AbpDeque, Steal};
 pub use greenwald::{GreenwaldDeque, RawGreenwaldDeque};
-pub use locked::{MutexDeque, SpinDeque};
+pub use locked::MutexDeque;

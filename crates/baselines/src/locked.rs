@@ -1,7 +1,6 @@
-//! Lock-based baseline deques.
+//! The lock-based baseline deque.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use dcas_deque::{ConcurrentDeque, Full};
 use parking_lot::Mutex;
@@ -65,126 +64,6 @@ impl<T: Send> ConcurrentDeque<T> for MutexDeque<T> {
     }
 }
 
-/// A test-and-test-and-set spinlock, the cheapest blocking protection for
-/// short critical sections (no OS parking machinery).
-struct SpinLock {
-    locked: AtomicBool,
-}
-
-impl SpinLock {
-    const fn new() -> Self {
-        SpinLock { locked: AtomicBool::new(false) }
-    }
-
-    #[inline]
-    fn lock(&self) {
-        let mut backoff = dcas::Backoff::new();
-        loop {
-            if !self.locked.swap(true, Ordering::Acquire) {
-                return;
-            }
-            // Test-and-test-and-set: wait on the cheap load, with
-            // exponential backoff so waiters stop hammering the line (and
-            // eventually yield, which matters when the holder is
-            // preempted on an oversubscribed box).
-            while self.locked.load(Ordering::Relaxed) {
-                backoff.snooze();
-            }
-        }
-    }
-
-    #[inline]
-    fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
-    }
-}
-
-/// `VecDeque` behind a spinlock: the best-case blocking baseline for
-/// short, uncontended critical sections.
-pub struct SpinDeque<T> {
-    capacity: Option<usize>,
-    lock: SpinLock,
-    inner: std::cell::UnsafeCell<VecDeque<T>>,
-}
-
-// SAFETY: the UnsafeCell is only accessed while holding `lock`.
-unsafe impl<T: Send> Send for SpinDeque<T> {}
-unsafe impl<T: Send> Sync for SpinDeque<T> {}
-
-impl<T> SpinDeque<T> {
-    /// Unbounded variant.
-    pub fn new() -> Self {
-        SpinDeque {
-            capacity: None,
-            lock: SpinLock::new(),
-            inner: std::cell::UnsafeCell::new(VecDeque::new()),
-        }
-    }
-
-    /// Bounded variant with capacity `length`.
-    pub fn bounded(length: usize) -> Self {
-        assert!(length >= 1);
-        SpinDeque {
-            capacity: Some(length),
-            lock: SpinLock::new(),
-            inner: std::cell::UnsafeCell::new(VecDeque::with_capacity(length)),
-        }
-    }
-
-    #[inline]
-    fn with<R>(&self, f: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
-        self.lock.lock();
-        // SAFETY: lock held; unique access.
-        let r = f(unsafe { &mut *self.inner.get() });
-        self.lock.unlock();
-        r
-    }
-}
-
-impl<T> Default for SpinDeque<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send> ConcurrentDeque<T> for SpinDeque<T> {
-    fn push_right(&self, v: T) -> Result<(), Full<T>> {
-        let cap = self.capacity;
-        self.with(|d| {
-            if cap.is_some_and(|c| d.len() == c) {
-                Err(Full(v))
-            } else {
-                d.push_back(v);
-                Ok(())
-            }
-        })
-    }
-
-    fn push_left(&self, v: T) -> Result<(), Full<T>> {
-        let cap = self.capacity;
-        self.with(|d| {
-            if cap.is_some_and(|c| d.len() == c) {
-                Err(Full(v))
-            } else {
-                d.push_front(v);
-                Ok(())
-            }
-        })
-    }
-
-    fn pop_right(&self) -> Option<T> {
-        self.with(|d| d.pop_back())
-    }
-
-    fn pop_left(&self) -> Option<T> {
-        self.with(|d| d.pop_front())
-    }
-
-    fn impl_name(&self) -> &'static str {
-        "spin-vecdeque"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,15 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn spin_deque_semantics() {
-        exercise(&SpinDeque::new(), None);
-        exercise(&SpinDeque::bounded(3), Some(3));
-    }
-
-    #[test]
-    fn spin_deque_concurrent_sum() {
+    fn mutex_deque_concurrent_sum() {
         use std::sync::Arc;
-        let d = Arc::new(SpinDeque::new());
+        let d = Arc::new(MutexDeque::new());
         let mut handles = vec![];
         for t in 0..4u64 {
             let d = d.clone();

@@ -24,17 +24,19 @@
 //!   instant, that the index hasn't moved and the cell still has the
 //!   boundary content (lines 8–10 of Figures 2/3).
 //!
-//! Two optional code fragments from the paper are exposed as
-//! [`ArrayConfig`] knobs because the paper itself says "experimentation
-//! would be required to determine whether either or both of these code
-//! fragments should be included" — bench `e7_ablation` runs that
-//! experiment:
+//! The paper marks two code fragments as optional: "the algorithm would
+//! still be correct if line 7, and/or lines 17 and 18, were deleted".
 //!
-//! * line 7 (re-read the index before attempting the boundary-confirming
-//!   DCAS), and
-//! * lines 17–18 (use the *strong* DCAS that returns an atomic view on
+//! * Line 7 (re-read the index before attempting the boundary-confirming
+//!   DCAS) always runs.
+//! * Lines 17–18 (use the *strong* DCAS that returns an atomic view on
 //!   failure, to detect "the deque became empty/full under me" without
-//!   retrying).
+//!   retrying) run iff the strategy provides the strong form cheaply
+//!   ([`DcasStrategy::HAS_CHEAP_STRONG`]); otherwise a failed DCAS just
+//!   retries the loop.
+//!
+//! The model checker (`dcas-modelcheck`'s `ArrayMachine`) covers all four
+//! combinations of the two fragments.
 
 // The nested `if` structure deliberately mirrors the paper's line-numbered
 // listings (line 7 gates lines 8-10); do not collapse it.
@@ -54,40 +56,6 @@ use crate::{ConcurrentDeque, Full, MAX_BATCH};
 #[cfg(test)]
 mod tests;
 
-/// Toggles for the paper's two optional optimizations (Section 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArrayConfig {
-    /// Line 7 of Figures 2/3 (and the mirrored lines of Figures 30/31):
-    /// re-read the end index and skip the boundary-confirming DCAS if it
-    /// moved, on the assumption that "a null value is read because another
-    /// processor stole the item, and not because the deque is really
-    /// empty".
-    pub revalidate_index: bool,
-    /// Lines 17–18 of Figures 2/3: perform the main DCAS in its strong
-    /// form and use the returned atomic view to report `empty`/`full`
-    /// immediately instead of retrying the loop. Requires (and is only
-    /// exercised with) a strategy for which the strong form exists; on
-    /// strategies without [`DcasStrategy::HAS_CHEAP_STRONG`] it still
-    /// works but costs extra.
-    pub strong_failure_check: bool,
-}
-
-impl Default for ArrayConfig {
-    /// The paper's published code includes both fragments.
-    fn default() -> Self {
-        ArrayConfig { revalidate_index: true, strong_failure_check: true }
-    }
-}
-
-impl ArrayConfig {
-    /// Configuration with both optional fragments removed; per the paper,
-    /// "the algorithm would still be correct if line 7, and/or lines 17
-    /// and 18, were deleted", and this variant needs only the weak DCAS.
-    pub fn minimal() -> Self {
-        ArrayConfig { revalidate_index: false, strong_failure_check: false }
-    }
-}
-
 /// A quiescent snapshot of the implementation state, for diagnostics and
 /// for the figure-reproduction tests. Only meaningful while no operations
 /// are in flight.
@@ -106,7 +74,6 @@ pub struct ArrayLayout {
 /// element type.
 pub struct RawArrayDeque<V: WordValue, S: DcasStrategy> {
     strategy: S,
-    config: ArrayConfig,
     /// The right index `R` (stored shifted left by two to satisfy the DCAS
     /// payload contract).
     r: CachePadded<DcasWord>,
@@ -129,32 +96,22 @@ fn dec_idx(w: u64) -> usize {
 
 impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
     /// Creates a deque with capacity `length` (the paper's
-    /// `make_deque(length_S)`), using a default-constructed strategy and
-    /// the paper's published configuration — except that the lines-17-18
-    /// fragment (which needs the strong DCAS form) is enabled only when
-    /// the strategy provides it cheaply ([`DcasStrategy::HAS_CHEAP_STRONG`]),
-    /// per the paper's own advice that the fragment is an optional
-    /// optimization.
+    /// `make_deque(length_S)`), using a default-constructed strategy.
+    /// Line 7 always runs; lines 17–18 (which need the strong DCAS form)
+    /// run only when the strategy provides it cheaply
+    /// ([`DcasStrategy::HAS_CHEAP_STRONG`]), per the paper's own advice
+    /// that both fragments are optional.
     ///
     /// # Panics
     ///
     /// Panics if `length == 0` (the specification requires
     /// `length_S >= 1`) or if `length` exceeds `u32::MAX` cells.
     pub fn new(length: usize) -> Self {
-        Self::with_config(
-            length,
-            ArrayConfig { revalidate_index: true, strong_failure_check: S::HAS_CHEAP_STRONG },
-        )
-    }
-
-    /// Creates a deque with an explicit optimization configuration.
-    pub fn with_config(length: usize, config: ArrayConfig) -> Self {
         assert!(length >= 1, "make_deque requires length_S >= 1");
         assert!(length <= u32::MAX as usize, "deque too large");
         let slots = (0..length).map(|_| DcasWord::new(NULL)).collect();
         RawArrayDeque {
             strategy: S::default(),
-            config,
             // Initially L == 0 and R == 1 mod length_S.
             r: CachePadded::new(DcasWord::new(enc_idx(1 % length))),
             l: CachePadded::new(DcasWord::new(enc_idx(0))),
@@ -212,7 +169,7 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
                 // Lines 6-11: the deque may be empty; confirm with an
                 // identity DCAS giving an instantaneous view of the index
                 // and the cell (`R` and `S[R-1]` at `Right`).
-                if !self.config.revalidate_index || dec_idx(self.strategy.load(idx)) == old_i {
+                if dec_idx(self.strategy.load(idx)) == old_i {
                     if self.strategy.dcas(
                         idx,
                         &self.slots[new_i],
@@ -224,7 +181,7 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
                         return None; // "empty"
                     }
                 }
-            } else if self.config.strong_failure_check {
+            } else if S::HAS_CHEAP_STRONG {
                 // Lines 12-19 with the strong DCAS of Figure 1.
                 let save_i = old_i; // line 13
                 let mut o1 = enc_idx(old_i);
@@ -279,7 +236,7 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
             let old_s = self.strategy.load(&self.slots[old_i]); // line 5
             if old_s != NULL {
                 // Lines 6-11: the deque may be full; confirm atomically.
-                if !self.config.revalidate_index || dec_idx(self.strategy.load(idx)) == old_i {
+                if dec_idx(self.strategy.load(idx)) == old_i {
                     if self.strategy.dcas(
                         idx,
                         &self.slots[old_i],
@@ -291,7 +248,7 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
                         return Err(Full(val.reclaim())); // "full"
                     }
                 }
-            } else if self.config.strong_failure_check {
+            } else if S::HAS_CHEAP_STRONG {
                 let save_i = old_i; // line 13
                 let mut o1 = enc_idx(old_i);
                 let mut o2 = NULL;
@@ -582,7 +539,7 @@ impl<V: WordValue, S: DcasStrategy> Drop for RawArrayDeque<V, S> {
 /// (lock-free [`HarrisMcas`] by default).
 ///
 /// See the [module documentation](self) for the algorithm, and
-/// [`RawArrayDeque`] for the word-level API used by benches.
+/// [`RawArrayDeque`] for the word-level API.
 pub struct ArrayDeque<T: Send, S: DcasStrategy = HarrisMcas> {
     raw: RawArrayDeque<Boxed<T>, S>,
 }
@@ -595,11 +552,6 @@ impl<T: Send, S: DcasStrategy> ArrayDeque<T, S> {
     /// Panics if `length == 0`.
     pub fn new(length: usize) -> Self {
         ArrayDeque { raw: RawArrayDeque::new(length) }
-    }
-
-    /// Creates a deque with an explicit optimization configuration.
-    pub fn with_config(length: usize, config: ArrayConfig) -> Self {
-        ArrayDeque { raw: RawArrayDeque::with_config(length, config) }
     }
 
     /// Capacity fixed at construction.

@@ -1,30 +1,18 @@
 //! Unit and figure-reproduction tests for the array-based deque.
 
-use dcas::{Counting, DcasStrategy, GlobalLock, GlobalSeqLock, HarrisMcas, StripedLock};
+use dcas::{Counting, DcasStrategy, GlobalLock, HarrisMcas};
 
-use super::{ArrayConfig, ArrayDeque, RawArrayDeque};
+use super::{ArrayDeque, RawArrayDeque};
 use crate::{Full, MAX_BATCH};
 
-fn configs() -> Vec<ArrayConfig> {
-    vec![
-        ArrayConfig::default(),
-        ArrayConfig::minimal(),
-        ArrayConfig { revalidate_index: true, strong_failure_check: false },
-        ArrayConfig { revalidate_index: false, strong_failure_check: true },
-    ]
-}
-
-/// Runs `f` against every (strategy × config) combination.
+/// Runs `f` against both strategies: `GlobalLock` runs lines 17–18 of
+/// the paper's figures, `HarrisMcas` (no cheap strong DCAS) skips them.
 fn for_all_variants(f: impl Fn(&dyn Fn(usize) -> Box<dyn DynDeque>)) {
-    fn mk<S: DcasStrategy>(cfg: ArrayConfig) -> impl Fn(usize) -> Box<dyn DynDeque> {
-        move |n| Box::new(RawArrayDeque::<u32, S>::with_config(n, cfg))
+    fn mk<S: DcasStrategy>() -> impl Fn(usize) -> Box<dyn DynDeque> {
+        |n| Box::new(RawArrayDeque::<u32, S>::new(n))
     }
-    for cfg in configs() {
-        f(&mk::<GlobalLock>(cfg));
-        f(&mk::<GlobalSeqLock>(cfg));
-        f(&mk::<StripedLock>(cfg));
-        f(&mk::<HarrisMcas>(cfg));
-    }
+    f(&mk::<GlobalLock>());
+    f(&mk::<HarrisMcas>());
 }
 
 /// Object-safe facade so tests can sweep strategies.
@@ -70,7 +58,7 @@ fn paper_running_example() {
 fn fig4_empty_initial_layout() {
     // Figure 4 (top): the initial empty deque has L == 0, R == 1 and all
     // cells null.
-    let d = RawArrayDeque::<u32, GlobalSeqLock>::new(14);
+    let d = RawArrayDeque::<u32, GlobalLock>::new(14);
     let lay = d.layout();
     assert_eq!(lay.l, 0);
     assert_eq!(lay.r, 1);
@@ -81,7 +69,7 @@ fn fig4_empty_initial_layout() {
 fn fig4_full_layout() {
     // Figure 4 (bottom): a full deque has every cell occupied and
     // (L + 1) mod n == R.
-    let d = RawArrayDeque::<u32, GlobalSeqLock>::new(14);
+    let d = RawArrayDeque::<u32, GlobalLock>::new(14);
     for i in 0..14 {
         d.push_right(i).unwrap();
     }
@@ -96,7 +84,7 @@ fn fig4_full_layout() {
 fn fig5_successful_pop_right() {
     // Figure 5: popRight decrements R and nulls S[R-1], returning the
     // value.
-    let d = RawArrayDeque::<u32, GlobalSeqLock>::new(8);
+    let d = RawArrayDeque::<u32, GlobalLock>::new(8);
     d.push_right(10).unwrap();
     d.push_right(11).unwrap();
     let before = d.layout();
@@ -111,7 +99,7 @@ fn fig5_successful_pop_right() {
 fn fig7_push_right_into_empty() {
     // Figure 7: pushRight on the empty deque writes S[R] and advances R;
     // L does not move.
-    let d = RawArrayDeque::<u32, GlobalSeqLock>::new(8);
+    let d = RawArrayDeque::<u32, GlobalLock>::new(8);
     let before = d.layout();
     d.push_right(42).unwrap();
     let after = d.layout();
@@ -127,7 +115,7 @@ fn fig8_filling_wraps_and_crosses() {
     // with L wrapped "to the right of" R; a right push fills it and the
     // indices cross again.
     let n = 14;
-    let d = RawArrayDeque::<u32, GlobalSeqLock>::new(n);
+    let d = RawArrayDeque::<u32, GlobalLock>::new(n);
     // Fill to n-2 from the right: two free cells remain.
     for i in 0..(n as u32 - 2) {
         d.push_right(i).unwrap();
@@ -347,8 +335,8 @@ mod properties {
 
     /// Applies `ops` to both the implementation and a `VecDeque` model
     /// with the paper's sequential semantics, asserting equal outcomes.
-    fn check_against_model(cap: usize, cfg: ArrayConfig, ops: &[Op]) {
-        let d = RawArrayDeque::<u32, GlobalSeqLock>::with_config(cap, cfg);
+    fn check_against_model<S: DcasStrategy>(cap: usize, ops: &[Op]) {
+        let d = RawArrayDeque::<u32, S>::new(cap);
         let mut model: VecDeque<u32> = VecDeque::new();
         for op in ops {
             match *op {
@@ -383,15 +371,15 @@ mod properties {
             cap in 1usize..12,
             ops in proptest::collection::vec(op_strategy(), 0..200),
         ) {
-            check_against_model(cap, ArrayConfig::default(), &ops);
+            check_against_model::<GlobalLock>(cap, &ops);
         }
 
         #[test]
-        fn matches_vecdeque_model_minimal_config(
+        fn matches_vecdeque_model_without_strong_check(
             cap in 1usize..12,
             ops in proptest::collection::vec(op_strategy(), 0..200),
         ) {
-            check_against_model(cap, ArrayConfig::minimal(), &ops);
+            check_against_model::<HarrisMcas>(cap, &ops);
         }
 
         #[test]
@@ -438,8 +426,6 @@ fn for_all_strategies_batch(f: impl Fn(&dyn Fn(usize) -> BatchArray)) {
         |n| Box::new(RawArrayDeque::<u32, S>::new(n))
     }
     f(&mk::<GlobalLock>());
-    f(&mk::<GlobalSeqLock>());
-    f(&mk::<StripedLock>());
     f(&mk::<HarrisMcas>());
 }
 

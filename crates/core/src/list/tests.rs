@@ -2,11 +2,9 @@
 //! whose assertions hold for every link policy run on all three list
 //! families: the deleted bit, the dummy node and LFRC.
 
-use dcas::{
-    Counting, DcasStrategy, GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, StripedLock,
-};
+use dcas::{CasnEntry, Counting, DcasStrategy, DcasWord, GlobalLock, HarrisMcas, HarrisMcasHazard};
 
-use super::{LinkPolicy, ListDeque, ListLayout, RawListDeque};
+use super::{ptr_of, LinkPolicy, ListDeque, ListLayout, Node, RawListDeque};
 use crate::list_dummy::{Dummy, RawDummyListDeque};
 use crate::list_lfrc::RawLfrcListDeque;
 
@@ -20,8 +18,6 @@ fn for_all_policies<S: DcasStrategy>(f: impl Fn(&dyn DynDeque)) {
 /// Runs `f` on fresh deques of each list family over every strategy.
 fn for_all_strategies(f: impl Fn(&dyn DynDeque)) {
     for_all_policies::<GlobalLock>(&f);
-    for_all_policies::<GlobalSeqLock>(&f);
-    for_all_policies::<StripedLock>(&f);
     for_all_policies::<HarrisMcas>(&f);
     for_all_policies::<HarrisMcasHazard>(&f);
 }
@@ -70,7 +66,7 @@ fn paper_running_example() {
 fn fig9_initial_empty_deque() {
     // Figure 9 (top): SR->L == SL, SL->R == SR, no interior nodes, both
     // deleted bits false.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         let lay = d.layout();
         assert_eq!(lay.cells, vec![]);
         assert!(!lay.left_deleted);
@@ -86,7 +82,7 @@ fn fig9_empty_with_right_deleted_cell() {
     // the right sentinel's deleted bit set — reached by popping the only
     // element from the right (physical deletion is deferred to the next
     // right-side operation).
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_right(7);
         assert_eq!(d.pop_right(), Some(7));
         let lay = d.layout();
@@ -102,7 +98,7 @@ fn fig9_empty_with_right_deleted_cell() {
 #[test]
 fn fig9_empty_with_left_deleted_cell() {
     // Figure 9 (third): mirror image via popLeft.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_left(7);
         assert_eq!(d.pop_left(), Some(7));
         let lay = d.layout();
@@ -117,7 +113,7 @@ fn fig9_empty_with_left_deleted_cell() {
 fn fig9_empty_with_two_deleted_cells() {
     // Figure 9 (bottom): two logically deleted nodes, both sentinel
     // deleted bits set — one pop from each side of a two-element deque.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_left(1);
         d.push_right(2);
         assert_eq!(d.pop_right(), Some(2));
@@ -139,7 +135,7 @@ fn fig9_empty_with_two_deleted_cells() {
 fn fig12_pop_right_marks_node() {
     // Figure 12: popRight nulls the value and sets SR's deleted bit; the
     // node stays physically linked.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_right(10);
         d.push_right(11);
         assert_eq!(d.pop_right(), Some(11));
@@ -153,7 +149,7 @@ fn fig12_pop_right_marks_node() {
 fn fig14_push_right_appends_before_sentinel() {
     // Figure 14: pushRight splices the new node between the old rightmost
     // node and SR.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_right(1);
         let before = d.layout();
         assert_eq!(before.cells.len(), 1);
@@ -169,7 +165,7 @@ fn fig14_push_right_appends_before_sentinel() {
 fn fig15_delete_right_splices_null_node() {
     // Figure 15: after a popRight leaves a null node, the next right-side
     // operation physically deletes it.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_right(1);
         d.push_right(2);
         assert_eq!(d.pop_right(), Some(2));
@@ -201,7 +197,7 @@ impl EncodeForTest for u32 {
 fn pop_on_deleted_side_first_completes_deletion() {
     // popRight must work when SR's deleted bit is set and more values
     // remain.
-    for_all_policies::<GlobalSeqLock>(|d| {
+    for_all_policies::<GlobalLock>(|d| {
         d.push_right(1);
         d.push_right(2);
         d.push_right(3);
@@ -429,9 +425,9 @@ mod properties {
         fn matches_vecdeque_model(
             ops in proptest::collection::vec(op_strategy(), 0..300),
         ) {
-            matches_model(&RawListDeque::<u32, GlobalSeqLock>::new(), &ops);
-            matches_model(&RawDummyListDeque::<u32, GlobalSeqLock>::new(), &ops);
-            matches_model(&RawLfrcListDeque::<u32, GlobalSeqLock>::new(), &ops);
+            matches_model(&RawListDeque::<u32, GlobalLock>::new(), &ops);
+            matches_model(&RawDummyListDeque::<u32, GlobalLock>::new(), &ops);
+            matches_model(&RawLfrcListDeque::<u32, GlobalLock>::new(), &ops);
         }
 
         #[test]
@@ -453,12 +449,6 @@ fn for_all_strategies_batch(f: impl Fn(Box<dyn Fn() -> Box<dyn DynBatchDeque>>))
     f(Box::new(
         || Box::new(RawListDeque::<u32, GlobalLock>::new()),
     ));
-    f(Box::new(|| {
-        Box::new(RawListDeque::<u32, GlobalSeqLock>::new())
-    }));
-    f(Box::new(|| {
-        Box::new(RawListDeque::<u32, StripedLock>::new())
-    }));
     f(Box::new(
         || Box::new(RawListDeque::<u32, HarrisMcas>::new()),
     ));
@@ -905,4 +895,166 @@ fn in_node_audit<S: DcasStrategy>() {
     });
     drop(d);
     assert_eq!(live(&audit), 0, "contended same-end traffic");
+}
+
+// ---------------------------------------------------------------------
+// The two-null splice erratum (Figures 17/34), on the real deques.
+// ---------------------------------------------------------------------
+
+/// A thread that installs one parks before the first strategy call that
+/// touches every word whose address is in `words`, tells the test so,
+/// and waits to be released.
+struct Park {
+    words: Vec<usize>,
+    parked: std::sync::mpsc::Sender<()>,
+    go: std::sync::mpsc::Receiver<()>,
+}
+
+thread_local! {
+    static PARK: std::cell::RefCell<Option<Park>> = const { std::cell::RefCell::new(None) };
+}
+
+fn park_point(touched: &[&DcasWord]) {
+    let touches = |w: usize| touched.iter().any(|&t| std::ptr::from_ref(t) as usize == w);
+    let hit = PARK.with(|p| p.borrow_mut().take_if(|park| park.words.iter().all(|&w| touches(w))));
+    if let Some(park) = hit {
+        park.parked.send(()).unwrap();
+        // A closed channel means the test already failed; run on.
+        let _ = park.go.recv();
+    }
+}
+
+/// Strategy wrapper that calls [`park_point`] before every operation.
+#[derive(Default)]
+struct Parking<S: DcasStrategy>(S);
+
+impl<S: DcasStrategy> DcasStrategy for Parking<S> {
+    type Reclaimer = S::Reclaimer;
+    const IS_LOCK_FREE: bool = S::IS_LOCK_FREE;
+    const HAS_CHEAP_STRONG: bool = S::HAS_CHEAP_STRONG;
+    const NAME: &'static str = S::NAME;
+
+    fn load(&self, w: &DcasWord) -> u64 {
+        park_point(&[w]);
+        self.0.load(w)
+    }
+
+    fn store(&self, w: &DcasWord, v: u64) {
+        park_point(&[w]);
+        self.0.store(w, v)
+    }
+
+    fn cas(&self, w: &DcasWord, old: u64, new: u64) -> bool {
+        park_point(&[w]);
+        self.0.cas(w, old, new)
+    }
+
+    fn dcas(&self, a1: &DcasWord, a2: &DcasWord, o1: u64, o2: u64, n1: u64, n2: u64) -> bool {
+        park_point(&[a1, a2]);
+        self.0.dcas(a1, a2, o1, o2, n1, n2)
+    }
+
+    fn dcas_strong(
+        &self,
+        a1: &DcasWord,
+        a2: &DcasWord,
+        o1: &mut u64,
+        o2: &mut u64,
+        n1: u64,
+        n2: u64,
+    ) -> bool {
+        park_point(&[a1, a2]);
+        self.0.dcas_strong(a1, a2, o1, o2, n1, n2)
+    }
+
+    fn casn(&self, entries: &mut [CasnEntry<'_>]) -> bool {
+        let words: Vec<&DcasWord> = entries.iter().map(|e| e.word).collect();
+        park_point(&words);
+        self.0.casn(entries)
+    }
+}
+
+/// Runs `ops` on a new scoped thread that parks before its first
+/// strategy call touching every word whose address is in `words`.
+/// Returns once the thread has parked, with the sender that releases it.
+fn spawn_parked<'s>(
+    s: &'s std::thread::Scope<'s, '_>,
+    words: Vec<usize>,
+    ops: impl FnOnce() + Send + 's,
+) -> (std::thread::ScopedJoinHandle<'s, ()>, std::sync::mpsc::Sender<()>) {
+    let (parked, parked_rx) = std::sync::mpsc::channel();
+    let (go_tx, go) = std::sync::mpsc::channel();
+    let h = s.spawn(move || {
+        PARK.with(|p| *p.borrow_mut() = Some(Park { words, parked, go }));
+        ops();
+    });
+    parked_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the thread never reached its park point");
+    (h, go_tx)
+}
+
+/// The counterexample the model checker prints for the list machines
+/// without the two-null check (`script_space_sweep.rs`, the
+/// `without_two_null_check` controls): right thread `popR, pushR(11)`,
+/// left thread `pushL(30), pushL(31), popL, pushL(33), pushL(34), popL`.
+/// The right thread's `deleteRight` reads a null neighbour at line 5
+/// and parks before its line-17 read of `SL->R`; meanwhile the left end
+/// splices that neighbour out and leaves a live node (33) between two
+/// null ones. Without the check, the right thread's double splice then
+/// unlinks 33.
+fn two_null_splice_race<P: LinkPolicy>() {
+    let d = RawListDeque::<u32, Parking<GlobalLock>, P>::new();
+    d.push_left(30).unwrap();
+    d.push_left(31).unwrap();
+    assert_eq!(d.pop_left(), Some(31));
+    let addr = |w: &DcasWord| std::ptr::from_ref(w) as usize;
+    let sl_r = addr(&d.sl.r);
+    // The node holding 30: deleteLeft splices out the null node beside
+    // it by one DCAS over `SL->R` and its left link.
+    let n30 = ptr_of::<Node<P>>(d.strategy().load(&d.sr.l));
+    // SAFETY: `n30` is linked and nothing frees it before this read.
+    let n30_l = addr(unsafe { &(*n30).l });
+
+    std::thread::scope(|s| {
+        // The left thread has read 30 live and its left link, and
+        // stops before the splice.
+        let (left, left_go) = spawn_parked(s, vec![sl_r, n30_l], || {
+            d.push_left(33).unwrap();
+            d.push_left(34).unwrap();
+            assert_eq!(d.pop_left(), Some(34));
+        });
+        // The right thread popped 30 and is in the two-null branch of
+        // its deleteRight, holding the null neighbour read at line 5.
+        let (right, right_go) = spawn_parked(s, vec![sl_r], || {
+            assert_eq!(d.pop_right(), Some(30));
+            d.push_right(11).unwrap();
+        });
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None, None]);
+        assert!(lay.left_deleted && lay.right_deleted);
+
+        left_go.send(()).unwrap();
+        left.join().unwrap();
+        // A live node now sits between the two null ones, and `SL->R`
+        // is marked again, but names a different null node.
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None, Some(33u32.encode_for_test()), None]);
+        assert!(lay.left_deleted && lay.right_deleted);
+
+        right_go.send(()).unwrap();
+        right.join().unwrap();
+    });
+
+    assert_eq!(d.pop_left(), Some(33), "the two-null splice unlinked a live node");
+    assert_eq!(d.pop_left(), Some(11));
+    assert_eq!(d.pop_left(), None);
+    assert_eq!(d.pop_right(), None);
+}
+
+#[test]
+fn two_null_splice_keeps_a_live_middle_node() {
+    two_null_splice_race::<super::Bit>();
+    two_null_splice_race::<Dummy>();
+    two_null_splice_race::<crate::list_lfrc::Lfrc>();
 }

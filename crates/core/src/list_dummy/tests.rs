@@ -1,6 +1,6 @@
 //! Tests for the dummy-node variant (footnote 4 / Figure 10).
 
-use dcas::{GlobalLock, GlobalSeqLock};
+use dcas::GlobalLock;
 
 use super::{DummyListDeque, RawDummyListDeque};
 
@@ -10,7 +10,7 @@ fn fig10_dummy_marks_deletion_instead_of_bit() {
     // dummy node" — after popping the only element from the right, the
     // sentinel indirects through a dummy (layout resolves it to
     // right_deleted = true) and one null node lingers.
-    let d = RawDummyListDeque::<u32, GlobalSeqLock>::new();
+    let d = RawDummyListDeque::<u32, GlobalLock>::new();
     d.push_right(5).unwrap();
     assert_eq!(d.pop_right(), Some(5));
     let lay = d.layout();
@@ -26,7 +26,7 @@ fn fig10_dummy_marks_deletion_instead_of_bit() {
 
 #[test]
 fn interleaved_boundary_churn() {
-    let d = RawDummyListDeque::<u32, GlobalSeqLock>::new();
+    let d = RawDummyListDeque::<u32, GlobalLock>::new();
     for round in 0..30 {
         d.push_left(round).unwrap();
         assert_eq!(d.pop_right(), Some(round));

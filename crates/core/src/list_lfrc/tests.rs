@@ -4,7 +4,7 @@
 //! every node ever allocated must have been freed (drop-count audit
 //! balances — no leaks, including the two-null mutual-reference cycle).
 
-use dcas::{GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, Reclaimer};
+use dcas::{GlobalLock, HarrisMcas, HarrisMcasHazard, Reclaimer};
 
 use super::{Cascade, LfrcListDeque, RawLfrcListDeque, CASCADE_INLINE};
 use crate::value::WordValue;
@@ -36,7 +36,7 @@ const AUDIT_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
 
 #[test]
 fn nodes_are_recycled_not_leaked() {
-    let d = RawLfrcListDeque::<u32, GlobalSeqLock>::new();
+    let d = RawLfrcListDeque::<u32, GlobalLock>::new();
     for round in 0..50 {
         for i in 0..20 {
             d.push_right(round * 100 + i).unwrap();

@@ -3,21 +3,13 @@
 //! accounting on drop, and concurrent conservation smokes under both
 //! reclamation backends.
 
-use dcas::{
-    Counting, DcasStrategy, GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard, StripedLock,
-};
+use dcas::{Counting, DcasStrategy, GlobalLock, HarrisMcas, HarrisMcasHazard};
 
 use super::{RawSundellDeque, SundellDeque};
 
 fn for_all_strategies(f: impl Fn(Box<dyn Fn() -> Box<dyn DynDeque>>)) {
     f(Box::new(|| {
         Box::new(RawSundellDeque::<u32, GlobalLock>::new())
-    }));
-    f(Box::new(|| {
-        Box::new(RawSundellDeque::<u32, GlobalSeqLock>::new())
-    }));
-    f(Box::new(|| {
-        Box::new(RawSundellDeque::<u32, StripedLock>::new())
     }));
     f(Box::new(|| {
         Box::new(RawSundellDeque::<u32, HarrisMcas>::new())
@@ -225,7 +217,7 @@ mod properties {
             ops in proptest::collection::vec(op_strategy(), 0..300),
         ) {
             use crate::value::WordValue;
-            let d = RawSundellDeque::<u32, GlobalSeqLock>::new();
+            let d = RawSundellDeque::<u32, GlobalLock>::new();
             let mut model: VecDeque<u32> = VecDeque::new();
             for op in &ops {
                 match *op {
@@ -322,7 +314,7 @@ fn concurrent_conservation_hazard() {
 
 #[test]
 fn concurrent_conservation_locked() {
-    concurrent_conservation::<StripedLock>();
+    concurrent_conservation::<GlobalLock>();
 }
 
 /// Page-pool nodes behind the deque semantics: interleaved two-ended

@@ -9,15 +9,12 @@
 //! (Section 2.1): DCAS "through hardware support, through a non-blocking
 //! software emulation, or via a blocking software emulation".
 //!
-//! Four interchangeable strategies implement the [`DcasStrategy`] trait:
+//! Two interchangeable strategies implement the [`DcasStrategy`] trait,
+//! one from each family the paper allows:
 //!
-//! * [`GlobalLock`] — the simplest blocking emulation: one process-wide
-//!   mutex serializes every DCAS (cf. Agesen & Cartwright's
+//! * [`GlobalLock`] — the blocking emulation: one process-wide mutex
+//!   serializes every DCAS (cf. Agesen & Cartwright's
 //!   platform-independent DCAS patent, reference \[2\] of the paper).
-//! * [`GlobalSeqLock`] — a sequence-lock emulation: writers serialize on a
-//!   global sequence word, readers are optimistic and never block writers.
-//! * [`StripedLock`] — address-hashed lock striping with ordered
-//!   acquisition, so disjoint DCAS pairs proceed in parallel.
 //! * [`HarrisMcas`] — a genuinely **lock-free** emulation built from
 //!   single-word CAS using RDCSS + a two-entry CASN (after Harris, Fraser
 //!   & Pratt, *A Practical Multi-Word Compare-and-Swap Operation*, DISC
@@ -39,9 +36,9 @@
 //!
 //! Every value stored in a [`DcasWord`] must have its **low two bits
 //! clear** (`value % 4 == 0`). The lock-free strategy tags in-flight
-//! descriptor pointers in those bits; the blocking strategies `debug_assert`
-//! the invariant so code written against one strategy is portable to all of
-//! them. See [`PAYLOAD_ALIGN`].
+//! descriptor pointers in those bits; the blocking strategy `debug_assert`s
+//! the invariant so code written against one strategy is portable to the
+//! other. See [`PAYLOAD_ALIGN`].
 //!
 //! # Example
 //!
@@ -65,16 +62,13 @@
 
 pub mod alloc;
 mod backoff;
-mod delayed;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod global_lock;
 mod mcas;
 mod pool;
 pub mod reclaim;
-mod seqlock;
 mod stats;
-mod striped;
 mod stripe;
 mod strategy;
 mod word;
@@ -96,7 +90,6 @@ pub(crate) use fault_point;
 
 pub use alloc::NodePool;
 pub use backoff::Backoff;
-pub use delayed::Delayed;
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultInjecting, FaultLog, FaultPlan, FaultPoint, Kill, KillKind, StallGate};
 pub use global_lock::GlobalLock;
@@ -106,9 +99,7 @@ pub use reclaim::hazard::HazardReclaimer;
 pub use reclaim::{EpochReclaimer, ReclaimGuard, Reclaimer};
 #[cfg(feature = "fault-inject")]
 pub use pool::{quarantine_inflight, quarantine_len};
-pub use seqlock::GlobalSeqLock;
 pub use stats::StrategyStats;
-pub use striped::StripedLock;
 pub use strategy::{CasnEntry, DcasStrategy, MAX_CASN_WORDS};
 pub use word::DcasWord;
 pub use wrappers::{Counting, DcasStats, Yielding};

@@ -37,11 +37,13 @@
 //! descriptor memory costs no lock and no shared write: only relaxed
 //! increments of the calling thread's own gauge stripes (the descriptor
 //! gauge and the reclaimer's garbage gauge, see
-//! [`reclaim`](crate::reclaim)). The hazard backend is the exception to
-//! "zero allocations": each of its scans builds a fresh hazard snapshot. Because the RDCSS descriptor of
-//! each target word (`Entry`) is embedded in its parent `DcasDescriptor`,
-//! recycling the parent recycles the RDCSS descriptors with it. A freshly
-//! boxed descriptor joins the pool when it is retired.
+//! [`reclaim`](crate::reclaim)). The hazard backend holds to "zero
+//! allocations" as well: each scan takes a fresh hazard snapshot, but
+//! into candidate and snapshot buffers that live in the thread's hazard
+//! record and keep their capacity from scan to scan. Because the RDCSS
+//! descriptor of each target word (`Entry`) is embedded in its parent
+//! `DcasDescriptor`, recycling the parent recycles the RDCSS descriptors
+//! with it. A freshly boxed descriptor joins the pool when it is retired.
 //!
 //! # Owner fast-path installation
 //!

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use dcas::{DcasStrategy, DcasWord, GlobalLock, GlobalSeqLock, HarrisMcas, StripedLock};
+use dcas::{DcasStrategy, DcasWord, GlobalLock, HarrisMcas};
 
 /// Bank-transfer conservation: the sum across a vector of accounts is
 /// invariant under transfer DCASes.
@@ -167,6 +167,4 @@ macro_rules! strategy_tests {
 }
 
 strategy_tests!(global_lock, GlobalLock);
-strategy_tests!(global_seqlock, GlobalSeqLock);
-strategy_tests!(striped_lock, StripedLock);
 strategy_tests!(harris_mcas, HarrisMcas);

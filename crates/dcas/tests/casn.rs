@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use dcas::{
-    CasnEntry, DcasStrategy, DcasWord, GlobalLock, GlobalSeqLock, HarrisMcas, HarrisMcasHazard,
-    StripedLock, MAX_CASN_WORDS,
+    CasnEntry, DcasStrategy, DcasWord, GlobalLock, HarrisMcas, HarrisMcasHazard, MAX_CASN_WORDS,
 };
 
 /// A successful CASN writes every word; a failed one writes none.
@@ -218,7 +217,5 @@ macro_rules! strategy_tests {
 }
 
 strategy_tests!(global_lock, GlobalLock);
-strategy_tests!(global_seqlock, GlobalSeqLock);
-strategy_tests!(striped_lock, StripedLock);
 strategy_tests!(harris_mcas, HarrisMcas);
 strategy_tests!(harris_mcas_hazard, HarrisMcasHazard);

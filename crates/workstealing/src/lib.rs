@@ -28,8 +28,10 @@
 //! [`Continuation`] countdown counters — so fib, quicksort and
 //! tree-walk workloads run natively.
 //!
-//! Bench `e6_workstealing` compares the deques on a fork-join tree
-//! across thread counts.
+//! The `forkjoin-fib` workload of the end-to-end benchmark
+//! (`e2ebench/`) runs the tiered deque under this executor;
+//! `examples/work_stealing.rs` runs the four one-level deques on one
+//! fork-join tree and checks that they agree.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dcas::{Counting, GlobalSeqLock};
+use dcas::{Counting, GlobalLock};
 use dcas_deques::deque::array::RawArrayDeque;
 use dcas_deques::deque::list::RawListDeque;
 
@@ -20,7 +20,7 @@ fn main() {
 fn dcas_cost_accounting() {
     println!("=== DCAS cost per operation (uncontended) ===");
 
-    let array = RawArrayDeque::<u32, Counting<GlobalSeqLock>>::new(128);
+    let array = RawArrayDeque::<u32, Counting<GlobalLock>>::new(128);
     for i in 0..100 {
         array.push_right(i).unwrap();
     }
@@ -36,7 +36,7 @@ fn dcas_cost_accounting() {
         s.dcas_attempts as f64 / 200.0
     );
 
-    let list = RawListDeque::<u32, Counting<GlobalSeqLock>>::new();
+    let list = RawListDeque::<u32, Counting<GlobalLock>>::new();
     for i in 0..100 {
         list.push_right(i).unwrap();
     }
@@ -61,7 +61,7 @@ fn dcas_cost_accounting() {
 /// operation exercises the boundary detection.
 fn empty_full_oscillation() {
     println!("=== Empty/full oscillation under 4 threads ===");
-    let d = Arc::new(RawArrayDeque::<u32, GlobalSeqLock>::new(2));
+    let d = Arc::new(RawArrayDeque::<u32, GlobalLock>::new(2));
     let pushed = Arc::new(AtomicU64::new(0));
     let popped = Arc::new(AtomicU64::new(0));
     let fulls = Arc::new(AtomicU64::new(0));
@@ -109,7 +109,7 @@ fn empty_full_oscillation() {
 /// of times; exactly one must win each round.
 fn steal_contest() {
     println!("=== Figure 6 live: racing pops for the last element ===");
-    let d = Arc::new(RawListDeque::<u32, GlobalSeqLock>::new());
+    let d = Arc::new(RawListDeque::<u32, GlobalLock>::new());
     let barrier = Arc::new(std::sync::Barrier::new(2));
     let mut right_wins = 0u32;
     let mut left_wins = 0u32;

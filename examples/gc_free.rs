@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dcas::{DcasStrategy, GlobalSeqLock, HarrisMcas, Reclaimer};
+use dcas::{DcasStrategy, GlobalLock, HarrisMcas, Reclaimer};
 use dcas_deques::deque::list_lfrc::RawLfrcListDeque;
 use dcas_deques::deque::LfrcListDeque;
 
@@ -60,7 +60,7 @@ fn drain_backend<S: DcasStrategy>(d: &RawLfrcListDeque<u32, S>) -> u64 {
 
 fn recycling_demo() {
     println!("=== Immediate death, deferred free: the allocation audit ===");
-    let d = RawLfrcListDeque::<u32, GlobalSeqLock>::new();
+    let d = RawLfrcListDeque::<u32, GlobalLock>::new();
     for round in 0..5 {
         for i in 0..1000 {
             d.push_right(i).unwrap();
@@ -141,7 +141,7 @@ fn cycle_demo() {
     // logically-deleted nodes that reference each other. Pure reference
     // counting could never reclaim that cycle; the double-splice winner
     // breaks it explicitly (see list_lfrc::break_cycle).
-    let d = RawLfrcListDeque::<u32, GlobalSeqLock>::new();
+    let d = RawLfrcListDeque::<u32, GlobalLock>::new();
     for round in 0..10_000 {
         d.push_left(1).unwrap();
         d.push_right(2).unwrap();

@@ -90,19 +90,17 @@ fn concurrent() {
 
 fn strategies() {
     // Every deque is generic over the DCAS emulation. HarrisMcas (the
-    // default) is lock-free; the others are blocking emulations.
+    // default) is lock-free; GlobalLock is the blocking emulation.
     let lock_free: ListDeque<u32, HarrisMcas> = ListDeque::new();
-    let seqlock: ListDeque<u32, GlobalSeqLock> = ListDeque::new();
-    let coarse: ListDeque<u32, GlobalLock> = ListDeque::new();
-    let striped: ListDeque<u32, StripedLock> = ListDeque::new();
+    let blocking: ListDeque<u32, GlobalLock> = ListDeque::new();
 
     for (name, d) in [
         (<HarrisMcas>::NAME, &lock_free as &dyn ConcurrentDeque<u32>),
-        (GlobalSeqLock::NAME, &seqlock),
-        (GlobalLock::NAME, &coarse),
-        (StripedLock::NAME, &striped),
+        (GlobalLock::NAME, &blocking),
     ] {
         d.push_right(7).unwrap();
-        println!("{name:>16}: pushRight(7), popLeft -> {:?}", d.pop_left());
+        let popped = d.pop_left();
+        println!("{name:>16}: pushRight(7), popLeft -> {popped:?}");
+        assert_eq!(popped, Some(7));
     }
 }

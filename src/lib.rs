@@ -7,7 +7,7 @@
 //! * [`dcas`] — software DCAS emulations (blocking and lock-free).
 //! * [`deque`] — the paper's array-based and linked-list deques, plus the
 //!   dummy-node variant.
-//! * [`baselines`] — comparators: lock-based deques, the
+//! * [`baselines`] — comparators: a lock-based deque, the
 //!   Arora–Blumofe–Plaxton CAS deque, a Greenwald-style one-word-indices
 //!   deque.
 //! * [`linearize`] — sequential specification, history recording, and a
@@ -41,7 +41,7 @@ pub use dcas_workstealing as workstealing;
 
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {
-    pub use dcas::{DcasStrategy, DcasWord, GlobalLock, GlobalSeqLock, HarrisMcas, StripedLock};
+    pub use dcas::{DcasStrategy, DcasWord, GlobalLock, HarrisMcas};
     pub use dcas_broker::{Backpressure, BrokerShard, ShardedBroker};
     pub use dcas_deque::{
         ArrayDeque, ConcurrentDeque, DummyListDeque, Full, ListDeque, SundellDeque, MAX_BATCH,

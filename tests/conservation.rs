@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dcas::{GlobalSeqLock, HarrisMcas, StripedLock};
+use dcas::{GlobalLock, HarrisMcas};
 use dcas_deques::baselines::GreenwaldDeque;
 use dcas_deques::deque::{ArrayDeque, ConcurrentDeque, DummyListDeque, LfrcListDeque, ListDeque};
 use dcas_deques::harness::Watchdog;
@@ -132,13 +132,8 @@ fn list_deque_mcas() {
 }
 
 #[test]
-fn list_deque_seqlock() {
-    conservation(ListDeque::<u64, GlobalSeqLock>::new(), 3, 3, PER);
-}
-
-#[test]
-fn list_deque_striped() {
-    conservation(ListDeque::<u64, StripedLock>::new(), 3, 3, PER);
+fn list_deque_global_lock() {
+    conservation(ListDeque::<u64, GlobalLock>::new(), 3, 3, PER);
 }
 
 #[test]
@@ -152,8 +147,8 @@ fn lfrc_list_deque_mcas() {
 }
 
 #[test]
-fn lfrc_list_deque_seqlock() {
-    conservation(LfrcListDeque::<u64, GlobalSeqLock>::new(), 3, 3, PER);
+fn lfrc_list_deque_global_lock() {
+    conservation(LfrcListDeque::<u64, GlobalLock>::new(), 3, 3, PER);
 }
 
 #[test]
@@ -162,10 +157,10 @@ fn array_deque_mcas_large() {
 }
 
 #[test]
-fn array_deque_seqlock_small_capacity() {
+fn array_deque_global_lock_small_capacity() {
     // Tiny capacity: most pushes bounce off "full", so the conservation
     // argument also covers rejected pushes.
-    conservation(ArrayDeque::<u64, GlobalSeqLock>::new(8), 3, 3, PER);
+    conservation(ArrayDeque::<u64, GlobalLock>::new(8), 3, 3, PER);
 }
 
 #[test]
@@ -294,8 +289,8 @@ fn batched_list_deque_mcas() {
 }
 
 #[test]
-fn batched_list_deque_seqlock() {
-    conservation_batched(ListDeque::<u64, GlobalSeqLock>::new(), 3, 3, PER);
+fn batched_list_deque_global_lock() {
+    conservation_batched(ListDeque::<u64, GlobalLock>::new(), 3, 3, PER);
 }
 
 #[test]

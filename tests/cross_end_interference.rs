@@ -12,7 +12,7 @@
 
 use std::sync::Barrier;
 
-use dcas::{Counting, StripedLock, Yielding};
+use dcas::{Counting, GlobalLock, Yielding};
 use dcas_deques::baselines::greenwald::RawGreenwaldDeque;
 use dcas_deques::deque::array::RawArrayDeque;
 
@@ -50,7 +50,7 @@ fn run_two_ends<D: Sync>(
 #[test]
 fn cross_end_interference() {
     // Our array deque, half full so the ends never physically meet.
-    let ours = RawArrayDeque::<u32, Counting<Yielding<StripedLock>>>::new(CAP);
+    let ours = RawArrayDeque::<u32, Counting<Yielding<GlobalLock>>>::new(CAP);
     for i in 0..(CAP / 2) as u32 {
         ours.push_right(i).unwrap();
     }
@@ -69,7 +69,7 @@ fn cross_end_interference() {
     let ours_stats = ours.strategy().stats();
 
     // The Greenwald-style deque under the same workload.
-    let gw = RawGreenwaldDeque::<u32, Counting<Yielding<StripedLock>>>::new(CAP);
+    let gw = RawGreenwaldDeque::<u32, Counting<Yielding<GlobalLock>>>::new(CAP);
     for i in 0..(CAP / 2) as u32 {
         gw.push_right(i).unwrap();
     }
@@ -119,7 +119,7 @@ fn batched_ops_do_not_interfere_across_ends() {
     // no failed CASNs — the same disjointness argument as the
     // single-element case, now over wider atomic footprints.
     const K: usize = 4;
-    let ours = RawArrayDeque::<u32, Counting<Yielding<StripedLock>>>::new(CAP);
+    let ours = RawArrayDeque::<u32, Counting<Yielding<GlobalLock>>>::new(CAP);
     for i in 0..(CAP / 2) as u32 {
         ours.push_right(i).unwrap();
     }

@@ -1,14 +1,14 @@
 //! Sequential cross-implementation agreement: every deque in the
 //! workspace, driven through the same randomized operation sequences,
 //! must return exactly the same results (with capacity-aware expectations
-//! for the bounded ones). This pins all eight implementations to one
+//! for the bounded ones). This pins all seven implementations to one
 //! another and to `VecDeque`, complementing the per-implementation
 //! property tests.
 
 use std::collections::VecDeque;
 
-use dcas::{GlobalSeqLock, HarrisMcas};
-use dcas_deques::baselines::{GreenwaldDeque, MutexDeque, SpinDeque};
+use dcas::{GlobalLock, HarrisMcas};
+use dcas_deques::baselines::{GreenwaldDeque, MutexDeque};
 use dcas_deques::deque::{ArrayDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque};
 use dcas_deques::prelude::ConcurrentDeque;
 
@@ -17,7 +17,7 @@ const CAP: usize = 8;
 fn bounded_impls() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
     vec![
         Box::new(ArrayDeque::<u64, HarrisMcas>::new(CAP)),
-        Box::new(ArrayDeque::<u64, GlobalSeqLock>::new(CAP)),
+        Box::new(ArrayDeque::<u64, GlobalLock>::new(CAP)),
         Box::new(GreenwaldDeque::<u64, HarrisMcas>::new(CAP)),
         Box::new(MutexDeque::<u64>::bounded(CAP)),
     ]
@@ -26,13 +26,12 @@ fn bounded_impls() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
 fn unbounded_impls() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
     vec![
         Box::new(ListDeque::<u64, HarrisMcas>::new()),
-        Box::new(ListDeque::<u64, GlobalSeqLock>::new()),
+        Box::new(ListDeque::<u64, GlobalLock>::new()),
         Box::new(DummyListDeque::<u64, HarrisMcas>::new()),
         Box::new(LfrcListDeque::<u64, HarrisMcas>::new()),
         Box::new(SundellDeque::<u64, HarrisMcas>::new()),
         Box::new(SundellDeque::<u64, dcas::HarrisMcasHazard>::new()),
         Box::new(MutexDeque::<u64>::new()),
-        Box::new(SpinDeque::<u64>::new()),
     ]
 }
 

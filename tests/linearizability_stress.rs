@@ -10,8 +10,8 @@
 
 use std::time::Duration;
 
-use dcas::{DcasStrategy, GlobalLock, GlobalSeqLock, HarrisMcas, StripedLock, Yielding};
-use dcas_deques::baselines::{GreenwaldDeque, MutexDeque, SpinDeque};
+use dcas::{DcasStrategy, GlobalLock, HarrisMcas, Yielding};
+use dcas_deques::baselines::{GreenwaldDeque, MutexDeque};
 use dcas_deques::deque::{
     ArrayDeque, ConcurrentDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque,
 };
@@ -86,16 +86,6 @@ macro_rules! strategy_matrix {
             }
 
             #[test]
-            fn global_seqlock() {
-                $check::<GlobalSeqLock>();
-            }
-
-            #[test]
-            fn striped_lock() {
-                $check::<StripedLock>();
-            }
-
-            #[test]
             fn harris_mcas() {
                 $check::<HarrisMcas>();
             }
@@ -135,16 +125,9 @@ fn sundell_pop_heavy_workload_hits_empty_paths() {
 }
 
 #[test]
-fn array_deque_minimal_config_is_linearizable() {
-    use dcas_deques::deque::array::ArrayConfig;
-    let d: ArrayDeque<u64, GlobalSeqLock> = ArrayDeque::with_config(3, ArrayConfig::minimal());
-    check(&d, config(Some(3)));
-}
-
-#[test]
 fn array_capacity_one_boundary_storm() {
     // Capacity 1: every operation is a boundary case.
-    let d: ArrayDeque<u64, GlobalSeqLock> = ArrayDeque::new(1);
+    let d: ArrayDeque<u64, GlobalLock> = ArrayDeque::new(1);
     check(&d, StressConfig { capacity: Some(1), push_bias: 50, rounds: 200, ..config(Some(1)) });
 }
 
@@ -152,7 +135,7 @@ fn array_capacity_one_boundary_storm() {
 fn lock_based_baselines_are_linearizable() {
     let d: MutexDeque<u64> = MutexDeque::bounded(4);
     check(&d, config(Some(4)));
-    let d: SpinDeque<u64> = SpinDeque::new();
+    let d: MutexDeque<u64> = MutexDeque::new();
     check(&d, config(None));
 }
 

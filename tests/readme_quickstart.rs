@@ -18,7 +18,7 @@ fn readme_quickstart_compiles_and_runs() {
     assert_eq!(d.pop_right(), None); // "empty"
 
     // Pick the DCAS emulation per deque.
-    let d: ListDeque<i64, GlobalSeqLock> = ListDeque::new();
+    let d: ListDeque<i64, GlobalLock> = ListDeque::new();
     drop(d);
 
     // Batched operations: up to MAX_BATCH elements per transition, a

@@ -1,23 +1,22 @@
 //! The `ConcurrentDeque` trait is object-safe: all implementations can be
-//! driven uniformly behind `dyn` — the pattern the stress driver, benches
-//! and examples rely on.
+//! driven uniformly behind `dyn` — the pattern the stress driver and
+//! examples rely on.
 
-use dcas::{GlobalSeqLock, HarrisMcas};
-use dcas_deques::baselines::{GreenwaldDeque, MutexDeque, SpinDeque};
+use dcas::{GlobalLock, HarrisMcas};
+use dcas_deques::baselines::{GreenwaldDeque, MutexDeque};
 use dcas_deques::deque::{ArrayDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque};
 use dcas_deques::prelude::ConcurrentDeque;
 
 fn all_deques() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
     vec![
         Box::new(ArrayDeque::<u64, HarrisMcas>::new(64)),
-        Box::new(ArrayDeque::<u64, GlobalSeqLock>::new(64)),
+        Box::new(ArrayDeque::<u64, GlobalLock>::new(64)),
         Box::new(ListDeque::<u64, HarrisMcas>::new()),
         Box::new(DummyListDeque::<u64, HarrisMcas>::new()),
         Box::new(LfrcListDeque::<u64, HarrisMcas>::new()),
         Box::new(SundellDeque::<u64, HarrisMcas>::new()),
         Box::new(GreenwaldDeque::<u64, HarrisMcas>::new(64)),
         Box::new(MutexDeque::<u64>::new()),
-        Box::new(SpinDeque::<u64>::new()),
     ]
 }
 
@@ -71,7 +70,6 @@ fn roomy_deques() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
         Box::new(SundellDeque::<u64, HarrisMcas>::new()),
         Box::new(GreenwaldDeque::<u64, HarrisMcas>::new(1024)),
         Box::new(MutexDeque::<u64>::new()),
-        Box::new(SpinDeque::<u64>::new()),
     ]
 }
 
