@@ -63,6 +63,24 @@
 //! Callers must uphold (2) on their side: reinitialize recycled slots
 //! through the node's own atomic fields (or fields no validator reads),
 //! never via a non-atomic `ptr::write` over the whole node.
+//!
+//! # Stale DCAS helpers write to recycled slots, value-preserving
+//!
+//! Since DCAS descriptors are reused rather than retired, a
+//! [`HarrisMcas`](crate::HarrisMcas) helper that fell behind may still
+//! act on a finished operation whose target word sits in a slot that
+//! has since been recycled, even republished by another deque: the
+//! descriptor's hazard expansion (and the epoch pin's grace period, for
+//! nodes retired before the helper pinned) covered that word only while
+//! the operation ran. `reclaim::hazard` lists those accesses ("What a
+//! stale helper may touch"). Besides loads and compare-exchanges that
+//! cannot succeed, the one write is an RDCSS install of the helper's own
+//! tag over the value the word already holds, which its completion
+//! writes straight back. Invariant (1) makes that write land on live
+//! memory of the right type and (2) makes it a race by contract rather
+//! than UB; because the value comes back unchanged, the slot's new
+//! owner reads it through its strategy as if the helper had never been
+//! there.
 
 use std::alloc::Layout;
 use std::cell::RefCell;

@@ -37,10 +37,12 @@
 //! and is delivered only at a hit flagged *effect-free* (the in-flight
 //! strategy operation has not yet published state nor transferred value
 //! ownership), so an unwinding operation is indistinguishable from one
-//! that returned failure; the thread's pooled descriptor, which will
-//! never be retired now, is first moved to the permanent quarantine
-//! ([`crate::pool::quarantine_inflight`]) so helpers that still hold
-//! tagged pointers to it can keep probing it safely.
+//! that returned failure. Nothing needs cleaning up on the way out: at
+//! an effect-free hit no word holds a tag of the thread's descriptor
+//! (its current incarnation is unpublished, and none of its own installs
+//! is pending), so the thread keeps its descriptor and its next
+//! operation simply starts a new incarnation. A thread that unwinds all
+//! the way out gives its descriptor slot back like any exiting thread.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -64,8 +66,8 @@ pub enum FaultPoint {
     /// in-flight descriptor (during its own installation, a read, or a
     /// single-word CAS) and is about to help it.
     MidHelping,
-    /// After resolution, immediately before the operation releases or
-    /// retires its descriptor.
+    /// After resolution, immediately before the operation returns (and
+    /// its descriptor becomes free for the thread's next operation).
     PreRelease,
     /// In a tiered work deque's spill: the batch has been drained from
     /// the owner-private tier into the staging buffer but not yet
@@ -146,9 +148,9 @@ pub enum KillKind {
     /// Park on the gate: a descheduled thread that eventually resumes
     /// (at test teardown) and completes its operation.
     Freeze(Arc<StallGate>),
-    /// Unwind out of the operation: a thread killed mid-operation. The
-    /// in-flight pooled descriptor is quarantined first. Delivered only
-    /// at an effect-free hit of the chosen point (see module docs).
+    /// Unwind out of the operation: a thread killed mid-operation.
+    /// Delivered only at an effect-free hit of the chosen point (see
+    /// module docs).
     Panic,
 }
 
@@ -406,10 +408,7 @@ pub fn hit(point: FaultPoint, effect_free: bool) {
             }
         }
         Action::Freeze(gate) => gate.park(),
-        Action::Panic => {
-            crate::pool::quarantine_inflight();
-            panic!("fault-injected kill at {}", point.name());
-        }
+        Action::Panic => panic!("fault-injected kill at {}", point.name()),
     }
 }
 
@@ -592,8 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn panic_kill_unwinds_and_quarantines() {
-        let before = crate::pool::orphan_count();
+    fn panic_kill_unwinds_and_keeps_a_usable_descriptor() {
         let plan = FaultPlan::new(2).kill(FaultPoint::PreInstall, 0, KillKind::Panic);
         let (log, result) = std::thread::spawn(move || {
             let guard = arm(&plan, 0);
@@ -601,23 +599,23 @@ mod tests {
             let s = HarrisMcas::new();
             let a = DcasWord::new(0);
             let b = DcasWord::new(4);
+            let slot = crate::desc::my_index();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 s.dcas(&a, &b, 0, 4, 8, 12)
             }));
-            // Effect-free: the words are untouched after the unwind,
-            // and the strategy keeps working on this thread.
+            // Effect-free: the words are untouched after the unwind, and
+            // the thread goes on with the same descriptor slot.
             assert_eq!((s.load(&a), s.load(&b)), (0, 4));
             assert!(s.dcas(&a, &b, 0, 4, 8, 12));
+            assert_eq!((s.load(&a), s.load(&b)), (8, 12));
+            assert!(s.dcas(&a, &b, 8, 12, 16, 20));
+            assert_eq!(crate::desc::my_index(), slot, "the unwound thread lost its descriptor");
             (log, result.map_err(drop))
         })
         .join()
         .unwrap();
         assert!(result.is_err(), "the kill must unwind out of dcas");
         assert!(log.is_panicked());
-        assert!(
-            crate::pool::orphan_count() > before,
-            "the in-flight descriptor must land in the quarantine"
-        );
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! * [`HarrisMcas`] — a genuinely **lock-free** emulation built from
 //!   single-word CAS using RDCSS + a two-entry CASN (after Harris, Fraser
 //!   & Pratt, *A Practical Multi-Word Compare-and-Swap Operation*, DISC
-//!   2002), with descriptor reclamation via `crossbeam-epoch`. Using this
-//!   strategy, the deques in the companion crates are non-blocking
-//!   end-to-end.
+//!   2002), with one reused descriptor per thread. Using this strategy,
+//!   the deques in the companion crates are non-blocking end-to-end.
 //!
 //! Two forms of DCAS are provided, mirroring Figure 1 of the paper:
 //! [`DcasStrategy::dcas`] returns only a success flag, while
@@ -35,8 +34,8 @@
 //! # The reserved-bits contract
 //!
 //! Every value stored in a [`DcasWord`] must have its **low two bits
-//! clear** (`value % 4 == 0`). The lock-free strategy tags in-flight
-//! descriptor pointers in those bits; the blocking strategy `debug_assert`s
+//! clear** (`value % 4 == 0`). The lock-free strategy marks words that
+//! hold in-flight descriptor tags with those bits; the blocking strategy `debug_assert`s
 //! the invariant so code written against one strategy is portable to the
 //! other. See [`PAYLOAD_ALIGN`].
 //!
@@ -62,11 +61,11 @@
 
 pub mod alloc;
 mod backoff;
+mod desc;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod global_lock;
 mod mcas;
-mod pool;
 pub mod reclaim;
 mod stats;
 mod stripe;
@@ -93,19 +92,17 @@ pub use backoff::Backoff;
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultInjecting, FaultLog, FaultPlan, FaultPoint, Kill, KillKind, StallGate};
 pub use global_lock::GlobalLock;
+pub use desc::descriptor_slots;
 pub use mcas::{HarrisMcas, HarrisMcasHazard};
-pub use pool::{live_descriptors, orphan_count};
 pub use reclaim::hazard::HazardReclaimer;
 pub use reclaim::{EpochReclaimer, ReclaimGuard, Reclaimer};
-#[cfg(feature = "fault-inject")]
-pub use pool::{quarantine_inflight, quarantine_len};
 pub use stats::StrategyStats;
 pub use strategy::{CasnEntry, DcasStrategy, MAX_CASN_WORDS};
 pub use word::DcasWord;
 pub use wrappers::{Counting, DcasStats, Yielding};
 
 /// Number of low bits of every [`DcasWord`] payload reserved by the
-/// substrate (used by [`HarrisMcas`] to tag descriptor pointers).
+/// substrate (used by [`HarrisMcas`] to tag words with descriptors).
 pub const RESERVED_BITS: u32 = 2;
 
 /// Required alignment of payload values: every stored/compared value must

@@ -9,55 +9,74 @@
 //!
 //! # How it works
 //!
-//! A DCAS acquires a *descriptor* recording both (address, old, new)
+//! A DCAS fills in a *descriptor* recording both (address, old, new)
 //! entries plus a status word (`UNDECIDED` → `SUCCEEDED`/`FAILED`).
 //!
-//! * **Phase 1** installs a tagged pointer to the descriptor into each
-//!   target word (in ascending address order, to bound mutual helping)
-//!   using RDCSS, which atomically refuses the installation once the
-//!   status has been decided.
+//! * **Phase 1** installs a tag naming the descriptor into each target
+//!   word (in ascending address order, to bound mutual helping) using
+//!   RDCSS, which atomically refuses the installation once the status has
+//!   been decided.
 //! * The status is then decided with a single CAS.
-//! * **Phase 2** replaces each tagged pointer by the new value (on
-//!   success) or the old value (on failure).
+//! * **Phase 2** replaces each tag by the new value (on success) or the
+//!   old value (on failure).
 //!
 //! Any thread that encounters a tagged word *helps* the operation it
 //! belongs to before retrying its own, which is what makes the emulation
 //! lock-free: a stalled thread's operation is finished by whoever trips
 //! over it.
 //!
-//! # Descriptor pooling
+//! # One reused descriptor per thread
 //!
-//! The descriptor for each operation comes from a per-thread freelist
-//! ([`pool`](crate::pool)) rather than a fresh `Box`, so a steady-state
-//! `dcas`/`dcas_strong` performs **zero heap allocations**: the epoch
-//! collector that runs the deferred releases reuses its buffers too, and
-//! `tests/steady_state_alloc.rs` counts every allocation to hold it to
-//! that (a miss — cold cache, or releases still aging through the grace
-//! period — falls back to `Box::new`, preserving lock-freedom). Managing
-//! descriptor memory costs no lock and no shared write: only relaxed
-//! increments of the calling thread's own gauge stripes (the descriptor
-//! gauge and the reclaimer's garbage gauge, see
-//! [`reclaim`](crate::reclaim)). The hazard backend holds to "zero
-//! allocations" as well: each scan takes a fresh hazard snapshot, but
-//! into candidate and snapshot buffers that live in the thread's hazard
-//! record and keep their capacity from scan to scan. Because the RDCSS
-//! descriptor of each target word (`Entry`) is embedded in its parent
-//! `DcasDescriptor`, recycling the parent recycles the RDCSS descriptors
-//! with it. A freshly boxed descriptor joins the pool when it is retired.
+//! Each thread owns one CASN descriptor and one RDCSS descriptor for its
+//! whole life ([`desc`](crate::desc) has the slot table, the tag
+//! encoding and the seqlock validation): every operation of the thread
+//! rewrites the same CASN descriptor under a new sequence number, and
+//! every install — for its own operation or while helping another
+//! thread's — goes through its own RDCSS descriptor. Nothing is taken
+//! from a pool and nothing is retired, so a steady-state `dcas` performs
+//! **zero heap allocations** and hands the reclamation backend no work
+//! (`tests/steady_state_alloc.rs` counts every allocation). A word holds
+//! `(slot, seq)` tags, not addresses, and a helper checks the sequence
+//! number after reading a descriptor's fields; a mismatch means the
+//! tagged incarnation is over and the helper re-reads the word.
+//!
+//! Helpers install through their *own* RDCSS descriptor, never through
+//! the owner's: an install that a helper leaves half done (tag in the
+//! word, completion not yet run) names a descriptor that stays live until
+//! that helper completes it, so anyone who meets it can complete it from
+//! that descriptor — the protocol stays lock-free — and the owner can
+//! reuse its CASN descriptor without waiting for any helper.
+//!
+//! # The owner's phase 2 closes the incarnation
+//!
+//! Reuse needs one rule the garbage-collected original does not: once
+//! the owner returns, no word may ever again hold a tag of the finished
+//! incarnation, since nobody could resolve it. Such a tag can only be
+//! written by an RDCSS completion whose status read still saw the
+//! incarnation undecided, so its RDCSS tag was installed before the
+//! decision. The owner's phase 2 therefore does not stop at a failed
+//! CAS: when a word holds an RDCSS tag that installs this incarnation,
+//! the owner completes it (the status is decided, so the completion
+//! writes the old value back) and tries again. An RDCSS installed before
+//! the decision that is not in the word when the owner looks has already
+//! been completed, and one installed after the decision can only
+//! complete to its old value. So after the owner's phase 2 the
+//! incarnation's tags are gone for good, and a helper that reads such a
+//! tag finds the owner has not returned yet.
 //!
 //! # Owner fast-path installation
 //!
 //! RDCSS exists to stop a *helper* from (re)installing a descriptor
 //! after its status has been decided. The owner's very first
 //! installation needs no such guard: until that CAS lands, the
-//! descriptor is private — no other thread can have observed it, so no
-//! thread can have decided its status, which is therefore still
-//! `UNDECIDED` exactly as the owner wrote it. The owner may thus install
-//! the first (lowest-address) entry with one plain CAS instead of a full
-//! RDCSS (install CAS + status check + payload CAS), and when that CAS
-//! fails on a value mismatch the descriptor was *never published* and
-//! goes straight back to the freelist with no grace period. Helpers —
-//! and the second entry, installed after publication — always use RDCSS.
+//! descriptor's new incarnation is private — no other thread can have
+//! its tag, so no thread can have decided its status, which is therefore
+//! still `UNDECIDED` exactly as the owner wrote it. The owner may thus
+//! install the first (lowest-address) entry with one plain CAS instead of
+//! a full RDCSS (install CAS + status check + completion CAS), and when
+//! that CAS fails on a value mismatch the incarnation was *never
+//! published* and the operation simply returns. Helpers — and the second
+//! entry, installed after publication — always use RDCSS.
 //!
 //! # Contention management
 //!
@@ -73,58 +92,39 @@
 //! # Tagging and reclamation
 //!
 //! The two reserved low bits of every [`DcasWord`] distinguish payloads
-//! (`00`) from RDCSS descriptors (`01`) and DCAS descriptors (`10`).
-//! Descriptor lifetime is managed by a pluggable
-//! [`Reclaimer`](crate::reclaim::Reclaimer) backend: `HarrisMcas<R>` is
-//! generic over it, with [`EpochReclaimer`] (the vendored
+//! (`00`) from RDCSS tags (`01`) and CASN tags (`10`). Descriptors need
+//! no reclamation (their memory is immortal), but the words they name
+//! do: `HarrisMcas<R>` is generic over a
+//! [`Reclaimer`](crate::reclaim::Reclaimer) backend whose guard every
+//! public operation holds, with [`EpochReclaimer`] (the vendored
 //! `crossbeam-epoch` shim) as the default and
 //! [`HazardReclaimer`](crate::reclaim::hazard::HazardReclaimer) — alias
-//! [`HarrisMcasHazard`] — as the bounded-garbage alternative.
+//! [`HarrisMcasHazard`] — as the bounded-garbage alternative. The guard
+//! protects the deque nodes whose words a DCAS and its helpers touch.
 //!
-//! Under epochs, every public operation runs inside one pinned guard and
-//! the descriptor is retired by its owner after phase 2; a helper only
-//! acts within a pinned section whose guard predates that retirement, so
-//! the epoch cannot advance far enough to recycle a descriptor while any
-//! thread can still observe a tagged pointer to it.
-//!
-//! Under hazard pointers (`NEEDS_PROTECT == true`), every dereference of
-//! a tagged value is preceded by an *announce-and-validate*: the pointer
-//! is stored in a hazard slot (with an
-//! [`EXPAND_DESC`](crate::reclaim::EXPAND_DESC)/
-//! [`EXPAND_ENTRY`](crate::reclaim::EXPAND_ENTRY) flag so the scanner
-//! also protects the descriptor's *target words*), then the source word
-//! is re-read; a mismatch means the announcement may be too late, and
-//! the caller retries from a fresh read. The owner additionally
-//! announces its own descriptor (slot 0) for the whole operation, so a
-//! thread frozen mid-operation keeps its target words protected — that
-//! self-hazard, plus validated helper hazards, is the induction that
-//! keeps every tagged pointer covered from publication to the last
-//! transient helper re-installation. Recycled descriptor memory is
-//! *immortal* (it returns to the [`pool`](crate::pool), never the
-//! allocator — see the pool docs), which is what makes the scanner's
-//! expansion reads and the single-phase announce/validate protocol
-//! memory-safe even against stale announcements.
+//! Under epochs the pin does this by itself. Under hazard pointers
+//! (`NEEDS_PROTECT == true`) the owner announces its own descriptor slot
+//! (slot 0, with the [`EXPAND_DESC`](crate::reclaim::EXPAND_DESC) flag)
+//! from before publication until after its phase 2, so the scanner
+//! protects every target word of the operation while anyone can find
+//! its tag — also while the owner is frozen mid-operation. Helpers
+//! announce nothing: what they can still touch after the owner returns
+//! is a failing CAS or a value-preserving install into a type-stable
+//! node word, argued in [`reclaim::hazard`](crate::reclaim::hazard) and
+//! [`alloc`](crate::alloc).
 
 use std::marker::PhantomData;
-use std::ptr::{self, addr_of_mut};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::backoff::Backoff;
+use crate::desc::{self, Mine, CASN_TAG, FAILED, RDCSS_TAG, SUCCEEDED, TAG_MASK};
 use crate::fault_point;
-use crate::pool;
 use crate::reclaim::hazard::HazardReclaimer;
-use crate::reclaim::{EpochReclaimer, ReclaimGuard, Reclaimer, EXPAND_DESC, EXPAND_ENTRY};
+use crate::reclaim::{EpochReclaimer, ReclaimGuard, Reclaimer, EXPAND_DESC};
 use crate::stats::{Counters, StrategyStats};
 use crate::strategy::{validate_args, validate_casn, MAX_CASN_WORDS};
 use crate::{CasnEntry, DcasStrategy, DcasWord};
-
-const TAG_MASK: u64 = 0b11;
-const RDCSS_TAG: u64 = 0b01;
-const DCAS_TAG: u64 = 0b10;
-
-const UNDECIDED: u64 = 0;
-const SUCCEEDED: u64 = 1;
-const FAILED: u64 = 2;
 
 #[inline]
 fn is_rdcss(v: u64) -> bool {
@@ -132,169 +132,78 @@ fn is_rdcss(v: u64) -> bool {
 }
 
 #[inline]
-fn is_dcas(v: u64) -> bool {
-    v & TAG_MASK == DCAS_TAG
+fn is_casn(v: u64) -> bool {
+    v & TAG_MASK == CASN_TAG
 }
 
-/// One target word of a DCAS, together with a back-pointer to its
-/// descriptor. A tagged pointer to an `Entry` doubles as the RDCSS
-/// descriptor for installing the parent into `addr`: all RDCSS fields
-/// (control address = parent status, expected control = `UNDECIDED`,
-/// new value = tagged parent) are derivable from it and immutable for
-/// the lifetime of the parent's publication.
-///
-/// `addr` is atomic because the hazard scanner reads it from descriptors
-/// it knows only by address — possibly a recycled incarnation — so the
-/// read must never race with the next owner's (re-)initialization.
-/// `parent`/`old`/`new` stay plain: they are written while the
-/// descriptor is private and read only under a validated hazard or an
-/// epoch pin, both of which exclude recycling.
+/// One target word of an operation, as its owner wrote it or a helper
+/// read (and validated) it from the owner's descriptor.
+#[derive(Clone, Copy)]
 struct Entry {
-    parent: *const DcasDescriptor,
-    addr: AtomicPtr<DcasWord>,
+    word: *const DcasWord,
     old: u64,
     new: u64,
 }
 
 impl Entry {
-    /// Placeholder contents for a descriptor sitting in the pool.
-    const fn vacant() -> Self {
-        Entry {
-            parent: ptr::null(),
-            addr: AtomicPtr::new(ptr::null_mut()),
-            old: 0,
-            new: 0,
-        }
+    const VACANT: Entry = Entry { word: ptr::null(), old: 0, new: 0 };
+
+    fn of(word: &DcasWord, old: u64, new: u64) -> Entry {
+        Entry { word, old, new }
+    }
+
+    #[inline]
+    fn word(&self) -> &DcasWord {
+        // SAFETY: entries name words the operation's caller keeps alive
+        // for the call; a helper that outlives the call touches a
+        // type-stable word (module docs, "Tagging and reclamation").
+        unsafe { &*self.word }
     }
 }
 
-/// A CASN descriptor holding up to [`MAX_CASN_WORDS`] entries, of which
-/// the first `len` are live for the current operation (a plain `dcas`
-/// uses 2; the deques' batch operations use up to the maximum). Live
-/// entries are sorted by target address. `len` is atomic for the same
-/// scanner-vs-recycle reason as `Entry::addr`; helpers observe the
-/// owner's value via the publishing SeqCst CAS.
-/// `pub(crate)` so the [`pool`](crate::pool) freelists can name the type.
-#[repr(align(8))]
-pub(crate) struct DcasDescriptor {
-    status: AtomicU64,
-    len: AtomicUsize,
-    entries: [Entry; MAX_CASN_WORDS],
-}
-
-impl DcasDescriptor {
-    pub(crate) fn vacant() -> Self {
-        DcasDescriptor {
-            status: AtomicU64::new(UNDECIDED),
-            len: AtomicUsize::new(0),
-            entries: std::array::from_fn(|_| Entry::vacant()),
-        }
-    }
-}
-
-// The raw pointers inside a descriptor refer to (a) the descriptor itself
-// and (b) `DcasWord`s that the caller guarantees outlive the operation;
-// descriptors are shared across helping threads by design.
-unsafe impl Send for DcasDescriptor {}
-unsafe impl Sync for DcasDescriptor {}
-
-/// Pushes the target-word addresses named by the descriptor at `d` into
-/// `out` — the hazard scanner's *expansion* of an
-/// [`EXPAND_DESC`]-flagged slot. Reads only the atomic fields (`len`,
-/// clamped, and each entry's `addr`), so a stale or recycled descriptor
-/// yields at worst conservative spurious hazards.
-///
-/// # Safety
-///
-/// `d` must point at a `DcasDescriptor` allocation that is still live —
-/// guaranteed for every once-published descriptor because descriptor
-/// memory is immortal under the hazard backend (pool docs).
-pub(crate) unsafe fn expand_descriptor_hazard(d: *const u8, out: &mut Vec<usize>) {
-    let d = d.cast::<DcasDescriptor>();
-    // SAFETY: live allocation per caller contract; atomic loads only.
-    let len = unsafe { (*d).len.load(Ordering::SeqCst) }.min(MAX_CASN_WORDS);
-    for i in 0..len {
-        // SAFETY: as above; `i < MAX_CASN_WORDS` by the clamp.
-        let a = unsafe { (*d).entries[i].addr.load(Ordering::SeqCst) };
-        if !a.is_null() {
-            out.push(a as usize);
-        }
-    }
-}
-
-/// [`expand_descriptor_hazard`] for a single [`EXPAND_ENTRY`]-flagged
-/// entry pointer: pushes just that entry's target-word address (the
-/// range check on the entry address itself already covers the parent
-/// descriptor's allocation, since entries are embedded in it).
-///
-/// # Safety
-///
-/// `e` must point into a live `DcasDescriptor` allocation (same
-/// immortality argument as [`expand_descriptor_hazard`]).
-pub(crate) unsafe fn expand_entry_hazard(e: *const u8, out: &mut Vec<usize>) {
-    let e = e.cast::<Entry>();
-    // SAFETY: live allocation per caller contract; atomic load only.
-    let a = unsafe { (*e).addr.load(Ordering::SeqCst) };
-    if !a.is_null() {
-        out.push(a as usize);
-    }
-}
-
-/// Initializes one live entry of a **private** (unpublished) descriptor
-/// field by field, never forming a reference to the `Entry` or the
-/// descriptor: hazard scanners may concurrently read the *atomic*
-/// fields of a recycled descriptor, and a `&mut` would assert exclusive
-/// access the scanner violates. The plain-field raw writes race with
-/// nothing (helpers hold validated protection, which excludes
-/// recycling; scanners read only atomics).
-///
-/// # Safety
-///
-/// `d` must be exclusively owned by the caller (acquired, not yet
-/// published) and `i < MAX_CASN_WORDS`.
-unsafe fn init_entry(d: *mut DcasDescriptor, i: usize, w: &DcasWord, old: u64, new: u64) {
-    // SAFETY: `d` private per caller contract; projections stay in
-    // bounds; no reference to non-atomic fields is ever shared.
-    unsafe {
-        let e = addr_of_mut!((*d).entries[i]);
-        addr_of_mut!((*e).parent).write(d);
-        addr_of_mut!((*e).old).write(old);
-        addr_of_mut!((*e).new).write(new);
-        (*e).addr.store(w as *const DcasWord as *mut DcasWord, Ordering::Relaxed);
-    }
-}
-
-#[inline]
-fn tagged_entry(e: *const Entry) -> u64 {
-    e as u64 | RDCSS_TAG
-}
-
-#[inline]
-fn tagged_desc(d: *const DcasDescriptor) -> u64 {
-    d as u64 | DCAS_TAG
+/// One incarnation of a CASN descriptor, as the protocol drives it.
+struct Op<'a> {
+    /// The CASN tag naming this incarnation in a word.
+    tag: u64,
+    /// The descriptor's status word.
+    status: &'static AtomicU64,
+    /// The status value meaning "this incarnation is undecided".
+    undecided: u64,
+    /// The entries, sorted by target address.
+    entries: &'a [Entry],
 }
 
 /// Lock-free DCAS emulation (RDCSS + two-entry CASN), generic over the
 /// memory-reclamation backend `R`.
 ///
 /// See the module-level documentation for the protocol. All public
-/// operations are lock-free. Descriptors are pooled — a steady-state
-/// epoch-backed `dcas` performs **zero heap allocations** (a mismatch
-/// detected by the preliminary read fails without even touching the
-/// pool; module docs for the hazard backend's scans) — and
-/// retry/helping loops use exponential backoff.
+/// operations are lock-free. Each thread reuses one descriptor — a
+/// steady-state `dcas` performs **zero heap allocations** and retires
+/// nothing (a mismatch detected by the preliminary read fails without
+/// touching the descriptor) — and retry/helping loops use exponential
+/// backoff.
 ///
 /// `HarrisMcas` (no parameter) is the epoch-backed default;
 /// [`HarrisMcasHazard`] is the same protocol over hazard pointers, whose
 /// garbage stays bounded even under frozen threads.
 pub struct HarrisMcas<R: Reclaimer = EpochReclaimer> {
     counters: Counters,
+    /// Negative control for the stale-helper test: helpers skip the
+    /// sequence re-check and act on whatever incarnation the descriptor
+    /// holds.
+    #[cfg(test)]
+    skip_seq_check: bool,
     _backend: PhantomData<R>,
 }
 
 impl<R: Reclaimer> Default for HarrisMcas<R> {
     fn default() -> Self {
-        HarrisMcas { counters: Counters::default(), _backend: PhantomData }
+        HarrisMcas {
+            counters: Counters::default(),
+            #[cfg(test)]
+            skip_seq_check: false,
+            _backend: PhantomData,
+        }
     }
 }
 
@@ -306,31 +215,23 @@ impl HarrisMcas {
 }
 
 impl<R: Reclaimer> HarrisMcas<R> {
-    /// Whether the backend requires announce-and-validate protection
-    /// (`true` for hazard pointers). Const, so the epoch instantiation
-    /// folds every validation re-read away.
-    const NP: bool = <R::Guard as ReclaimGuard>::NEEDS_PROTECT;
-
     /// Snapshot of this instance's operation counters. All-zero unless
-    /// the crate is built with the `stats` feature — except
-    /// [`descriptor_orphans`](StrategyStats::descriptor_orphans) and the
-    /// reclamation gauges
-    /// ([`live_descriptors`](StrategyStats::live_descriptors),
+    /// the crate is built with the `stats` feature — except the
+    /// descriptor and reclamation gauges
+    /// ([`descriptor_slots`](StrategyStats::descriptor_slots),
     /// [`retired_pending`](StrategyStats::retired_pending),
     /// [`garbage_high_water`](StrategyStats::garbage_high_water),
     /// [`stalled_collections`](StrategyStats::stalled_collections)),
-    /// which audit correctness-relevant events and are reported
-    /// unconditionally. Those are process-global (per backend), like the
-    /// thread-local descriptor pools they audit. The node-pool census
-    /// gauges ([`pool_pages`](StrategyStats::pool_pages),
+    /// which are reported unconditionally and are process-global (per
+    /// backend for the garbage gauges). The node-pool census gauges
+    /// ([`pool_pages`](StrategyStats::pool_pages),
     /// [`pool_nodes_outstanding`](StrategyStats::pool_nodes_outstanding),
     /// [`pool_remote_frees`](StrategyStats::pool_remote_frees)) are
     /// likewise unconditional and process-global, summed over every
     /// registered [`NodePool`](crate::NodePool).
     pub fn stats(&self) -> StrategyStats {
         let mut s = self.counters.snapshot();
-        s.descriptor_orphans = pool::orphan_count();
-        s.live_descriptors = pool::live_descriptors();
+        s.descriptor_slots = desc::descriptor_slots();
         s.retired_pending = R::live_garbage();
         s.garbage_high_water = R::garbage_high_water();
         s.stalled_collections = R::stalled_collections();
@@ -340,137 +241,92 @@ impl<R: Reclaimer> HarrisMcas<R> {
         s
     }
 
-    /// Takes a descriptor for a new operation: recycled from the calling
-    /// thread's freelist when available, freshly boxed otherwise. The
-    /// result is exclusively owned until published.
-    fn acquire_descriptor(&self) -> *mut DcasDescriptor {
-        pool::note_alloc();
-        let d = match pool::acquire() {
-            Some(d) => {
-                self.counters.inc_descriptor_reuse();
-                d
-            }
-            None => {
-                self.counters.inc_descriptor_alloc();
-                Box::into_raw(Box::new(DcasDescriptor::vacant()))
-            }
-        };
-        // Mark the descriptor as the one this thread would orphan if it
-        // died before the release paths below; a panic kill sweeps it
-        // into the quarantine instead of leaking or double-freeing it.
-        #[cfg(feature = "fault-inject")]
-        pool::track_inflight(d);
-        d
-    }
-
-    /// Retires a published descriptor after phase 2: back to a freelist
-    /// once the backend's grace period / hazard drain elapses.
+    /// Starts a new incarnation of the calling thread's CASN descriptor
+    /// for `entries` (sorted by address) and returns it, still private.
     ///
-    /// # Safety
-    ///
-    /// `d` must have been returned by [`Self::acquire_descriptor`] and be
-    /// retired exactly once (only the owner executes this).
-    unsafe fn retire_descriptor(&self, g: &R::Guard, d: *mut DcasDescriptor) {
-        #[cfg(feature = "fault-inject")]
-        pool::clear_inflight();
-        unsafe fn dtor(p: *mut u8) {
-            // SAFETY: the retire contract hands the dtor exclusive
-            // ownership of the block.
-            unsafe { pool::release(p.cast()) };
-        }
-        // SAFETY: phase 2 removed every tagged pointer to `d` from the
-        // target words (transient helper re-installations are covered by
-        // the re-installer's own pin/validated hazard — module docs), so
-        // `d` is unreachable to threads that pin afterwards; the dtor
-        // runs once per the caller contract.
-        unsafe { g.retire(d.cast(), std::mem::size_of::<DcasDescriptor>(), dtor) };
-    }
-
-    /// Disposes of a descriptor that was **never published**: no thread
-    /// can have seen it, so it goes back to the freelist immediately,
-    /// with no grace period.
-    ///
-    /// # Safety
-    ///
-    /// `d` must have been returned by [`Self::acquire_descriptor`] and no
-    /// tagged pointer to it (or its entries) may ever have been stored in
-    /// a [`DcasWord`] since.
-    unsafe fn dispose_unpublished(&self, d: *mut DcasDescriptor) {
-        #[cfg(feature = "fault-inject")]
-        pool::clear_inflight();
-        // SAFETY: `d` is still private, hence exclusively owned.
-        unsafe { pool::release(d) };
-    }
-
-    /// Completes (or reverts) a pending RDCSS installation.
-    ///
-    /// # Safety
-    ///
-    /// `e` must be protected for the whole call: under the epoch backend
-    /// a pin predating any possible retirement of the parent descriptor;
-    /// under the hazard backend a **validated** announcement covering
-    /// the parent's allocation (the entry itself via [`EXPAND_ENTRY`] —
-    /// the scanner's range check covers the parent — or the parent via
-    /// [`EXPAND_DESC`]). The entry's target word is dereferenceable for
-    /// the same reason: the announcement expands to it, and epoch pins
-    /// cover node grace periods.
-    unsafe fn rdcss_complete(&self, e: *const Entry) {
-        // SAFETY: `e` protected per the caller contract, so the parent
-        // cannot be recycled mid-read and the plain fields are stable.
-        let (parent, old, w) =
-            unsafe { ((*e).parent, (*e).old, &*(*e).addr.load(Ordering::Relaxed)) };
-        // SAFETY: `parent` alive under the same protection.
-        let new = if unsafe { &*parent }.status.load(Ordering::SeqCst) == UNDECIDED {
-            tagged_desc(parent)
+    /// The status store opens the seqlock write and the entry stores
+    /// release it: a helper holding the previous incarnation's tag that
+    /// reads any of the new fields reads the new status after them
+    /// ([`desc`](crate::desc), "Validation").
+    fn prepare<'a>(&self, mine: &Mine, entries: &'a [Entry]) -> Op<'a> {
+        if mine.take_fresh() {
+            self.counters.inc_descriptor_alloc();
         } else {
-            old
-        };
-        let _ = w.raw_compare_exchange(tagged_entry(e), new, Ordering::SeqCst, Ordering::SeqCst);
+            self.counters.inc_descriptor_reuse();
+        }
+        let d = &mine.slot.casn;
+        // Only the owner changes the sequence bits, so this load sees
+        // the last incarnation's number whatever state helpers left.
+        let seq = desc::next_seq(desc::status_seq(d.status.load(Ordering::Relaxed)));
+        let undecided = desc::status(seq, desc::UNDECIDED);
+        d.status.store(undecided, Ordering::Relaxed);
+        d.len.store(entries.len(), Ordering::Release);
+        for (f, e) in d.entries.iter().zip(entries) {
+            f.word.store(e.word.cast_mut(), Ordering::Release);
+            f.old.store(e.old, Ordering::Release);
+            f.new.store(e.new, Ordering::Release);
+        }
+        Op { tag: desc::tag(mine.index, seq, CASN_TAG), status: &d.status, undecided, entries }
     }
 
-    /// Attempts to install `tagged_desc(e.parent)` into `*e.addr` iff the
-    /// word holds `e.old` and the parent status is still `UNDECIDED`.
+    /// Completes an RDCSS whose tag `rtag` sits in `w`: installs `casn`
+    /// if `status` still reads `undecided`, else writes `old` back.
+    #[inline]
+    fn rdcss_complete(w: &DcasWord, rtag: u64, status: &AtomicU64, undecided: u64, casn: u64, old: u64) {
+        let new = if status.load(Ordering::SeqCst) == undecided { casn } else { old };
+        let _ = w.raw_compare_exchange(rtag, new, Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    /// Completes the RDCSS whose tag `rtag` was read from `w`, from its
+    /// owner's RDCSS descriptor. Returns the CASN tag that RDCSS
+    /// installs, or `None` when it has already finished (its owner moved
+    /// on, so the tag has left `w`): re-read the word.
+    fn complete_rdcss(w: &DcasWord, rtag: u64) -> Option<u64> {
+        let r = &desc::slot(desc::tag_slot(rtag)).rdcss;
+        let old = r.old.load(Ordering::Acquire);
+        let casn = r.casn.load(Ordering::Acquire);
+        // Seqlock read: ordered after the acquire loads above.
+        if r.seq.load(Ordering::Relaxed) != desc::tag_seq(rtag) {
+            return None;
+        }
+        let status = &desc::slot(desc::tag_slot(casn)).casn.status;
+        let undecided = desc::status(desc::tag_seq(casn), desc::UNDECIDED);
+        Self::rdcss_complete(w, rtag, status, undecided, casn, old);
+        Some(casn)
+    }
+
+    /// Installs `op.tag` into `e`'s word iff the word holds `e.old` and
+    /// `op` is still undecided, through the calling thread's own RDCSS
+    /// descriptor (a new incarnation of it per call).
     ///
     /// Returns `e.old` if the installation took place (possibly already
     /// reverted because the status was decided), or the conflicting value
-    /// otherwise. Never returns an RDCSS-tagged value.
-    ///
-    /// # Safety
-    ///
-    /// The parent descriptor of `e` must be protected per
-    /// [`Self::rdcss_complete`]; `slot` (and above) must be free scratch
-    /// slots of `g`'s window.
-    unsafe fn rdcss(&self, g: &R::Guard, e: &Entry, slot: usize) -> u64 {
-        // SAFETY: target word protected via the parent's hazard
-        // expansion / the epoch pin (caller contract).
-        let w = unsafe { &*e.addr.load(Ordering::Relaxed) };
+    /// otherwise. Never returns an RDCSS tag. When it returns, no tag of
+    /// this RDCSS incarnation is left in any word, so the next call may
+    /// reuse the descriptor.
+    fn rdcss(&self, mine: &Mine, op: &Op<'_>, e: &Entry) -> u64 {
+        let r = &mine.slot.rdcss;
+        let seq = desc::next_seq(r.seq.load(Ordering::Relaxed));
+        // Seqlock write: sequence first, then the released fields.
+        r.seq.store(seq, Ordering::Relaxed);
+        r.old.store(e.old, Ordering::Release);
+        r.casn.store(op.tag, Ordering::Release);
+        let rtag = desc::tag(mine.index, seq, RDCSS_TAG);
+        let w = e.word();
         let mut backoff = Backoff::new();
         loop {
-            match w.raw_compare_exchange(e.old, tagged_entry(e), Ordering::SeqCst, Ordering::SeqCst)
-            {
+            match w.raw_compare_exchange(e.old, rtag, Ordering::SeqCst, Ordering::SeqCst) {
                 Ok(_) => {
-                    // SAFETY: our own entry, still protected by the caller.
-                    unsafe { self.rdcss_complete(e) };
+                    Self::rdcss_complete(w, rtag, op.status, op.undecided, op.tag, e.old);
                     return e.old;
                 }
                 Err(seen) if is_rdcss(seen) => {
                     // Help the conflicting RDCSS finish, then retry ours.
                     self.counters.inc_help();
                     // Not effect-free: earlier entries of our own
-                    // descriptor may already be installed.
+                    // operation may already be installed.
                     fault_point!(MidHelping, false);
-                    let other = (seen & !TAG_MASK) as *const Entry;
-                    g.protect(slot, other as u64 | EXPAND_ENTRY);
-                    if Self::NP && w.raw_load(Ordering::SeqCst) != seen {
-                        // Announced too late — the word moved on; retry
-                        // from a fresh read.
-                        g.clear(slot);
-                        continue;
-                    }
-                    // SAFETY: announced-and-validated (hazard) or pinned
-                    // (epoch) — `other`'s parent cannot be recycled.
-                    unsafe { self.rdcss_complete(other) };
-                    g.clear(slot);
+                    let _ = Self::complete_rdcss(w, seen);
                     backoff.snooze();
                 }
                 Err(seen) => return seen,
@@ -478,92 +334,98 @@ impl<R: Reclaimer> HarrisMcas<R> {
         }
     }
 
-    /// Drives descriptor `d` to completion (both phases). Returns whether
-    /// the DCAS succeeded. Reentrant: called both by the owner and by
-    /// helpers.
-    ///
-    /// # Safety
-    ///
-    /// `d` must be protected for the whole call (owner self-hazard, a
-    /// validated helper hazard at a slot below `slot`, or an epoch pin);
-    /// `slot` and above must be free scratch slots of `g`'s window.
-    unsafe fn casn_help(&self, g: &R::Guard, d: *const DcasDescriptor, slot: usize) -> bool {
-        // SAFETY: forwarded caller contract.
-        unsafe { self.casn_run(g, d, 0, slot) }
+    /// Helps the CASN incarnation `tag` names, found in some word: reads
+    /// its descriptor, validates the read against the sequence number
+    /// and, if it is still that incarnation, drives it through both
+    /// phases. On a mismatch the incarnation is over and its tag has
+    /// left the word, so there is nothing to do.
+    fn help_casn(&self, tag: u64) {
+        let d = &desc::slot(desc::tag_slot(tag)).casn;
+        let len = d.len.load(Ordering::Acquire).min(MAX_CASN_WORDS);
+        let mut entries = [Entry::VACANT; MAX_CASN_WORDS];
+        for (e, f) in entries.iter_mut().zip(&d.entries[..len]) {
+            *e = Entry {
+                word: f.word.load(Ordering::Acquire),
+                old: f.old.load(Ordering::Acquire),
+                new: f.new.load(Ordering::Acquire),
+            };
+        }
+        // Seqlock read: the status carries the sequence number.
+        let st = d.status.load(Ordering::SeqCst);
+        #[cfg(test)]
+        let skip_check = self.skip_seq_check;
+        #[cfg(not(test))]
+        let skip_check = false;
+        if desc::status_seq(st) != desc::tag_seq(tag) && !skip_check {
+            return;
+        }
+        let op = Op {
+            tag,
+            status: &d.status,
+            undecided: desc::undecided_of(st),
+            entries: &entries[..len],
+        };
+        desc::with_mine(|mine| self.casn_run(mine, &op, 0));
     }
 
-    /// [`Self::casn_help`] with the first `skip` entries assumed already
-    /// installed — the owner passes 1 after a fast-path direct install
-    /// (helpers always pass 0). Phase 2 resolves *all* entries regardless.
+    /// Drives `op` to completion (both phases) and returns whether it
+    /// succeeded. Reentrant: called both by the owner and by helpers.
     ///
-    /// # Safety
-    ///
-    /// Same as [`Self::casn_help`]; additionally, for every skipped entry
-    /// the caller must have successfully stored `tagged_desc(d)` into the
-    /// entry's target word while `d.status` was `UNDECIDED`.
-    unsafe fn casn_run(
-        &self,
-        g: &R::Guard,
-        d: *const DcasDescriptor,
-        skip: usize,
-        slot: usize,
-    ) -> bool {
-        // SAFETY: `d` protected per the caller contract.
-        let d_ref = unsafe { &*d };
-        let me = tagged_desc(d);
-        let len = d_ref.len.load(Ordering::SeqCst).min(MAX_CASN_WORDS);
-        if d_ref.status.load(Ordering::SeqCst) == UNDECIDED {
-            let mut status = SUCCEEDED;
+    /// The first `skip` entries are assumed already installed — the owner
+    /// passes 1 after a fast-path direct install (helpers always pass 0).
+    /// Phase 2 resolves *all* entries regardless, and closes the
+    /// incarnation (module docs, "The owner's phase 2 closes the
+    /// incarnation").
+    fn casn_run(&self, mine: &Mine, op: &Op<'_>, skip: usize) -> bool {
+        if op.status.load(Ordering::SeqCst) == op.undecided {
+            let mut state = SUCCEEDED;
             let mut backoff = Backoff::new();
-            'install: for e in &d_ref.entries[skip..len] {
+            'install: for e in &op.entries[skip..] {
                 loop {
-                    // SAFETY: parent protected; `slot` free scratch.
-                    let val = unsafe { self.rdcss(g, e, slot) };
-                    if val == me || val == e.old {
-                        // Our descriptor is (or was, before the status got
+                    let val = self.rdcss(mine, op, e);
+                    if val == op.tag || val == e.old {
+                        // Our tag is (or was, before the status got
                         // decided) installed in this word.
                         break;
                     }
-                    if is_dcas(val) {
-                        // A different DCAS holds this word: help it first,
+                    if is_casn(val) {
+                        // A different CASN holds this word: help it first,
                         // then back off before re-contending the line.
                         self.counters.inc_help();
-                        // Not effect-free: `d` may be our own descriptor
+                        // Not effect-free: this may be our own operation
                         // with earlier entries already installed.
                         fault_point!(MidHelping, false);
-                        let other = (val & !TAG_MASK) as *const DcasDescriptor;
-                        g.protect(slot, other as u64 | EXPAND_DESC);
-                        // SAFETY: target word protected via `d`'s own
-                        // expansion / the epoch pin.
-                        let w = unsafe { &*e.addr.load(Ordering::Relaxed) };
-                        if Self::NP && w.raw_load(Ordering::SeqCst) != val {
-                            // The conflicting descriptor already left the
-                            // word; re-read it via a fresh rdcss.
-                            g.clear(slot);
-                            continue;
-                        }
-                        // SAFETY: announced-and-validated / pinned; the
-                        // recursion scratches strictly above `slot`, so
-                        // our announcement of `other` stays standing.
-                        unsafe { self.casn_help(g, other, slot + 1) };
-                        g.clear(slot);
+                        self.help_casn(val);
                         backoff.snooze();
                         continue;
                     }
-                    status = FAILED;
+                    state = FAILED;
                     break 'install;
                 }
             }
-            let _ = d_ref
-                .status
-                .compare_exchange(UNDECIDED, status, Ordering::SeqCst, Ordering::SeqCst);
+            let _ = op.status.compare_exchange(
+                op.undecided,
+                op.undecided | state,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
         }
-        let succeeded = d_ref.status.load(Ordering::SeqCst) == SUCCEEDED;
-        for e in &d_ref.entries[..len] {
+        let succeeded = op.status.load(Ordering::SeqCst) == op.undecided | SUCCEEDED;
+        for e in op.entries {
             let resolved = if succeeded { e.new } else { e.old };
-            // SAFETY: target word protected via `d`'s expansion / pin.
-            let w = unsafe { &*e.addr.load(Ordering::Relaxed) };
-            let _ = w.raw_compare_exchange(me, resolved, Ordering::SeqCst, Ordering::SeqCst);
+            let w = e.word();
+            loop {
+                match w.raw_compare_exchange(op.tag, resolved, Ordering::SeqCst, Ordering::SeqCst) {
+                    // An RDCSS that installs this incarnation (the status
+                    // is decided, so completing it writes its old value
+                    // back), or one that finished meanwhile: look again.
+                    Err(seen) if is_rdcss(seen) => match Self::complete_rdcss(w, seen) {
+                        Some(casn) if casn != op.tag => break,
+                        _ => {}
+                    },
+                    _ => break,
+                }
+            }
         }
         succeeded
     }
@@ -571,46 +433,22 @@ impl<R: Reclaimer> HarrisMcas<R> {
     /// Helps the in-flight operation a tagged word value belongs to
     /// (RDCSS completion or CASN help). Returns `false` when `v` is a
     /// plain payload, i.e. there was nothing to help. A `true` return
-    /// means the caller must re-read the word — either the operation was
-    /// helped, or (hazard backend) the announcement failed validation
-    /// and the value is stale either way.
+    /// means the caller must re-read the word.
     ///
     /// Only for callers whose own operation is still effect-free — the
     /// fault point here asserts as much.
-    ///
-    /// # Safety
-    ///
-    /// `v` must have been read from `w` under `g`; `slot` and above must
-    /// be free scratch slots of `g`'s window.
-    unsafe fn help_tagged(&self, g: &R::Guard, w: &DcasWord, v: u64, slot: usize) -> bool {
+    fn help_tagged(&self, w: &DcasWord, v: u64) -> bool {
         if is_rdcss(v) {
             self.counters.inc_help();
             // Effect-free: the caller owns nothing published; unwinding
             // here loses no state.
             fault_point!(MidHelping, true);
-            let e = (v & !TAG_MASK) as *const Entry;
-            g.protect(slot, e as u64 | EXPAND_ENTRY);
-            if Self::NP && w.raw_load(Ordering::SeqCst) != v {
-                g.clear(slot);
-                return true;
-            }
-            // SAFETY: announced-and-validated / pinned.
-            unsafe { self.rdcss_complete(e) };
-            g.clear(slot);
+            let _ = Self::complete_rdcss(w, v);
             true
-        } else if is_dcas(v) {
+        } else if is_casn(v) {
             self.counters.inc_help();
             fault_point!(MidHelping, true);
-            let d = (v & !TAG_MASK) as *const DcasDescriptor;
-            g.protect(slot, d as u64 | EXPAND_DESC);
-            if Self::NP && w.raw_load(Ordering::SeqCst) != v {
-                g.clear(slot);
-                return true;
-            }
-            // SAFETY: announced-and-validated / pinned; recursion
-            // scratches above `slot`, keeping our announcement standing.
-            unsafe { self.casn_help(g, d, slot + 1) };
-            g.clear(slot);
+            self.help_casn(v);
             true
         } else {
             false
@@ -619,16 +457,11 @@ impl<R: Reclaimer> HarrisMcas<R> {
 
     /// Descriptor-aware atomic read. Helps any operation found in-flight
     /// at `w` until a plain payload value is visible.
-    ///
-    /// # Safety
-    ///
-    /// `slot` and above must be free scratch slots of `g`'s window.
-    unsafe fn read(&self, g: &R::Guard, w: &DcasWord, slot: usize) -> u64 {
+    fn read(&self, w: &DcasWord) -> u64 {
         let mut backoff = Backoff::new();
         loop {
             let v = w.raw_load(Ordering::SeqCst);
-            // SAFETY: `v` freshly read from `w` under `g`.
-            if !unsafe { self.help_tagged(g, w, v, slot) } {
+            if !self.help_tagged(w, v) {
                 return v;
             }
             backoff.snooze();
@@ -636,16 +469,11 @@ impl<R: Reclaimer> HarrisMcas<R> {
     }
 
     /// The descriptor slow path shared by `dcas` and the `dcas_strong`
-    /// snapshot: acquires a descriptor, runs both CASN phases, retires
-    /// it. No preliminary mismatch check — callers have already read the
-    /// pair.
-    ///
-    /// # Safety
-    ///
-    /// `g` must guard the current thread for the whole call, with its
-    /// whole slot window free.
+    /// snapshot: prepares the thread's descriptor and runs both CASN
+    /// phases. No preliminary mismatch check — callers have already read
+    /// the pair.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn dcas_publish(
+    fn dcas_publish(
         &self,
         g: &R::Guard,
         a1: &DcasWord,
@@ -657,124 +485,65 @@ impl<R: Reclaimer> HarrisMcas<R> {
     ) -> bool {
         // Entries sorted by address so concurrent DCAS operations help one
         // another in a consistent order.
-        let ((w1, ov1, nv1), (w2, ov2, nv2)) = if a1.addr() < a2.addr() {
-            ((a1, o1, n1), (a2, o2, n2))
+        let entries = if a1.addr() < a2.addr() {
+            [Entry::of(a1, o1, n1), Entry::of(a2, o2, n2)]
         } else {
-            ((a2, o2, n2), (a1, o1, n1))
+            [Entry::of(a2, o2, n2), Entry::of(a1, o1, n1)]
         };
-        let d = self.acquire_descriptor();
-        // SAFETY: `d` is exclusively owned until published; a recycled
-        // descriptor is past its grace period / hazard drain, so no
-        // helper of a previous incarnation can observe these writes
-        // (scanners read only the atomic fields, which stay sound).
-        unsafe {
-            (*d).status.store(UNDECIDED, Ordering::Relaxed);
-            (*d).len.store(2, Ordering::Relaxed);
-            init_entry(d, 0, w1, ov1, nv1);
-            init_entry(d, 1, w2, ov2, nv2);
-        }
-        // SAFETY: forwarded caller contract; entries and len written above.
-        unsafe { self.publish_run_retire(g, d) }
+        desc::with_mine(|mine| {
+            let op = self.prepare(mine, &entries);
+            self.publish(g, mine, &op)
+        })
     }
 
-    /// Publishes a fully prepared descriptor (status `UNDECIDED`, `len`
-    /// live entries sorted by address), drives both CASN phases, and
-    /// retires it. Shared tail of `dcas_publish` and `casn`.
+    /// Publishes a prepared incarnation, drives both CASN phases, and
+    /// returns whether it succeeded. Shared tail of `dcas_publish` and
+    /// `casn`.
     ///
-    /// Entry 0 is installed by one plain CAS while the descriptor is
+    /// Entry 0 is installed by one plain CAS while the incarnation is
     /// still private (the owner fast path, module docs); a plain-value
-    /// mismatch there fails the operation with the descriptor never
-    /// published, so it is recycled with no grace period.
+    /// mismatch there fails the operation with the incarnation never
+    /// published.
     ///
-    /// The owner announces its own descriptor in slot 0 (with target-word
-    /// expansion) for the whole operation — the base case of the hazard
-    /// protection induction, and what keeps a thread frozen anywhere in
-    /// here from stranding unprotected target words. Helping and the CASN
-    /// phases scratch from slot 1 up.
-    ///
-    /// # Safety
-    ///
-    /// `g` must guard the current thread for the whole call with its slot
-    /// window free; `d` must come from [`Self::acquire_descriptor`] with
-    /// its status, `len`, and first `len` entries initialized, and never
-    /// have been published.
-    unsafe fn publish_run_retire(&self, g: &R::Guard, d: *mut DcasDescriptor) -> bool {
-        g.protect(0, d as u64 | EXPAND_DESC);
-        // Effect-free: `d` is still private — nobody has seen it, and a
-        // panic kill sweeps it into the quarantine. (A freeze here holds
-        // the slot-0 self-announcement, which is the point.)
+    /// The owner announces its own descriptor slot in hazard slot 0 (with
+    /// target-word expansion) for the whole operation, so the scanner
+    /// protects its target words for as long as its tag can be found —
+    /// also while this thread is frozen anywhere in here.
+    fn publish(&self, g: &R::Guard, mine: &Mine, op: &Op<'_>) -> bool {
+        g.protect(0, (mine.index as u64) << 2 | EXPAND_DESC);
+        // Effect-free: the incarnation is still private — nobody has its
+        // tag, and the next operation simply starts a new one. (A freeze
+        // here holds the slot-0 announcement, which is the point.)
         fault_point!(PreInstall, true);
-        // SAFETY: `d` is still private, so reading its entry is safe.
-        let (w0, ov0) = unsafe {
-            let e = &(*d).entries[0];
-            (&*e.addr.load(Ordering::Relaxed), e.old)
-        };
-        let me = tagged_desc(d);
+        let e0 = &op.entries[0];
+        let w0 = e0.word();
         let mut backoff = Backoff::new();
         loop {
-            match w0.raw_compare_exchange(ov0, me, Ordering::SeqCst, Ordering::SeqCst) {
+            match w0.raw_compare_exchange(e0.old, op.tag, Ordering::SeqCst, Ordering::SeqCst) {
                 Ok(_) => break,
-                Err(seen) if is_rdcss(seen) => {
-                    self.counters.inc_help();
-                    // Effect-free: our own descriptor is still private
-                    // (the fast install did not land).
-                    fault_point!(MidHelping, true);
-                    let other = (seen & !TAG_MASK) as *const Entry;
-                    g.protect(1, other as u64 | EXPAND_ENTRY);
-                    if Self::NP && w0.raw_load(Ordering::SeqCst) != seen {
-                        g.clear(1);
-                        continue;
-                    }
-                    // SAFETY: announced-and-validated / pinned.
-                    unsafe { self.rdcss_complete(other) };
-                    g.clear(1);
-                }
-                Err(seen) if is_dcas(seen) => {
-                    self.counters.inc_help();
-                    fault_point!(MidHelping, true);
-                    let other = (seen & !TAG_MASK) as *const DcasDescriptor;
-                    g.protect(1, other as u64 | EXPAND_DESC);
-                    if Self::NP && w0.raw_load(Ordering::SeqCst) != seen {
-                        g.clear(1);
-                        continue;
-                    }
-                    // SAFETY: announced-and-validated / pinned; recursion
-                    // scratches from slot 2.
-                    unsafe { self.casn_help(g, other, 2) };
-                    g.clear(1);
-                }
+                // Effect-free helping: our incarnation is still private
+                // (the fast install did not land).
+                Err(seen) if self.help_tagged(w0, seen) => {}
                 Err(_) => {
                     // Plain value mismatch: the operation fails without
-                    // the descriptor ever having been published — recycle
-                    // it immediately, no grace period needed.
-                    // Effect-free: unpublished, and the op failed.
+                    // the incarnation ever having been published.
                     fault_point!(PreRelease, true);
                     g.clear(0);
-                    // SAFETY: `d` from `acquire_descriptor`, still private.
-                    unsafe { self.dispose_unpublished(d) };
                     return false;
                 }
             }
             backoff.snooze();
         }
 
-        // SAFETY: guarded; `d` protected by our slot-0 announcement
-        // (owner-owned under epochs); entry 0 installed by the CAS above
-        // while the status was UNDECIDED; scratch from slot 1.
-        let ok = unsafe { self.casn_run(g, d, 1, 1) };
+        // Entry 0 installed by the CAS above while the status was
+        // undecided.
+        let ok = self.casn_run(mine, op, 1);
         // Effect-free only if the operation failed: on success the writes
         // are committed and the caller owns their outcome, so a panic here
-        // would lose it (a freeze is fine — the thread resumes, retires,
-        // and returns normally).
+        // would lose it (a freeze is fine — the thread resumes and returns
+        // normally).
         fault_point!(PreRelease, !ok);
-        // Drop the self-announcement before retiring, so our own scan can
-        // free the descriptor once helpers are done. Helpers that can
-        // still observe a tagged pointer to it hold guards (or validated
-        // hazards) that predate this retirement.
         g.clear(0);
-        // SAFETY: `d` came from `acquire_descriptor` and only the owner
-        // executes this line.
-        unsafe { self.retire_descriptor(g, d) };
         ok
     }
 
@@ -783,16 +552,14 @@ impl<R: Reclaimer> HarrisMcas<R> {
         let g = R::pin();
 
         // Fast path: a preliminary atomic read that observes a mismatch is
-        // a legal linearization of a failed DCAS and costs neither an
-        // allocation nor a pool access. The `||` short-circuits, covering
-        // both orderings: a first-word mismatch never touches the second.
-        // SAFETY: guarded; slot 0 free (help_tagged restores it).
-        if unsafe { self.read(&g, a1, 0) } != o1 || unsafe { self.read(&g, a2, 0) } != o2 {
+        // a legal linearization of a failed DCAS and does not touch the
+        // descriptor. The `||` short-circuits, covering both orderings: a
+        // first-word mismatch never touches the second.
+        if self.read(a1) != o1 || self.read(a2) != o2 {
             return false;
         }
 
-        // SAFETY: `g` guards us for the whole call, window free again.
-        unsafe { self.dcas_publish(&g, a1, a2, o1, o2, n1, n2) }
+        self.dcas_publish(&g, a1, a2, o1, o2, n1, n2)
     }
 
     /// One snapshot attempt for `dcas_strong`: under a single guard, reads
@@ -801,11 +568,9 @@ impl<R: Reclaimer> HarrisMcas<R> {
     /// successful operation invalidated it mid-certification.
     fn snapshot(&self, a1: &DcasWord, a2: &DcasWord) -> Option<(u64, u64)> {
         let g = R::pin();
-        // SAFETY: guarded.
-        let v1 = unsafe { self.read(&g, a1, 0) };
-        let v2 = unsafe { self.read(&g, a2, 0) };
-        // SAFETY: `g` guards us for the whole call.
-        if unsafe { self.dcas_publish(&g, a1, a2, v1, v2, v1, v2) } {
+        let v1 = self.read(a1);
+        let v2 = self.read(a2);
+        if self.dcas_publish(&g, a1, a2, v1, v2, v1, v2) {
             Some((v1, v2))
         } else {
             None
@@ -822,19 +587,17 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
     #[inline]
     fn load(&self, w: &DcasWord) -> u64 {
         self.counters.inc_op();
-        let g = R::pin();
-        // SAFETY: guarded for the duration of the read.
-        unsafe { self.read(&g, w, 0) }
+        let _g = R::pin();
+        self.read(w)
     }
 
     fn store(&self, w: &DcasWord, v: u64) {
         debug_assert!(crate::is_valid_payload(v));
         self.counters.inc_op();
-        let g = R::pin();
+        let _g = R::pin();
         let mut backoff = Backoff::new();
         loop {
-            // SAFETY: guarded.
-            let cur = unsafe { self.read(&g, w, 0) };
+            let cur = self.read(w);
             if w.raw_compare_exchange(cur, v, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
@@ -847,14 +610,13 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
     fn cas(&self, w: &DcasWord, old: u64, new: u64) -> bool {
         debug_assert!(crate::is_valid_payload(old) && crate::is_valid_payload(new));
         self.counters.inc_op();
-        let g = R::pin();
+        let _g = R::pin();
         let mut backoff = Backoff::new();
         loop {
             match w.raw_compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst) {
                 Ok(_) => return true,
                 // Effect-free helping: our CAS has not landed.
-                // SAFETY: `seen` read from `w` under our guard.
-                Err(seen) if unsafe { self.help_tagged(&g, w, seen, 0) } => {}
+                Err(seen) if self.help_tagged(w, seen) => {}
                 Err(_) => return false,
             }
             backoff.snooze();
@@ -890,9 +652,9 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
         //
         // The forward attempt's preliminary read short-circuits on the
         // first mismatching word (both orderings), so a doomed attempt
-        // builds no descriptor at all; the identity snapshots draw from
-        // the pool, so the whole failure path is allocation-free in the
-        // steady state.
+        // prepares no descriptor at all; the identity snapshots reuse the
+        // thread's descriptor, so the whole failure path is
+        // allocation-free.
         self.counters.inc_op();
         self.counters.inc_dcas();
         let mut backoff = Backoff::new();
@@ -931,10 +693,9 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
 
         // Preliminary read fast path, as in `dcas_inner`: a mismatch seen
         // by an atomic read is a legal linearization of the failed CASN
-        // and never touches the descriptor pool.
+        // and never touches the descriptor.
         for e in entries.iter() {
-            // SAFETY: guarded.
-            if unsafe { self.read(&g, e.word, 0) } != e.old {
+            if self.read(e.word) != e.old {
                 self.counters.inc_casn_failure();
                 return false;
             }
@@ -944,20 +705,14 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
         // help one another in a consistent order (same argument as the
         // two-entry case, extended to n).
         entries.sort_unstable_by_key(|e| e.word.addr());
-
-        let d = self.acquire_descriptor();
-        // SAFETY: `d` is exclusively owned until published; a recycled
-        // descriptor is past its grace period / hazard drain (see
-        // `dcas_publish`).
-        unsafe {
-            (*d).status.store(UNDECIDED, Ordering::Relaxed);
-            (*d).len.store(entries.len(), Ordering::Relaxed);
-            for (i, e) in entries.iter().enumerate() {
-                init_entry(d, i, e.word, e.old, e.new);
-            }
+        let mut sorted = [Entry::VACANT; MAX_CASN_WORDS];
+        for (s, e) in sorted.iter_mut().zip(entries.iter()) {
+            *s = Entry::of(e.word, e.old, e.new);
         }
-        // SAFETY: `g` guards us for the whole call; `d` prepared above.
-        let ok = unsafe { self.publish_run_retire(&g, d) };
+        let ok = desc::with_mine(|mine| {
+            let op = self.prepare(mine, &sorted[..entries.len()]);
+            self.publish(&g, mine, &op)
+        });
         if !ok {
             self.counters.inc_casn_failure();
         }
@@ -967,10 +722,10 @@ impl<R: Reclaimer> DcasStrategy for HarrisMcas<R> {
 
 /// [`HarrisMcas`] over the hazard-pointer backend
 /// ([`HazardReclaimer`]): identical protocol and semantics, but retired
-/// garbage — descriptors here, nodes in the deque crates — stays under
-/// the static bound `reclaim::hazard::static_garbage_bound()` even while
-/// threads are frozen mid-operation, where the epoch default grows
-/// without bound. Reports [`DcasStrategy::NAME`] `"harris-mcas-hazard"`.
+/// garbage — the deque crates' nodes — stays under the static bound
+/// `reclaim::hazard::static_garbage_bound()` even while threads are
+/// frozen mid-operation, where the epoch default grows without bound.
+/// Reports [`DcasStrategy::NAME`] `"harris-mcas-hazard"`.
 pub type HarrisMcasHazard = HarrisMcas<HazardReclaimer>;
 
 #[cfg(test)]
@@ -1101,20 +856,28 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::drop_non_drop)] // drop(s) marks where the strategy's lifetime must end
-    fn pool_survives_instance_drop_with_inflight_garbage() {
-        // Dropping the strategy while epoch-deferred releases are still
-        // queued must be safe: the deferred closures capture only the
-        // descriptor pointer and release into the thread-global freelist,
-        // which owns nothing of the dropped instance.
-        let s = HarrisMcas::new();
-        let a = DcasWord::new(0);
-        let b = DcasWord::new(4);
-        for i in 0..64u64 {
-            assert!(s.dcas(&a, &b, i * 8, i * 8 + 4, (i + 1) * 8, (i + 1) * 8 + 4));
-        }
-        drop(s); // any queued releases now own the only pool references
-        EpochReclaimer::flush();
+    fn a_thread_reuses_one_descriptor_across_instances() {
+        // Every operation of a thread rewrites the same descriptor slot,
+        // whichever strategy instance runs it, under a new sequence
+        // number each time.
+        std::thread::spawn(|| {
+            let (s1, s2) = (HarrisMcas::new(), HarrisMcasHazard::default());
+            let a = DcasWord::new(0);
+            let b = DcasWord::new(4);
+            let slot = desc::my_index();
+            let seq = || {
+                desc::status_seq(desc::slot(slot).casn.status.load(Ordering::Relaxed))
+            };
+            let before = seq();
+            for i in 0..50u64 {
+                assert!(s1.dcas(&a, &b, i * 16, i * 16 + 4, i * 16 + 8, i * 16 + 12));
+                assert!(s2.dcas(&a, &b, i * 16 + 8, i * 16 + 12, i * 16 + 16, i * 16 + 20));
+            }
+            assert_eq!(desc::my_index(), slot);
+            assert_eq!(seq(), before + 100, "one incarnation per published operation");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
@@ -1144,17 +907,17 @@ mod tests {
 
     #[test]
     fn reclaim_hazard_mcas_concurrent_counters_preserve_sum() {
-        // The conservation stress on the hazard arm: exercises the
-        // announce/validate helping protocol (including descriptor
-        // recycling through the immortal pool) under real contention.
+        // The conservation stress on the hazard arm: exercises helping
+        // and descriptor reuse with the owner's expanded announcement
+        // under real contention.
         conservation_under_transfers(Arc::new(HarrisMcasHazard::default()), 4, 10_000);
     }
 
     #[test]
     fn reclaim_hazard_mcas_garbage_stays_bounded() {
-        // After descriptor churn on the hazard arm, live garbage must
-        // respect the static bound (the frozen-victim variant lives in
-        // tests/reclaim_torture.rs).
+        // After DCAS churn on the hazard arm, live garbage must respect
+        // the static bound (the frozen-victim variant lives in
+        // tests/reclaim_torture.rs); DCAS itself retires nothing.
         let s = HarrisMcasHazard::default();
         let a = DcasWord::new(0);
         let b = DcasWord::new(4);
@@ -1180,8 +943,119 @@ mod tests {
         assert_eq!(st.ops, 2);
         assert_eq!((st.pair_hits, st.pair_fallbacks), (0, 0));
         // The failed dcas exited on the preliminary read: exactly one
-        // descriptor was ever needed (freshly boxed or drawn from the
-        // process-wide reserve, depending on sibling tests).
+        // descriptor use (the thread's first, or a reuse, depending on
+        // which sibling test ran on this harness thread before).
         assert_eq!(st.descriptor_allocs + st.descriptor_reuses, 1);
+    }
+
+    /// Stale-helper regression. A helper reads the owner's CASN tag from
+    /// a word and freezes at `MidHelping` before acting on it. The owner
+    /// finishes that operation, reuses its descriptor on the same two
+    /// words for a second one, and starts a third, which freezes at
+    /// `PreInstall`: prepared in the reused descriptor, undecided, not
+    /// yet published. Then the helper resumes. It must find the
+    /// sequence number moved on and re-read the word, leaving both
+    /// words at the owner's second values and failing its own DCAS
+    /// (whose expected values were overwritten long ago). A helper that
+    /// skipped the re-check would drive the unpublished third operation
+    /// through under the stale tag instead.
+    ///
+    /// Returns the words after the helper finished, the helper's result,
+    /// the words after the owner resumed, and the owner's third result.
+    #[cfg(feature = "fault-inject")]
+    fn stale_helper_round<R: Reclaimer>(skip_seq_check: bool) -> ([u64; 2], bool, [u64; 2], bool) {
+        use crate::fault::{self, FaultPlan, FaultPoint, KillKind, StallGate};
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+
+        let wait = |cond: &dyn Fn() -> bool, what: &str| {
+            let start = Instant::now();
+            while !cond() {
+                assert!(start.elapsed() < Duration::from_secs(20), "{what} never happened");
+                std::thread::yield_now();
+            }
+        };
+        let s = Arc::new(HarrisMcas::<R> { skip_seq_check, ..Default::default() });
+        // An array, so words[0] has the lower address and is entry 0.
+        let words = Arc::new([DcasWord::new(0), DcasWord::new(4)]);
+        let raw = |w: &[DcasWord; 2]| [0, 1].map(|i| w[i].raw_load(Ordering::SeqCst));
+
+        let (owner_gate, helper_gate) = (StallGate::new(), StallGate::new());
+        let (staged_tx, staged_rx) = mpsc::channel::<Arc<fault::FaultLog>>();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let owner = {
+            let (s, words, gate) = (s.clone(), words.clone(), owner_gate.clone());
+            std::thread::spawn(move || {
+                // The second operation passes PreInstall, the third
+                // freezes there.
+                let plan = FaultPlan::new(1).kill(FaultPoint::PreInstall, 1, KillKind::Freeze(gate));
+                let armed = fault::arm(&plan, 0);
+                desc::with_mine(|mine| {
+                    // First operation, (0, 4) -> (8, 12): published by the
+                    // fast-path install of entry 0, then held there.
+                    let entries = [Entry::of(&words[0], 0, 8), Entry::of(&words[1], 4, 12)];
+                    let op = s.prepare(mine, &entries);
+                    words[0].raw_store(op.tag, Ordering::SeqCst);
+                    staged_tx.send(armed.log()).unwrap();
+                    go_rx.recv().unwrap();
+                    assert!(s.casn_run(mine, &op, 1));
+                });
+                assert!(s.dcas(&words[0], &words[1], 8, 12, 16, 20));
+                s.dcas(&words[0], &words[1], 16, 20, 24, 28)
+            })
+        };
+        let owner_log = staged_rx.recv().unwrap();
+        let helper = {
+            let (s, words, gate) = (s.clone(), words.clone(), helper_gate.clone());
+            let (log_tx, log_rx) = mpsc::channel();
+            let h = std::thread::spawn(move || {
+                let plan = FaultPlan::new(2).kill(FaultPoint::MidHelping, 0, KillKind::Freeze(gate));
+                let armed = fault::arm(&plan, 1);
+                log_tx.send(armed.log()).unwrap();
+                // Its preliminary read meets the first operation's tag.
+                s.dcas(&words[0], &words[1], 0, 4, 100, 104)
+            });
+            let log = log_rx.recv().unwrap();
+            wait(&|| log.is_frozen(), "the helper's freeze");
+            h
+        };
+        go_tx.send(()).unwrap();
+        wait(&|| owner_log.is_frozen(), "the owner's freeze before its third operation");
+        helper_gate.release();
+        let helped = helper.join().unwrap();
+        let after_helper = raw(&words);
+        owner_gate.release();
+        let third = owner.join().unwrap();
+        (after_helper, helped, raw(&words), third)
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn assert_stale_helper_is_harmless<R: Reclaimer>(skip_seq_check: bool) {
+        let (after_helper, helped, after_owner, third) = stale_helper_round::<R>(skip_seq_check);
+        assert_eq!(after_helper, [16, 20], "the stale helper changed the owner's second values");
+        assert!(!helped, "the helper's DCAS succeeded on values it could not have seen");
+        assert_eq!((after_owner, third), ([24, 28], true), "the owner's third DCAS went wrong");
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn stale_helper_leaves_a_reused_descriptor_alone() {
+        assert_stale_helper_is_harmless::<EpochReclaimer>(false);
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn reclaim_hazard_stale_helper_leaves_a_reused_descriptor_alone() {
+        assert_stale_helper_is_harmless::<HazardReclaimer>(false);
+    }
+
+    /// Negative control: without the sequence re-check the stale helper
+    /// adopts the reused descriptor's third operation, and the test
+    /// above must catch it.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    #[should_panic(expected = "the stale helper changed the owner's second values")]
+    fn stale_helper_without_seq_check_is_caught() {
+        assert_stale_helper_is_harmless::<EpochReclaimer>(true);
     }
 }

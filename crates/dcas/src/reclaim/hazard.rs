@@ -17,26 +17,67 @@
 //!
 //! — the bound `tests/reclaim_torture.rs` asserts while a victim thread
 //! is frozen mid-operation. The `MAX_CASN_WORDS` factor comes from
-//! *descriptor expansion*: a slot flagged
-//! [`super::EXPAND_DESC`] or
-//! [`super::EXPAND_ENTRY`] additionally protects the
-//! entry target words the descriptor names (see
-//! `mcas::expand_descriptor_hazard`), which is what keeps helper-side
-//! phase-2 CASes on already-unlinked nodes safe.
+//! *descriptor expansion*: a slot flagged [`super::EXPAND_DESC`] names a
+//! DCAS descriptor slot instead of an address, and the scanner protects
+//! the target words that descriptor names (see
+//! `desc::expand_descriptor_hazard`). The only blocks retired through
+//! this backend are the deques' nodes: DCAS descriptors are reused by
+//! their threads, never retired.
 //!
 //! # Why descriptor expansion is safe to read
 //!
-//! The scanner dereferences a flagged slot value to read the
-//! descriptor's `len`/entry addresses. That read races with slot
-//! clears, so it must stay safe even against a *stale* snapshot — which
-//! it is, because descriptor memory is **immortal**: under this backend
-//! every descriptor free goes back to the descriptor pool's
-//! freelists or their global reserve, never to the allocator, so a
-//! once-valid descriptor address always points at a live
-//! `DcasDescriptor` allocation whose `len` and entry-address fields are
-//! atomics. A recycled descriptor yields garbage addresses — the scan
-//! merely keeps a few blocks conservatively for one round.
+//! The scanner reads the descriptor a flagged slot names. That read
+//! races with the owner starting its next operation, so it must stay
+//! safe against a *stale* snapshot — which it is, because descriptor
+//! memory is **immortal**: descriptor slots are allocated once and never
+//! freed (`desc`), and every field the scanner reads is an atomic. A
+//! snapshot that races the owner's next operation yields that
+//! operation's words, and the scan merely keeps a few blocks
+//! conservatively for one round.
 //!
+//! # What a stale helper may touch
+//!
+//! A DCAS owner announces its own descriptor, expanded, from before it
+//! publishes an operation until after its phase 2 has closed it (`mcas`
+//! module docs): for as long as any thread can find the operation's tag
+//! in a word, a scan protects every node holding one of its target
+//! words. Helpers announce nothing. A helper can still act on an
+//! operation after its owner has returned and dropped that announcement,
+//! if it read the tag or the descriptor before then; a node of that
+//! operation may by then be retired, freed to its [`NodePool`] and
+//! reused, possibly by another deque. Every access such a stale helper
+//! makes to a target word is one of these:
+//!
+//! 1. *A load, or a compare-exchange whose expected value is a tag of the
+//!    finished incarnation* — the phase-2 resolution, or completing an
+//!    RDCSS that installs it. No word holds such a tag after the owner's
+//!    phase 2, so these only read the word. A load that finds another
+//!    operation's tag in a reused word leads the helper to help that
+//!    operation, which is the protocol itself.
+//! 2. *An RDCSS install and its completion.* The helper's install writes
+//!    its own RDCSS tag into the word iff the word holds the entry's old
+//!    value (which a reused word may hold again), and the completion
+//!    then writes that old value back, since the finished incarnation's
+//!    status no longer reads undecided. The word's value is preserved.
+//!    Until the completion lands, any thread that reads the word through
+//!    a strategy finds an RDCSS tag whose descriptor is the helper's own,
+//!    still live, and completes it the same way.
+//!
+//! Both are memory safe because the node words are type-stable: pool
+//! pages are never unmapped and every word a strategy touches is an
+//! atomic (the [`alloc`](crate::alloc) quarantine contract). Neither kind
+//! changes a value a reader can observe through a strategy. A word read
+//! *around* the strategy (`DcasWord::unsync_load_shared` in a teardown
+//! walk) could see the transient RDCSS tag of kind 2 if that walk raced a
+//! helper stalled between its two compare-exchanges on a recycled node;
+//! the teardown walks run on deques no thread still operates on, and
+//! such a helper belongs to an operation on another deque that reached
+//! this node through reuse, between two adjacent instructions. Nothing
+//! on the garbage bound changes: it counts announcements, and helpers
+//! now make none.
+//!
+//! [`NodePool`]: crate::NodePool
+
 //! # Scan ordering
 //!
 //! A scan (1) takes its own retired list (plus any orphans it can
@@ -61,8 +102,8 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use super::{Gauge, ReclaimGuard, Reclaimer, EXPAND_DESC, EXPAND_ENTRY, EXPAND_MASK};
-use crate::mcas::{expand_descriptor_hazard, expand_entry_hazard};
+use super::{Gauge, ReclaimGuard, Reclaimer, EXPAND_DESC};
+use crate::desc::expand_descriptor_hazard;
 
 /// Hazard slots per thread record. A guard window uses one slot per
 /// simultaneously protected pointer: the deque chunk walks need
@@ -204,18 +245,12 @@ fn snapshot_hazards(hazards: &mut Vec<usize>) {
             if v == 0 {
                 continue;
             }
-            let addr = (v & !EXPAND_MASK) as usize;
-            hazards.push(addr);
             if v & EXPAND_DESC != 0 {
-                // SAFETY: flagged values are descriptor addresses and
-                // descriptor memory is immortal under this backend
-                // (module docs), so the atomic field reads inside are
-                // always in-bounds of a live allocation.
-                unsafe { expand_descriptor_hazard(addr as *const u8, hazards) };
-            } else if v & EXPAND_ENTRY != 0 {
-                // SAFETY: as above — entries are embedded in immortal
-                // descriptor memory.
-                unsafe { expand_entry_hazard(addr as *const u8, hazards) };
+                // A descriptor slot, not an address: protect the words
+                // it names (module docs: slots are immortal).
+                expand_descriptor_hazard((v >> 2) as usize, hazards);
+            } else {
+                hazards.push(v as usize);
             }
         }
         cur = rec.next.load(Ordering::Acquire);

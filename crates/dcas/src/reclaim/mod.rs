@@ -1,8 +1,9 @@
 //! Pluggable memory reclamation for the lock-free strategies.
 //!
-//! Every retirement in this workspace — DCAS descriptors in
-//! [`mcas`](crate::HarrisMcas), nodes in the `deque-core` linked deques —
-//! used to go straight to `crossbeam-epoch`. Epochs are fast, but a
+//! Every retirement in this workspace — the nodes of the `deque-core`
+//! linked deques — used to go straight to `crossbeam-epoch` (DCAS
+//! descriptors are not retired at all: each thread reuses its own, see
+//! [`HarrisMcas`](crate::HarrisMcas)). Epochs are fast, but a
 //! thread frozen inside a pinned section pins the global epoch forever
 //! and lets garbage grow **without bound** (exactly the adversary the
 //! `fault-inject` `Freeze` kill delivers). This module abstracts the
@@ -50,11 +51,11 @@
 //! dereferencing — the announce/validate/deref dance documented at each
 //! call site. Guards nest strictly LIFO per thread.
 //!
-//! Descriptor hazards carry one of two low flag bits
-//! ([`EXPAND_DESC`]/[`EXPAND_ENTRY`]) telling the hazard scanner to
-//! *expand* the announcement to the descriptor's entry target words,
-//! which closes the helper-side phase-2 window (see
-//! `mcas::expand_descriptor_hazard`).
+//! A DCAS owner announces its own descriptor with the low flag bit
+//! [`EXPAND_DESC`], telling the hazard scanner to *expand* the
+//! announcement to the descriptor's target words, so they stay protected
+//! while helpers can find the operation (see
+//! `desc::expand_descriptor_hazard`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,20 +66,11 @@ use crate::stripe::{self, Striped, STRIPES};
 
 pub mod hazard;
 
-/// Flag bit on a hazard-slot value: the protected address is a
-/// `DcasDescriptor`; the scanner also protects every entry target word
-/// the descriptor names. Descriptors are 8-aligned so the low bits are
-/// free.
+/// Flag bit on a hazard-slot value: the value is not an address but
+/// `index << 2 | EXPAND_DESC`, naming a DCAS descriptor slot; the scanner
+/// protects every target word that slot's CASN descriptor names.
+/// Announced addresses are 8-aligned, so the low bit is free.
 pub const EXPAND_DESC: u64 = 0b01;
-
-/// Flag bit on a hazard-slot value: the protected address is a single
-/// descriptor `Entry`; the scanner also protects that entry's target
-/// word (and the range check on the entry address itself covers the
-/// parent descriptor's allocation, since entries are embedded in it).
-pub const EXPAND_ENTRY: u64 = 0b10;
-
-/// Mask clearing both expansion flags off a hazard-slot value.
-pub const EXPAND_MASK: u64 = 0b11;
 
 /// A pluggable reclamation backend. All methods are static: backends
 /// are process-wide (per-thread state lives in TLS inside the backend),
@@ -129,8 +121,8 @@ pub trait ReclaimGuard {
     /// code away (epochs protect by pinning alone).
     const NEEDS_PROTECT: bool;
 
-    /// Announces `addr` (with optional [`EXPAND_DESC`]/[`EXPAND_ENTRY`]
-    /// flag bits) in slot `slot` of this guard's window. The caller
+    /// Announces `addr` (or an [`EXPAND_DESC`]-flagged descriptor slot)
+    /// in slot `slot` of this guard's window. The caller
     /// must re-validate the source word before relying on the
     /// protection. No-op when `NEEDS_PROTECT` is `false`.
     fn protect(&self, slot: usize, addr: u64);
@@ -218,7 +210,7 @@ impl Gauge {
     }
 }
 
-/// Gauge for all epoch-backend retirements (descriptors and nodes).
+/// Gauge for all epoch-backend retirements.
 pub(crate) static EPOCH_GAUGE: Gauge = Gauge::new();
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //!
 //! With the `stats` feature enabled, [`HarrisMcas`](crate::HarrisMcas)
 //! (and any other strategy that opts in) counts operations, DCAS
-//! failures, helping events, and descriptor pool traffic, exposed as a
+//! failures, helping events, and descriptor reuse, exposed as a
 //! [`StrategyStats`] snapshot. With the feature disabled every counter
 //! method is an empty `#[inline]` body and the counter block is a
 //! zero-sized struct, so the hot path pays nothing.
@@ -52,28 +52,25 @@ pub struct StrategyStats {
     /// Times this strategy helped another thread's in-flight operation
     /// (RDCSS completion or CASN help on a foreign descriptor).
     pub helps: u64,
-    /// Descriptors taken from the pool freelist (recycled).
+    /// Operations that reused their thread's descriptor (every one after
+    /// the thread's first).
     pub descriptor_reuses: u64,
-    /// Descriptors created with a fresh heap allocation (pool miss).
+    /// Operations that created their thread's descriptor (each thread's
+    /// first, which claims a descriptor slot).
     pub descriptor_allocs: u64,
     /// Multi-word `casn` invocations (the batch-operation primitive).
     pub casn_ops: u64,
     /// `casn` invocations that returned `false`.
     pub casn_failures: u64,
-    /// Descriptors quarantined because their owning thread was killed
-    /// mid-operation (see [`orphan_count`](crate::orphan_count)).
-    /// Process-global — like the thread-local descriptor pools it
-    /// audits — and reported regardless of the `stats` feature, since
-    /// it tracks a correctness-relevant event, not hot-path telemetry.
-    pub descriptor_orphans: u64,
-    /// Descriptors currently checked out to operations (or aging through
-    /// a reclamation grace period / hazard drain). A snapshot-time gauge
-    /// read from the process-global pool accounting
-    /// ([`live_descriptors`](crate::live_descriptors)), reported
-    /// regardless of the `stats` feature.
-    pub live_descriptors: u64,
+    /// Descriptor slots allocated process-wide, one CASN and one RDCSS
+    /// descriptor each ([`descriptor_slots`](crate::descriptor_slots)).
+    /// Slots are never freed and an exiting thread's slot goes to the
+    /// next thread, so this is the most threads that held descriptors at
+    /// once. Snapshot-time gauge, reported regardless of the `stats`
+    /// feature.
+    pub descriptor_slots: u64,
     /// Blocks retired through this strategy's reclamation backend and
-    /// not yet freed (descriptors and client nodes alike). Snapshot-time
+    /// not yet freed (the client deques' nodes). Snapshot-time
     /// gauge, process-global per backend, reported regardless of the
     /// `stats` feature.
     pub retired_pending: u64,
@@ -111,9 +108,9 @@ pub struct StrategyStats {
 }
 
 impl StrategyStats {
-    /// Fraction of descriptor acquisitions served by the freelist, in
-    /// `[0, 1]`; `1.0` means the steady state allocates nothing. `None`
-    /// when no descriptor was ever acquired.
+    /// Fraction of descriptor uses that reused the thread's descriptor,
+    /// in `[0, 1]`: below `1.0` only by one creation per thread. `None`
+    /// when no descriptor was ever used.
     pub fn reuse_rate(&self) -> Option<f64> {
         let total = self.descriptor_reuses + self.descriptor_allocs;
         (total != 0).then(|| self.descriptor_reuses as f64 / total as f64)
@@ -129,7 +126,7 @@ impl StrategyStats {
     /// stable iteration surface for exporters (e.g. `crates/obs`'
     /// metrics registry), so adding a counter here automatically reaches
     /// every report format.
-    pub fn fields(&self) -> [(&'static str, u64); 16] {
+    pub fn fields(&self) -> [(&'static str, u64); 15] {
         [
             ("ops", self.ops),
             ("dcas_ops", self.dcas_ops),
@@ -139,8 +136,7 @@ impl StrategyStats {
             ("descriptor_allocs", self.descriptor_allocs),
             ("casn_ops", self.casn_ops),
             ("casn_failures", self.casn_failures),
-            ("descriptor_orphans", self.descriptor_orphans),
-            ("live_descriptors", self.live_descriptors),
+            ("descriptor_slots", self.descriptor_slots),
             ("retired_pending", self.retired_pending),
             ("garbage_high_water", self.garbage_high_water),
             ("stalled_collections", self.stalled_collections),
@@ -152,7 +148,7 @@ impl StrategyStats {
 
     /// Field-wise difference (`self - earlier`), for measuring a phase.
     ///
-    /// The gauge fields (`live_descriptors`, `retired_pending`,
+    /// The gauge fields (`descriptor_slots`, `retired_pending`,
     /// `garbage_high_water`, `stalled_collections`) are not monotonic
     /// deltas like the counters, so their difference saturates at zero
     /// rather than wrapping when the later snapshot is smaller.
@@ -168,8 +164,7 @@ impl StrategyStats {
             descriptor_allocs: self.descriptor_allocs - earlier.descriptor_allocs,
             casn_ops: self.casn_ops - earlier.casn_ops,
             casn_failures: self.casn_failures - earlier.casn_failures,
-            descriptor_orphans: self.descriptor_orphans - earlier.descriptor_orphans,
-            live_descriptors: self.live_descriptors.saturating_sub(earlier.live_descriptors),
+            descriptor_slots: self.descriptor_slots.saturating_sub(earlier.descriptor_slots),
             retired_pending: self.retired_pending.saturating_sub(earlier.retired_pending),
             garbage_high_water: self
                 .garbage_high_water
@@ -232,9 +227,9 @@ impl Counters {
         inc_dcas_failure => dcas_failures;
         /// Helped a foreign in-flight operation.
         inc_help => helps;
-        /// Descriptor served from the pool freelist.
+        /// An operation reused its thread's descriptor.
         inc_descriptor_reuse => descriptor_reuses;
-        /// Descriptor freshly heap-allocated.
+        /// An operation created its thread's descriptor.
         inc_descriptor_alloc => descriptor_allocs;
         /// One multi-word `casn` invocation.
         inc_casn => casn_ops;
@@ -258,9 +253,8 @@ impl Counters {
                 s.casn_ops += line.casn_ops.load(Ordering::Relaxed);
                 s.casn_failures += line.casn_failures.load(Ordering::Relaxed);
             }
-            // descriptor_orphans is global, not per-counter-block: filled
-            // in by the strategies that own pooled descriptors
-            // (`HarrisMcas`).
+            // The process-global gauges are filled in by the strategy
+            // (`HarrisMcas::stats`).
             s
         }
         #[cfg(not(feature = "stats"))]

@@ -187,7 +187,7 @@ fn strategy_section(deque: &Recorded<ArrayDeque<u64>>, reg: &mut MetricsRegistry
 /// hazard-backed strategy gives the hazard gauges real traffic (the
 /// epoch gauges already saw every other section's work); the hazard
 /// backend's `strategy_stats` row also lands in the registry, where the
-/// `live_descriptors` / `retired_pending` / `garbage_high_water` /
+/// `descriptor_slots` / `retired_pending` / `garbage_high_water` /
 /// `stalled_collections` gauge fields report regardless of features.
 fn reclaim_section(reg: &mut MetricsRegistry) {
     use dcas_deques::dcas::{EpochReclaimer, HazardReclaimer, Reclaimer};
@@ -228,8 +228,8 @@ fn reclaim_section(reg: &mut MetricsRegistry) {
                 Json::U64(dcas_deques::dcas::reclaim::hazard::static_garbage_bound()),
             ),
             (
-                "live_descriptors".into(),
-                Json::U64(dcas_deques::dcas::live_descriptors()),
+                "descriptor_slots".into(),
+                Json::U64(dcas_deques::dcas::descriptor_slots()),
             ),
         ]),
     );

@@ -30,7 +30,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Collect (attempt an epoch advance and run ripe deferred closures)
@@ -149,6 +149,10 @@ struct Global {
     registry: Mutex<Vec<Arc<Local>>>,
     /// Garbage left behind by exited threads.
     orphans: Mutex<Vec<(u64, Deferred)>>,
+    /// Whether `orphans` may be non-empty. Set and cleared only under
+    /// the `orphans` lock, read without it: a collection skips the lock
+    /// while no thread has exited with garbage, which is nearly always.
+    has_orphans: AtomicBool,
 }
 
 fn global() -> &'static Global {
@@ -157,6 +161,7 @@ fn global() -> &'static Global {
         epoch: AtomicU64::new(2),
         registry: Mutex::new(Vec::new()),
         orphans: Mutex::new(Vec::new()),
+        has_orphans: AtomicBool::new(false),
     })
 }
 
@@ -217,7 +222,9 @@ impl Drop for LocalHandle {
         let leftovers: Vec<(u64, Deferred)> =
             self.local.garbage.borrow_mut().drain(..).collect();
         if !leftovers.is_empty() {
-            g.orphans.lock().unwrap().extend(leftovers);
+            let mut orphans = g.orphans.lock().unwrap();
+            orphans.extend(leftovers);
+            g.has_orphans.store(true, Ordering::Release);
         }
         let mut registry = g.registry.lock().unwrap();
         registry.retain(|l| !Arc::ptr_eq(l, &self.local));
@@ -297,7 +304,16 @@ fn collect(local: &Local) {
     // closure that re-enters `collect` then finds an empty buffer.
     let mut ripe = local.ripe.take();
     drain_ripe(&mut local.garbage.borrow_mut(), epoch, &mut ripe);
-    drain_ripe(&mut g.orphans.lock().unwrap(), epoch, &mut ripe);
+    // The flag is only a hint to skip the lock: a set that this load
+    // misses was made by an exit that raced this collection, and the
+    // next collection sees it.
+    if g.has_orphans.load(Ordering::Acquire) {
+        let mut orphans = g.orphans.lock().unwrap();
+        drain_ripe(&mut orphans, epoch, &mut ripe);
+        if orphans.is_empty() {
+            g.has_orphans.store(false, Ordering::Relaxed);
+        }
+    }
     // Run outside every lock and borrow: closures may take unrelated
     // locks or defer more garbage.
     for d in ripe.drain(..) {
@@ -466,6 +482,26 @@ mod tests {
         .join()
         .unwrap();
         drive_until(|| DROPS.load(Ordering::SeqCst) == 1);
+    }
+
+    #[test]
+    fn orphan_flag_tracks_the_orphan_list() {
+        std::thread::spawn(|| {
+            let g = pin();
+            unsafe { g.defer_unchecked(|| {}) };
+        })
+        .join()
+        .unwrap();
+        // The exit parked its unripe closure and raised the flag; the
+        // collections that drain the list lower it again. Other tests'
+        // exiting threads may raise it meanwhile, so only the pairing
+        // "flag down implies list empty" is exact.
+        drive_until(|| !global().has_orphans.load(Ordering::Acquire));
+        let orphans = global().orphans.lock().unwrap();
+        assert!(
+            orphans.is_empty() || global().has_orphans.load(Ordering::Acquire),
+            "orphans parked with the flag down"
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! is a test binary of its own: the override stays local to this
 //! process. The count is per thread, so the harness's own allocations
 //! on other threads do not show. Anything on the measured path that
-//! reaches the allocator fails the test: a descriptor pool miss, a
-//! node-pool miss, the epoch collector building a fresh buffer per
+//! reaches the allocator fails the test: a second DCAS descriptor for
+//! the thread, a node-pool miss, the epoch collector building a fresh buffer per
 //! collection, a deferred closure (such as the garbage gauge's) that
 //! outgrows the collector's inline words and gets boxed, a hazard scan
 //! building fresh candidate or snapshot buffers, or an LFRC `release`
@@ -90,9 +90,9 @@ const DEQUE_OPS: u64 = 400_000;
 
 #[test]
 fn pooled_steady_state_dcas_and_list_deque_make_no_heap_allocations() {
-    // Phase 1: `dcas`. The warmup fills the descriptor freelist and
-    // grows every buffer on the path (garbage queue, collector scratch,
-    // freelist) to its steady-state capacity.
+    // Phase 1: `dcas`. The warmup creates the thread's descriptor (its
+    // one allocation) and grows every buffer on the path to its
+    // steady-state capacity.
     let s = HarrisMcas::new();
     let (a, b) = (DcasWord::new(0), DcasWord::new(4));
     let mut x = 0u64;
@@ -133,10 +133,9 @@ fn pooled_steady_state_dcas_and_list_deque_make_no_heap_allocations() {
         "{DEQUE_OPS} steady-state ListDeque ops made {n} heap allocations"
     );
 
-    // Phase 3: `dcas` over the hazard-pointer backend. Every retired
-    // descriptor goes through the record's retired list, and every
-    // 128th retirement scans; the warmup grows the list and the scan
-    // buffers to their steady-state capacity.
+    // Phase 3: `dcas` over the hazard-pointer backend, which announces
+    // the thread's descriptor slot for each operation and retires
+    // nothing; the warmup has the backend claim its thread record.
     let s = HarrisMcasHazard::default();
     let (a, b) = (DcasWord::new(0), DcasWord::new(4));
     let mut x = 0u64;

@@ -18,16 +18,17 @@
 //! 2. **Leak freedom** — values are drop-counted ([`Counted`]); the
 //!    live count returns to zero once the deque is dropped, even when
 //!    the victim unwound out of a half-built batch (the push-path
-//!    unwind guards) or left an orphaned descriptor behind.
-//! 3. **Quarantine** — a panic kill at `PreInstall` must move the
-//!    victim's in-flight pooled descriptor into the permanent
-//!    quarantine ([`dcas::orphan_count`] grows) instead of recycling
-//!    memory that helpers may still probe.
+//!    unwind guards).
+//! 3. **Life after the kill** — a victim whose panic kill unwound it out
+//!    of an operation completes one more operation on the same thread:
+//!    the kill lands only at effect-free points, so the thread's DCAS
+//!    descriptor (which it keeps for life) is named by no word and is
+//!    ready for its next operation.
 //!
 //! All randomness flows from one seed printed at the start of every
 //! test (override with `TORTURE_SEED=<n> cargo test --test torture`),
 //! and every run is guarded by the shared [`Watchdog`]: a wedged run
-//! aborts with the victim's fault log, pool counters, and per-thread
+//! aborts with the victim's fault log, the descriptor-slot count, and per-thread
 //! progress, plus the replay command.
 
 use std::collections::HashSet;
@@ -44,9 +45,8 @@ use dcas_deques::harness::{torture_seed, Watchdog};
 type Fis = FaultInjecting<HarrisMcas>;
 
 /// Drop-counted value: `live` tracks every `Counted` in existence, so a
-/// leak (or double-free) anywhere — deque internals, unwound batches,
-/// quarantined descriptors — shows up as a nonzero
-/// count after teardown.
+/// leak (or double-free) anywhere — deque internals, unwound batches —
+/// shows up as a nonzero count after teardown.
 struct Counted {
     v: u64,
     live: Arc<AtomicI64>,
@@ -156,20 +156,14 @@ struct MatrixOpts {
     /// Whether batched ops are chunk-atomic CASN overrides (exact under
     /// a mid-op kill) rather than the per-element default loops.
     atomic_batches: bool,
-    /// Whether the deque's ops run the MCAS descriptor protocol, so a
-    /// `PreInstall` panic must grow the orphan quarantine. The
-    /// CAS-only sundell deque never allocates a descriptor — its
-    /// `PreInstall` hook fires in its own push loop — so the assertion
-    /// does not apply there.
-    descriptor_quarantine: bool,
 }
 
 impl MatrixOpts {
-    const DCAS: MatrixOpts = MatrixOpts { atomic_batches: true, descriptor_quarantine: true };
-    const DCAS_SINGLES: MatrixOpts =
-        MatrixOpts { atomic_batches: false, descriptor_quarantine: true };
-    const CAS_ONLY: MatrixOpts =
-        MatrixOpts { atomic_batches: false, descriptor_quarantine: false };
+    const DCAS: MatrixOpts = MatrixOpts { atomic_batches: true };
+    const DCAS_SINGLES: MatrixOpts = MatrixOpts { atomic_batches: false };
+    /// The CAS-only sundell deque: per-element batches, and no DCAS
+    /// descriptor anywhere (its fault hooks are its own).
+    const CAS_ONLY: MatrixOpts = MatrixOpts { atomic_batches: false };
 }
 
 /// Ops each survivor must complete *after* the victim's kill lands.
@@ -200,7 +194,7 @@ where
         .spurious(40)
         .stalls(40, 300)
         .kill(point, 3, kind);
-    let orphans_before = dcas::orphan_count();
+    let recovered = AtomicBool::new(false);
 
     let stop = Arc::new(AtomicBool::new(false));
     let pushed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
@@ -213,13 +207,7 @@ where
         watchdog.diagnostic("survivor post-kill ops", move || {
             format!("{} (quota {} x3)", ops.load(Ordering::Relaxed), QUOTA)
         });
-        watchdog.diagnostic("descriptor pool", || {
-            format!(
-                "orphans={} quarantine={}",
-                dcas::orphan_count(),
-                dcas::quarantine_len()
-            )
-        });
+        watchdog.diagnostic("descriptor slots", || dcas::descriptor_slots().to_string());
     }
 
     let victim_log: Arc<FaultLog> = std::thread::scope(|s| {
@@ -233,6 +221,7 @@ where
             let pushed = Arc::clone(&pushed);
             let popped = Arc::clone(&popped);
             let plan = plan.clone();
+            let recovered = &recovered;
             s.spawn(move || {
                 let guard = fault::arm(&plan, 0);
                 let log = guard.log();
@@ -258,6 +247,20 @@ where
                         )
                     }));
                     if r.is_err() {
+                        // The unwound thread keeps working: one more op
+                        // on the same thread (and, over `HarrisMcas`, the
+                        // same descriptor) before it retires.
+                        one_op(
+                            &*deque,
+                            &mut rng,
+                            0,
+                            &mut counter,
+                            &live,
+                            &mut my_pushed,
+                            &mut my_popped,
+                            opts.atomic_batches,
+                        );
+                        recovered.store(true, Ordering::Release);
                         break;
                     }
                 }
@@ -328,15 +331,10 @@ where
         Kill::Freeze => assert!(victim_log.is_frozen(), "{label}: wrong kill kind delivered"),
         Kill::Panic => {
             assert!(victim_log.is_panicked(), "{label}: wrong kill kind delivered");
-            // A panic at PreInstall always interrupts a private
-            // in-flight descriptor; it must be quarantined, never
-            // recycled (helpers may still hold tagged pointers to it).
-            if opts.descriptor_quarantine && point == FaultPoint::PreInstall {
-                assert!(
-                    dcas::orphan_count() > orphans_before,
-                    "{label}: killed descriptor was not quarantined"
-                );
-            }
+            assert!(
+                recovered.load(Ordering::Acquire),
+                "{label}: the unwound victim did not complete an op afterwards"
+            );
         }
     }
 
@@ -763,10 +761,9 @@ type FisH = FaultInjecting<dcas::HarrisMcasHazard>;
 
 #[test]
 fn list_deque_survives_panicked_thread_hazard_reclaim() {
-    // Same panic-kill matrix as the epoch-backed run: the PreInstall
-    // quarantine assertion (`dcas::orphan_count` grows) and the
-    // drop-count leak audit must hold regardless of which backend
-    // retires descriptors and nodes.
+    // Same panic-kill matrix as the epoch-backed run: the victim's
+    // post-unwind op and the drop-count leak audit must hold regardless
+    // of which backend retires the nodes.
     torture_matrix(
         "list_deque_survives_panicked_thread_hazard_reclaim",
         ListDeque::<Counted, FisH>::new,
@@ -812,8 +809,7 @@ fn dummy_list_deque_survives_panicked_thread_hazard_reclaim() {
 // effect-free hits — before the publish CAS, before a mark CAS, or after
 // all side effects — so exact value conservation must survive them; the
 // drop-count audit additionally proves the unwound `Pending` node and
-// value were freed. There is no descriptor to quarantine
-// (`MatrixOpts::CAS_ONLY`).
+// value were freed (`MatrixOpts::CAS_ONLY`).
 
 #[test]
 fn sundell_deque_survives_frozen_thread() {
