@@ -89,6 +89,16 @@
 //! sleep on it) while stopping retry storms from saturating the
 //! contended cache line.
 //!
+//! A thread whose own operation is still effect-free (a read, a
+//! single-word CAS, the owner's first install) is *patient* first: it
+//! re-reads the word for up to [`HELP_PATIENCE`] spins of doubling
+//! length before it helps, since the owner of a tag is usually running
+//! and about to remove it. Helping a running owner makes two threads
+//! fight over the same lines for the same result; waiting a moment lets
+//! the owner finish alone. The wait is bounded, so a stalled owner is
+//! still helped and the protocol stays lock-free. A thread whose own
+//! operation is published helps at once: it holds tags of its own.
+//!
 //! # Tagging and reclamation
 //!
 //! The two reserved low bits of every [`DcasWord`] distinguish payloads
@@ -125,6 +135,11 @@ use crate::reclaim::{EpochReclaimer, ReclaimGuard, Reclaimer, EXPAND_DESC};
 use crate::stats::{Counters, StrategyStats};
 use crate::strategy::{validate_args, validate_casn, MAX_CASN_WORDS};
 use crate::{CasnEntry, DcasStrategy, DcasWord};
+
+/// Spins (of 1, 2, 4, … pause hints, 63 in all) an effect-free thread
+/// waits for a tag to leave a word before it helps the tag's operation
+/// (module docs, "Contention management").
+const HELP_PATIENCE: u32 = 6;
 
 #[inline]
 fn is_rdcss(v: u64) -> bool {
@@ -431,28 +446,34 @@ impl<R: Reclaimer> HarrisMcas<R> {
     }
 
     /// Helps the in-flight operation a tagged word value belongs to
-    /// (RDCSS completion or CASN help). Returns `false` when `v` is a
-    /// plain payload, i.e. there was nothing to help. A `true` return
-    /// means the caller must re-read the word.
+    /// (RDCSS completion or CASN help), after giving its owner a moment
+    /// to finish it. Returns `false` when `v` is a plain payload, i.e.
+    /// there was nothing to help. A `true` return means the caller must
+    /// re-read the word.
     ///
     /// Only for callers whose own operation is still effect-free — the
     /// fault point here asserts as much.
     fn help_tagged(&self, w: &DcasWord, v: u64) -> bool {
-        if is_rdcss(v) {
-            self.counters.inc_help();
-            // Effect-free: the caller owns nothing published; unwinding
-            // here loses no state.
-            fault_point!(MidHelping, true);
-            let _ = Self::complete_rdcss(w, v);
-            true
-        } else if is_casn(v) {
-            self.counters.inc_help();
-            fault_point!(MidHelping, true);
-            self.help_casn(v);
-            true
-        } else {
-            false
+        if !is_rdcss(v) && !is_casn(v) {
+            return false;
         }
+        let mut patience = Backoff::new();
+        for _ in 0..HELP_PATIENCE {
+            patience.spin();
+            if w.raw_load(Ordering::SeqCst) != v {
+                return true;
+            }
+        }
+        self.counters.inc_help();
+        // Effect-free: the caller owns nothing published; unwinding here
+        // loses no state.
+        fault_point!(MidHelping, true);
+        if is_rdcss(v) {
+            let _ = Self::complete_rdcss(w, v);
+        } else {
+            self.help_casn(v);
+        }
+        true
     }
 
     /// Descriptor-aware atomic read. Helps any operation found in-flight
