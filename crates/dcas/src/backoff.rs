@@ -5,7 +5,7 @@
 //! worse — memory bandwidth when every contender hammers the same cache
 //! line. Sundell & Tsigas observe that naive retry storms are one of the
 //! two dominant costs of software-emulated multi-word CAS (the other
-//! being per-operation allocation; see `pool`). The fix is classical
+//! being per-operation descriptor management; see `desc`). The fix is classical
 //! exponential backoff: spin a doubling number of `spin_loop` hints,
 //! and once the spin budget is exhausted, yield the OS scheduler so a
 //! preempted lease-holder (or, for [`HarrisMcas`](crate::HarrisMcas),

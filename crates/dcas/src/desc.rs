@@ -382,18 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn a_thread_keeps_one_slot_for_life() {
-        std::thread::spawn(|| {
-            let first = my_index();
-            for _ in 0..100 {
-                assert_eq!(my_index(), first);
-            }
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
     fn an_exited_threads_slot_is_reused_and_its_seq_keeps_counting() {
         // A thread moves its slot's sequence number on and exits; the
         // next claim of that slot continues from it. Threads of other

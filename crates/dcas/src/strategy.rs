@@ -33,7 +33,7 @@ impl<'a> CasnEntry<'a> {
 /// (locks, sequence words, an epoch collector). A data structure built on
 /// DCAS holds one strategy instance and routes **every** access to its
 /// shared words through it — including plain loads and stores — because
-/// lock-free emulations may leave tagged descriptor pointers in words
+/// lock-free emulations may leave descriptor tags in words
 /// mid-operation, and blocking emulations may require reads to synchronize
 /// with in-flight writers.
 ///

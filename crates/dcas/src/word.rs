@@ -106,7 +106,7 @@ impl Default for DcasWord {
 impl fmt::Debug for DcasWord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // A raw relaxed load is fine for debugging; the printed value may be
-        // a tagged descriptor pointer if a lock-free DCAS is in flight.
+        // a descriptor tag if a lock-free DCAS is in flight.
         write!(f, "DcasWord({:#x})", self.raw_load(Ordering::Relaxed))
     }
 }
