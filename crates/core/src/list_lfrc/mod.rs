@@ -238,17 +238,22 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S, Lfrc> {
                     if rc == ONE {
                         // Last reference: no slot points here and no
                         // operation holds it. Release children, retire.
+                        // The words are read through the strategy: a
+                        // DCAS helper that fell behind may still hold an
+                        // install of its own in one of them, which a
+                        // strategy read completes (`dcas::reclaim::hazard`,
+                        // "What a stale helper may touch").
                         // SAFETY: exclusive access now; stale `load_ptr`
                         // snoops of the count word are covered by their
                         // own guards until the dtor actually runs.
                         unsafe {
                             debug_assert_eq!(
-                                (*n).value.unsync_load_shared(),
+                                self.strategy.load(&(*n).value),
                                 NULL,
                                 "only logically deleted nodes can die"
                             );
-                            stack.push((*n).l.unsync_load_shared());
-                            stack.push((*n).r.unsync_load_shared());
+                            stack.push(self.strategy.load(&(*n).l));
+                            stack.push(self.strategy.load(&(*n).r));
                             g.retire(
                                 n as *mut u8,
                                 std::mem::size_of::<Node<Lfrc>>(),

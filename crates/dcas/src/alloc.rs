@@ -64,23 +64,23 @@
 //! through the node's own atomic fields (or fields no validator reads),
 //! never via a non-atomic `ptr::write` over the whole node.
 //!
-//! # Stale DCAS helpers write to recycled slots, value-preserving
+//! # Free slots match no DCAS expectation
 //!
-//! Since DCAS descriptors are reused rather than retired, a
-//! [`HarrisMcas`](crate::HarrisMcas) helper that fell behind may still
-//! act on a finished operation whose target word sits in a slot that
-//! has since been recycled, even republished by another deque: the
-//! descriptor's hazard expansion (and the epoch pin's grace period, for
-//! nodes retired before the helper pinned) covered that word only while
-//! the operation ran. `reclaim::hazard` lists those accesses ("What a
-//! stale helper may touch"). Besides loads and compare-exchanges that
-//! cannot succeed, the one write is an RDCSS install of the helper's own
-//! tag over the value the word already holds, which its completion
-//! writes straight back. Invariant (1) makes that write land on live
-//! memory of the right type and (2) makes it a race by contract rather
-//! than UB; because the value comes back unchanged, the slot's new
-//! owner reads it through its strategy as if the helper had never been
-//! there.
+//! A [`HarrisMcas`](crate::HarrisMcas) helper that fell behind may still
+//! run compare-exchanges on the target words of an operation whose owner
+//! has returned (`reclaim::hazard`, "What a stale helper may touch"). Its
+//! one write that expects a payload, the RDCSS install, is made under a
+//! hazard the helper announced and validated, or under its epoch pin;
+//! the others expect tags. The first word of a free slot is this
+//! module's free-list link, which the allocator reads around any
+//! strategy, so it must not be a value such a compare-exchange could
+//! expect: a raw slot address is aligned like a payload, and an install
+//! that matched one would put a tag into the free list. Links are
+//! therefore stored with both low bits set (`FREE_LINK`); no payload
+//! (`00`) and no tag (`01`, `10`) has them, so no compare-exchange of a
+//! DCAS succeeds on a free slot's first word, whatever protection it was
+//! made under. Invariants (1) and (2) above make the failing attempt
+//! itself defined behaviour.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
@@ -213,7 +213,7 @@ impl Drop for LocalCaches {
                 let mut cur = unsafe { (*page).local_head.load(Ordering::Relaxed) };
                 unsafe { (*page).local_head.store(0, Ordering::Relaxed) };
                 while cur != 0 {
-                    let next = unsafe { (*(cur as *const AtomicUsize)).load(Ordering::Relaxed) };
+                    let next = unsafe { next_free(cur) };
                     unsafe { remote_push(page, cur as *mut u8) };
                     cur = next;
                 }
@@ -232,6 +232,38 @@ thread_local! {
 #[inline]
 fn page_of(slot: *mut u8) -> *mut PageHeader {
     ((slot as usize) & !(PAGE_SIZE - 1)) as *mut PageHeader
+}
+
+/// Low bits of every free-list link stored in a free slot's first word
+/// (module docs, "Free slots match no DCAS expectation"). Slot addresses
+/// are at least 8-aligned, so the bits are free, and [`DcasWord`]
+/// payloads (`00`) and tags (`01`, `10`) never have both set.
+///
+/// [`DcasWord`]: crate::DcasWord
+const FREE_LINK: usize = 0b11;
+
+/// Stores the free-list link `next` (a slot address, or 0 for the end)
+/// into free slot `slot`'s first word.
+///
+/// # Safety
+///
+/// `slot` must be a slot of a pool page that no thread has allocated.
+#[inline]
+unsafe fn set_next_free(slot: *mut u8, next: usize) {
+    unsafe { &*(slot as *const AtomicUsize) }.store(next | FREE_LINK, Ordering::Relaxed);
+}
+
+/// The free-list link that [`set_next_free`] stored in free slot
+/// `slot`'s first word.
+///
+/// # Safety
+///
+/// `slot` must be a slot on a free list the caller owns.
+#[inline]
+unsafe fn next_free(slot: usize) -> usize {
+    let link = unsafe { &*(slot as *const AtomicUsize) }.load(Ordering::Relaxed);
+    debug_assert_eq!(link & FREE_LINK, FREE_LINK, "free slot {slot:#x} lost its link tag");
+    link & !FREE_LINK
 }
 
 /// Pushes `slot` onto `page`'s remote-free MPSC stack and, if the page
@@ -256,11 +288,10 @@ unsafe fn remote_push(page: *mut PageHeader, slot: *mut u8) {
     // The intrusive next link lives in the slot's first word and is
     // written atomically: a stale hazard validator may concurrently
     // (and harmlessly) load this word as the node's first field.
-    let link = unsafe { &*(slot as *const AtomicUsize) };
     let head = unsafe { &(*page).remote_head };
     let mut cur = head.load(Ordering::Relaxed);
     loop {
-        link.store(cur, Ordering::Relaxed);
+        unsafe { set_next_free(slot, cur) };
         match head.compare_exchange_weak(cur, slot as usize, Ordering::Release, Ordering::Relaxed) {
             Ok(_) => break,
             Err(actual) => cur = actual,
@@ -425,7 +456,7 @@ impl NodePool {
         while let Some(&page) = cache.partial.last() {
             let slot = unsafe { (*page).local_head.load(Ordering::Relaxed) };
             if slot != 0 {
-                let next = unsafe { (*(slot as *const AtomicUsize)).load(Ordering::Relaxed) };
+                let next = unsafe { next_free(slot) };
                 unsafe { (*page).local_head.store(next, Ordering::Relaxed) };
                 return slot as *mut u8;
             }
@@ -461,7 +492,7 @@ impl NodePool {
         if let Some(&page) = cache.partial.last() {
             let slot = unsafe { (*page).local_head.load(Ordering::Relaxed) };
             debug_assert_ne!(slot, 0, "ticketed page spliced an empty batch");
-            let next = unsafe { (*(slot as *const AtomicUsize)).load(Ordering::Relaxed) };
+            let next = unsafe { next_free(slot) };
             unsafe { (*page).local_head.store(next, Ordering::Relaxed) };
             return slot as *mut u8;
         }
@@ -476,7 +507,7 @@ impl NodePool {
                 unsafe { (*page).in_partial = true };
                 cache.partial.push(page);
                 let slot = unsafe { (*page).local_head.load(Ordering::Relaxed) };
-                let next = unsafe { (*(slot as *const AtomicUsize)).load(Ordering::Relaxed) };
+                let next = unsafe { next_free(slot) };
                 unsafe { (*page).local_head.store(next, Ordering::Relaxed) };
                 return slot as *mut u8;
             }
@@ -535,7 +566,7 @@ impl NodePool {
                     // recycling stays page-clustered.
                     let cache = &mut caches.caches[pool.id()];
                     let head = unsafe { (*page).local_head.load(Ordering::Relaxed) };
-                    unsafe { (*(ptr as *const AtomicUsize)).store(head, Ordering::Relaxed) };
+                    unsafe { set_next_free(ptr, head) };
                     unsafe { (*page).local_head.store(ptr as usize, Ordering::Relaxed) };
                     if !unsafe { (*page).in_partial } {
                         unsafe { (*page).in_partial = true };
@@ -785,6 +816,33 @@ mod tests {
             unsafe { NodePool::dealloc(p) };
         }
         assert_eq!(P.pages_allocated(), 3, "churn allocated fresh pages");
+        assert_eq!(P.nodes_outstanding(), 0);
+    }
+
+    #[test]
+    fn a_free_slots_first_word_matches_no_dcas_value() {
+        // A DCAS helper that fell behind may compare-exchange the first
+        // word of a slot that has since been freed; the free-list link
+        // there must equal no payload (low bits 00) and no tag (01, 10),
+        // on the local and on the remote free path.
+        static P: NodePool = NodePool::new("t-free-link", 16, 16);
+        let (a, b, c) = (P.alloc(), P.alloc(), P.alloc());
+        unsafe { NodePool::dealloc(a) };
+        unsafe { NodePool::dealloc(b) };
+        let remote = c as usize;
+        std::thread::spawn(move || unsafe { NodePool::dealloc(remote as *mut u8) })
+            .join()
+            .unwrap();
+        for slot in [a, b, c] {
+            let link = unsafe { &*(slot as *const AtomicUsize) }.load(Ordering::Relaxed);
+            assert_eq!(link & 0b11, 0b11, "free slot {slot:p} holds {link:#x}");
+        }
+        // The local free list still decodes: it hands back `b`, then `a`.
+        let again: Vec<usize> = (0..2).map(|_| P.alloc() as usize).collect();
+        assert_eq!(again, [b as usize, a as usize]);
+        for p in again {
+            unsafe { NodePool::dealloc(p as *mut u8) };
+        }
         assert_eq!(P.nodes_outstanding(), 0);
     }
 

@@ -19,9 +19,13 @@
 //! or one CAS publishing a fresh slot into an empty entry) on its first
 //! operation and gives it back when it exits; the next thread to claim
 //! the slot keeps counting its sequence numbers from where the last
-//! owner stopped. Claiming takes no lock. The table is sized for the
-//! most threads that hold descriptors *at once*; a thread beyond that
-//! panics.
+//! owner stopped. Claiming takes no lock.
+//!
+//! The table is sized for the most threads that hold descriptors *at
+//! once*, a million, far beyond any thread count a process gets from its
+//! kernel; a thread beyond that panics. Its entries are allocated lazily
+//! in chunks of [`CHUNK`], so a process pays for the slots its threads
+//! use, plus a 32 KiB top-level array.
 //!
 //! # Tags and sequence numbers
 //!
@@ -100,14 +104,19 @@ pub(crate) const RDCSS_TAG: u64 = 0b01;
 pub(crate) const CASN_TAG: u64 = 0b10;
 
 /// Bits of a tag naming the descriptor slot.
-const SLOT_BITS: u32 = 12;
+const SLOT_BITS: u32 = 20;
 
 /// The most threads that can hold descriptors at once.
 pub(crate) const MAX_SLOTS: usize = 1 << SLOT_BITS;
 
+/// Slots per lazily allocated chunk of the table.
+const CHUNK_BITS: u32 = 8;
+const CHUNK: usize = 1 << CHUNK_BITS;
+
 /// Bits of a tag naming the incarnation: the 62 payload bits that the
-/// slot index leaves. At a billion operations a second one descriptor
-/// takes 13 days to wrap, and a stale tag is only confused with a live
+/// slot index leaves. A descriptor incarnates once per operation (CASN)
+/// or install (RDCSS), about 110 ns apart on one uncontended thread, so
+/// it takes days to wrap, and a stale tag is only confused with a live
 /// one if its holder sleeps through an exact multiple of that.
 const SEQ_BITS: u32 = 62 - SLOT_BITS;
 
@@ -224,24 +233,54 @@ impl Slot {
     }
 }
 
-static TABLE: [AtomicPtr<Slot>; MAX_SLOTS] =
-    [const { AtomicPtr::new(ptr::null_mut()) }; MAX_SLOTS];
+/// One chunk of table entries: slot pointers, null until allocated.
+type Chunk = [AtomicPtr<Slot>; CHUNK];
+
+/// The table, chunk by chunk; null until a slot in the chunk is needed.
+/// Chunks, like slots, are never freed.
+static TABLE: [AtomicPtr<Chunk>; MAX_SLOTS / CHUNK] =
+    [const { AtomicPtr::new(ptr::null_mut()) }; MAX_SLOTS / CHUNK];
+
+/// The table entry for slot `index`, allocating its chunk on first use.
+fn entry(index: usize) -> &'static AtomicPtr<Slot> {
+    let top = &TABLE[index >> CHUNK_BITS];
+    let mut chunk = top.load(Ordering::Acquire);
+    if chunk.is_null() {
+        let fresh: *mut Chunk =
+            Box::into_raw(Box::new([const { AtomicPtr::new(ptr::null_mut()) }; CHUNK]));
+        match top.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => chunk = fresh,
+            Err(other) => {
+                // SAFETY: `fresh` was never published.
+                drop(unsafe { Box::from_raw(fresh) });
+                chunk = other;
+            }
+        }
+    }
+    // SAFETY: chunks are leaked on allocation and never freed.
+    unsafe { &(*chunk)[index & (CHUNK - 1)] }
+}
 
 /// Slots ever allocated.
 static CREATED: AtomicUsize = AtomicUsize::new(0);
 
 /// The slot a tag (or an owner's hazard announcement) names.
 ///
-/// Any index read from a tag is allocated: the slot was published into
-/// the table before its owner wrote its first tag, and the tag reached
-/// the caller through the release/acquire chain that starts there.
+/// Any index read from a tag is allocated, chunk and slot: both were
+/// published into the table before the slot's owner wrote its first
+/// tag, and the tag reached the caller through the release/acquire chain
+/// that starts there.
 #[inline]
 pub(crate) fn slot(index: usize) -> &'static Slot {
-    let p = TABLE[index].load(Ordering::Acquire);
-    debug_assert!(!p.is_null(), "tag names unallocated descriptor slot {index}");
-    // SAFETY: slots are leaked on allocation and never freed; the index
-    // names an allocated slot (doc comment above).
-    unsafe { &*p }
+    let chunk = TABLE[index >> CHUNK_BITS].load(Ordering::Acquire);
+    debug_assert!(!chunk.is_null(), "tag names unallocated descriptor slot {index}");
+    // SAFETY: chunks and slots are leaked on allocation and never freed;
+    // the index names an allocated slot (doc comment above).
+    unsafe {
+        let p = (*chunk)[index & (CHUNK - 1)].load(Ordering::Acquire);
+        debug_assert!(!p.is_null(), "tag names unallocated descriptor slot {index}");
+        &*p
+    }
 }
 
 /// Descriptor slots allocated so far, process-wide: one CASN and one
@@ -267,7 +306,8 @@ impl Mine {
     /// slot is taken. Lock-free: each retry follows another thread's
     /// successful claim or allocation.
     fn claim() -> Mine {
-        for (index, entry) in TABLE.iter().enumerate() {
+        for index in 0..MAX_SLOTS {
+            let entry = entry(index);
             let mut p = entry.load(Ordering::Acquire);
             if p.is_null() {
                 let fresh: *mut Slot = Box::into_raw(Box::new(Slot::claimed()));
@@ -410,6 +450,24 @@ mod tests {
         .join()
         .unwrap();
         assert!(seen >= seq, "the reused slot's sequence number went back: {seen} < {seq}");
+    }
+
+    #[test]
+    fn a_claim_past_the_first_chunk_gets_a_working_slot() {
+        // Hold claims until one lands in the second chunk of the table
+        // (other tests' threads may hold some of the first chunk's).
+        let mut held = Vec::new();
+        let m = loop {
+            let m = Mine::claim();
+            if m.index >= CHUNK {
+                break m;
+            }
+            held.push(m);
+        };
+        assert!(ptr::eq(slot(m.index), m.slot));
+        let t = tag(m.index, 7, CASN_TAG);
+        assert!(ptr::eq(slot(tag_slot(t)), m.slot));
+        assert_eq!(tag_seq(t), 7);
     }
 
     #[test]

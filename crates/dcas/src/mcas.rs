@@ -117,11 +117,14 @@
 //! (slot 0, with the [`EXPAND_DESC`](crate::reclaim::EXPAND_DESC) flag)
 //! from before publication until after its phase 2, so the scanner
 //! protects every target word of the operation while anyone can find
-//! its tag — also while the owner is frozen mid-operation. Helpers
-//! announce nothing: what they can still touch after the owner returns
-//! is a failing CAS or a value-preserving install into a type-stable
-//! node word, argued in [`reclaim::hazard`](crate::reclaim::hazard) and
-//! [`alloc`](crate::alloc).
+//! its tag — also while the owner is frozen mid-operation. A helper's
+//! one write that expects a payload, its RDCSS install, is made under an
+//! announcement of its own: it announces the target word, then sees the
+//! operation still undecided (so the owner's announcement still stood),
+//! and only then installs. Its other accesses expect tags, which no
+//! freed node word holds. [`reclaim::hazard`](crate::reclaim::hazard)
+//! ("What a stale helper may touch") and [`alloc`](crate::alloc) give
+//! the argument.
 
 use std::marker::PhantomData;
 use std::ptr;
@@ -176,6 +179,18 @@ impl Entry {
     }
 }
 
+/// Who drives an operation through [`HarrisMcas::casn_run`].
+enum Driver<'g, G> {
+    /// The owner. Its fast path has installed entry 0, and its slot-0
+    /// announcement protects every target word under hazard pointers.
+    Owner,
+    /// A helper, installing from entry 0. Under hazard pointers it
+    /// announces each target word in `window` and re-checks that the
+    /// operation is undecided before it installs there; under epochs the
+    /// window is `None`.
+    Helper { window: Option<&'g G> },
+}
+
 /// One incarnation of a CASN descriptor, as the protocol drives it.
 struct Op<'a> {
     /// The CASN tag naming this incarnation in a word.
@@ -208,6 +223,10 @@ pub struct HarrisMcas<R: Reclaimer = EpochReclaimer> {
     /// holds.
     #[cfg(test)]
     skip_seq_check: bool,
+    /// Negative control for the freed-target test: helpers announce no
+    /// hazard before they install.
+    #[cfg(test)]
+    skip_helper_hazard: bool,
     _backend: PhantomData<R>,
 }
 
@@ -217,6 +236,8 @@ impl<R: Reclaimer> Default for HarrisMcas<R> {
             counters: Counters::default(),
             #[cfg(test)]
             skip_seq_check: false,
+            #[cfg(test)]
+            skip_helper_hazard: false,
             _backend: PhantomData,
         }
     }
@@ -380,22 +401,52 @@ impl<R: Reclaimer> HarrisMcas<R> {
             undecided: desc::undecided_of(st),
             entries: &entries[..len],
         };
-        desc::with_mine(|mine| self.casn_run(mine, &op, 0));
+        // One hazard slot, re-announced for each target word in turn.
+        #[cfg(test)]
+        let announce = <R::Guard as ReclaimGuard>::NEEDS_PROTECT && !self.skip_helper_hazard;
+        #[cfg(not(test))]
+        let announce = <R::Guard as ReclaimGuard>::NEEDS_PROTECT;
+        let window = announce.then(R::pin);
+        desc::with_mine(|mine| self.casn_run(mine, &op, Driver::Helper { window: window.as_ref() }));
     }
 
     /// Drives `op` to completion (both phases) and returns whether it
     /// succeeded. Reentrant: called both by the owner and by helpers.
     ///
-    /// The first `skip` entries are assumed already installed — the owner
-    /// passes 1 after a fast-path direct install (helpers always pass 0).
-    /// Phase 2 resolves *all* entries regardless, and closes the
-    /// incarnation (module docs, "The owner's phase 2 closes the
-    /// incarnation").
-    fn casn_run(&self, mine: &Mine, op: &Op<'_>, skip: usize) -> bool {
+    /// The owner starts phase 1 at entry 1, its fast path having
+    /// installed entry 0; helpers start at entry 0. Phase 2 resolves
+    /// *all* entries regardless, and closes the incarnation (module
+    /// docs, "The owner's phase 2 closes the incarnation").
+    ///
+    /// A helper's install is the one write that expects a payload rather
+    /// than a tag, so it is the one a helper must not make into a freed
+    /// node: under hazard pointers the helper announces the target word
+    /// first and then sees the operation still undecided, so the owner's
+    /// announcement still covered the word when the helper's own took
+    /// over (module docs, "Tagging and reclamation").
+    fn casn_run(&self, mine: &Mine, op: &Op<'_>, driver: Driver<'_, R::Guard>) -> bool {
         if op.status.load(Ordering::SeqCst) == op.undecided {
             let mut state = SUCCEEDED;
             let mut backoff = Backoff::new();
+            let skip = match driver {
+                Driver::Owner => 1,
+                Driver::Helper { .. } => 0,
+            };
             'install: for e in &op.entries[skip..] {
+                if let Driver::Helper { window } = driver {
+                    if let Some(g) = window {
+                        g.protect(0, e.word as u64);
+                        if op.status.load(Ordering::SeqCst) != op.undecided {
+                            // Decided meanwhile: nothing left to install,
+                            // and the decision CAS below fails.
+                            break 'install;
+                        }
+                    }
+                    // A helper about to install another thread's entry.
+                    // Not effect-free: it may be helping from inside its
+                    // own published operation.
+                    fault_point!(MidHelping, false);
+                }
                 loop {
                     let val = self.rdcss(mine, op, e);
                     if val == op.tag || val == e.old {
@@ -558,7 +609,7 @@ impl<R: Reclaimer> HarrisMcas<R> {
 
         // Entry 0 installed by the CAS above while the status was
         // undecided.
-        let ok = self.casn_run(mine, op, 1);
+        let ok = self.casn_run(mine, op, Driver::Owner);
         // Effect-free only if the operation failed: on success the writes
         // are committed and the caller owns their outcome, so a panic here
         // would lose it (a freeze is fine — the thread resumes and returns
@@ -1019,7 +1070,7 @@ mod tests {
                     words[0].raw_store(op.tag, Ordering::SeqCst);
                     staged_tx.send(armed.log()).unwrap();
                     go_rx.recv().unwrap();
-                    assert!(s.casn_run(mine, &op, 1));
+                    assert!(s.casn_run(mine, &op, Driver::Owner));
                 });
                 assert!(s.dcas(&words[0], &words[1], 8, 12, 16, 20));
                 s.dcas(&words[0], &words[1], 16, 20, 24, 28)
@@ -1068,6 +1119,135 @@ mod tests {
     #[test]
     fn reclaim_hazard_stale_helper_leaves_a_reused_descriptor_alone() {
         assert_stale_helper_is_harmless::<HazardReclaimer>(false);
+    }
+
+    /// Freed-target regression. A helper validates the owner's
+    /// operation and freezes at `MidHelping` just before it installs the
+    /// second entry, whose word is the first word of a pool node. The
+    /// owner finishes, and the test retires that node and flushes the
+    /// backend. The node must stay allocated while the helper is frozen:
+    /// its install expects a payload, which a freed and reused node could
+    /// hold again. Under hazard pointers the helper's own announcement
+    /// keeps it, under epochs the helper's pin.
+    ///
+    /// `pool` is the test's own, so its census counts only these two
+    /// nodes. Returns whether the node survived the flush while the
+    /// helper was frozen, whether it was freed once the helper finished,
+    /// and the helper's DCAS result.
+    #[cfg(feature = "fault-inject")]
+    fn freed_target_round<R: Reclaimer>(
+        pool: &'static crate::NodePool,
+        skip_helper_hazard: bool,
+    ) -> (bool, bool, bool) {
+        use crate::fault::{self, FaultPlan, FaultPoint, KillKind, StallGate};
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+
+        let s = Arc::new(HarrisMcas::<R> { skip_helper_hazard, ..Default::default() });
+        // Two nodes, each a DcasWord in its first word; `hi` (the higher
+        // address) is entry 1.
+        let (a, b) = (pool.alloc() as usize, pool.alloc() as usize);
+        let (lo, hi) = (a.min(b), a.max(b));
+        let word = |n: usize| unsafe { &*(n as *const DcasWord) };
+        word(lo).raw_store(0, Ordering::SeqCst);
+        word(hi).raw_store(4, Ordering::SeqCst);
+        let outstanding = || pool.nodes_outstanding();
+        assert_eq!(outstanding(), 2);
+
+        let gate = StallGate::new();
+        let (staged_tx, staged_rx) = mpsc::channel::<()>();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let owner = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                desc::with_mine(|mine| {
+                    let entries = [Entry::of(word(lo), 0, 8), Entry::of(word(hi), 4, 12)];
+                    let op = s.prepare(mine, &entries);
+                    word(lo).raw_store(op.tag, Ordering::SeqCst);
+                    staged_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    assert!(s.casn_run(mine, &op, Driver::Owner));
+                });
+            })
+        };
+        staged_rx.recv().unwrap();
+        let (log_tx, log_rx) = mpsc::channel();
+        let helper = {
+            let (s, gate) = (s.clone(), gate.clone());
+            std::thread::spawn(move || {
+                // Hit 0 is the preliminary read meeting the tag, hit 1
+                // the (redundant) install of entry 0, hit 2 entry 1's.
+                let plan = FaultPlan::new(3).kill(FaultPoint::MidHelping, 2, KillKind::Freeze(gate));
+                let armed = fault::arm(&plan, 1);
+                log_tx.send(armed.log()).unwrap();
+                s.dcas(word(lo), word(hi), 1000, 1004, 0, 0)
+            })
+        };
+        let log = log_rx.recv().unwrap();
+        let start = Instant::now();
+        while !log.is_frozen() {
+            assert!(start.elapsed() < Duration::from_secs(20), "the helper never froze");
+            std::thread::yield_now();
+        }
+        go_tx.send(()).unwrap();
+        owner.join().unwrap();
+        assert_eq!(word(lo).raw_load(Ordering::SeqCst), 8);
+        assert_eq!(word(hi).raw_load(Ordering::SeqCst), 12);
+
+        // SAFETY: the node is unlinked from everything but the finished
+        // operation's descriptor, and freed by its own pool.
+        unsafe { R::pin().retire(hi as *mut u8, 16, crate::NodePool::dealloc) };
+        for _ in 0..4 {
+            R::flush();
+        }
+        let kept = outstanding() == 2;
+        gate.release();
+        let helped = helper.join().unwrap();
+        let start = Instant::now();
+        while outstanding() != 1 && start.elapsed() < Duration::from_secs(20) {
+            R::flush();
+            std::thread::yield_now();
+        }
+        let freed = outstanding() == 1;
+        // SAFETY: no operation names `lo` any more.
+        unsafe { crate::NodePool::dealloc(lo as *mut u8) };
+        (kept, freed, helped)
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn assert_frozen_helper_keeps_its_target<R: Reclaimer>(
+        pool: &'static crate::NodePool,
+        skip_helper_hazard: bool,
+    ) {
+        let (kept, freed, helped) = freed_target_round::<R>(pool, skip_helper_hazard);
+        assert!(kept, "a node was freed while a frozen helper could still install into it");
+        assert!(freed, "the node was not freed after the helper finished");
+        assert!(!helped, "the helper's DCAS succeeded on values it never saw");
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn frozen_helper_keeps_its_target_node() {
+        static POOL: crate::NodePool = crate::NodePool::new("t-freed-target-epoch", 16, 16);
+        assert_frozen_helper_keeps_its_target::<EpochReclaimer>(&POOL, false);
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn reclaim_hazard_frozen_helper_keeps_its_target_node() {
+        static POOL: crate::NodePool = crate::NodePool::new("t-freed-target-hazard", 16, 16);
+        assert_frozen_helper_keeps_its_target::<HazardReclaimer>(&POOL, false);
+    }
+
+    /// Negative control: a helper that announces nothing before its
+    /// install leaves the node to the flush, and the test above must
+    /// catch it.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    #[should_panic(expected = "a node was freed while a frozen helper could still install into it")]
+    fn reclaim_hazard_helper_without_announcement_is_caught() {
+        static POOL: crate::NodePool = crate::NodePool::new("t-freed-target-control", 16, 16);
+        assert_frozen_helper_keeps_its_target::<HazardReclaimer>(&POOL, true);
     }
 
     /// Negative control: without the sequence re-check the stale helper

@@ -41,40 +41,59 @@
 //! publishes an operation until after its phase 2 has closed it (`mcas`
 //! module docs): for as long as any thread can find the operation's tag
 //! in a word, a scan protects every node holding one of its target
-//! words. Helpers announce nothing. A helper can still act on an
-//! operation after its owner has returned and dropped that announcement,
-//! if it read the tag or the descriptor before then; a node of that
-//! operation may by then be retired, freed to its [`NodePool`] and
-//! reused, possibly by another deque. Every access such a stale helper
-//! makes to a target word is one of these:
+//! words. A helper can still act on an operation after its owner has
+//! returned and dropped that announcement, if it read the tag or the
+//! descriptor before then. Every access such a stale helper makes to a
+//! target word is one of these:
 //!
-//! 1. *A load, or a compare-exchange whose expected value is a tag of the
-//!    finished incarnation* — the phase-2 resolution, or completing an
-//!    RDCSS that installs it. No word holds such a tag after the owner's
-//!    phase 2, so these only read the word. A load that finds another
-//!    operation's tag in a reused word leads the helper to help that
-//!    operation, which is the protocol itself.
-//! 2. *An RDCSS install and its completion.* The helper's install writes
-//!    its own RDCSS tag into the word iff the word holds the entry's old
-//!    value (which a reused word may hold again), and the completion
-//!    then writes that old value back, since the finished incarnation's
-//!    status no longer reads undecided. The word's value is preserved.
-//!    Until the completion lands, any thread that reads the word through
-//!    a strategy finds an RDCSS tag whose descriptor is the helper's own,
-//!    still live, and completes it the same way.
+//! 1. *A load, or a compare-exchange whose expected value is a tag.* The
+//!    phase-2 resolution and the completion of an RDCSS expect a tag of
+//!    the finished incarnation or of an RDCSS the helper found in the
+//!    word. No word holds a tag of the finished incarnation after the
+//!    owner's phase 2, and a free slot's first word holds a free-list
+//!    link that equals no tag ([`alloc`](crate::alloc), "Free slots
+//!    match no DCAS expectation"). So these fail, or complete an RDCSS
+//!    that is still live, which is the protocol itself. A load that
+//!    finds another operation's tag leads the helper to help that
+//!    operation.
+//! 2. *The RDCSS install*, which expects the entry's old value: a
+//!    payload, which a freed or reused node word could hold again. So
+//!    before each install a helper announces the target word in a hazard
+//!    slot of its own, then re-reads the operation's status, and installs
+//!    only if it is still undecided. Undecided means the owner had not
+//!    returned, so the owner's announcement still covered the word when
+//!    the helper's took over, and the helper's covers it until the helper
+//!    announces its next word: the node is not freed under the install
+//!    or its completion. The completion writes the old value back once
+//!    the status is decided, so the install leaves the word's value as
+//!    it was. Until the completion lands, a thread that reads the word
+//!    through a strategy finds an RDCSS tag whose descriptor is the
+//!    helper's own, still live, and completes it the same way.
 //!
-//! Both are memory safe because the node words are type-stable: pool
-//! pages are never unmapped and every word a strategy touches is an
-//! atomic (the [`alloc`](crate::alloc) quarantine contract). Neither kind
-//! changes a value a reader can observe through a strategy. A word read
-//! *around* the strategy (`DcasWord::unsync_load_shared` in a teardown
-//! walk) could see the transient RDCSS tag of kind 2 if that walk raced a
-//! helper stalled between its two compare-exchanges on a recycled node;
-//! the teardown walks run on deques no thread still operates on, and
-//! such a helper belongs to an operation on another deque that reached
-//! this node through reuse, between two adjacent instructions. Nothing
-//! on the garbage bound changes: it counts announcements, and helpers
-//! now make none.
+//! Reads made *around* a strategy could see that transient tag in a node
+//! that is retired but not yet freed. The LFRC deque's `release`
+//! therefore reads a dying node's words through its strategy. The
+//! deques' teardown walks cannot meet one: a helper only helps
+//! operations whose tag it found in a word of the deque it is itself
+//! operating on, so no helper acts on a deque that is being dropped.
+//!
+//! The hand-off in 2 is Michael's validation with "still undecided" in
+//! place of "still linked", and it has that validation's reach: it
+//! covers a node retired after the helper announced it. A node already
+//! retired while an undecided operation named it (a DCAS published on
+//! expected values that no longer hold, before it fails) stays covered
+//! while the owner runs, but a scan that read the helper's slot before
+//! the announcement and the owner's slots after it returned could free
+//! it. The descriptor announcements this design replaced had the same
+//! reach. The free-list link encoding keeps such a late install out of
+//! the allocator's free lists; in a reused node's other words it would
+//! be value-preserving, as above. Under epochs the helper's pin plays
+//! the announcement's part, with the same reach: it covers every node
+//! retired after the helper pinned.
+//!
+//! The garbage bound is unchanged: a helper's announcement is one
+//! address in one slot of its own record, which the bound already
+//! counts.
 //!
 //! [`NodePool`]: crate::NodePool
 

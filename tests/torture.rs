@@ -150,22 +150,6 @@ enum Kill {
     Panic,
 }
 
-/// Per-deque knobs for [`torture_matrix`].
-#[derive(Clone, Copy)]
-struct MatrixOpts {
-    /// Whether batched ops are chunk-atomic CASN overrides (exact under
-    /// a mid-op kill) rather than the per-element default loops.
-    atomic_batches: bool,
-}
-
-impl MatrixOpts {
-    const DCAS: MatrixOpts = MatrixOpts { atomic_batches: true };
-    const DCAS_SINGLES: MatrixOpts = MatrixOpts { atomic_batches: false };
-    /// The CAS-only sundell deque: per-element batches, and no DCAS
-    /// descriptor anywhere (its fault hooks are its own).
-    const CAS_ONLY: MatrixOpts = MatrixOpts { atomic_batches: false };
-}
-
 /// Ops each survivor must complete *after* the victim's kill lands.
 const QUOTA: u64 = 600;
 
@@ -177,7 +161,7 @@ fn torture_run<D, F>(
     point: FaultPoint,
     kill: Kill,
     seed: u64,
-    opts: MatrixOpts,
+    atomic_batches: bool,
 )
 where
     D: ConcurrentDeque<Counted> + 'static,
@@ -243,7 +227,7 @@ where
                             &live,
                             &mut my_pushed,
                             &mut my_popped,
-                            opts.atomic_batches,
+                            atomic_batches,
                         )
                     }));
                     if r.is_err() {
@@ -258,7 +242,7 @@ where
                             &live,
                             &mut my_pushed,
                             &mut my_popped,
-                            opts.atomic_batches,
+                            atomic_batches,
                         );
                         recovered.store(true, Ordering::Release);
                         break;
@@ -302,7 +286,7 @@ where
                         &live,
                         &mut my_pushed,
                         &mut my_popped,
-                        opts.atomic_batches,
+                        atomic_batches,
                     );
                     if log.is_killed() {
                         post_kill += 1;
@@ -371,8 +355,11 @@ where
 }
 
 /// Runs the full 3-point matrix for one deque and kill kind, with a
-/// per-run seed derived from the printed base seed.
-fn torture_matrix<D, F>(test: &str, make_deque: F, kill: fn() -> Kill, opts: MatrixOpts)
+/// per-run seed derived from the printed base seed. `atomic_batches` is
+/// as in [`one_op`]: true where batched ops are chunk-atomic CASN
+/// overrides, false for per-element batch loops (the dummy-node and the
+/// CAS-only sundell deques).
+fn torture_matrix<D, F>(test: &str, make_deque: F, kill: fn() -> Kill, atomic_batches: bool)
 where
     D: ConcurrentDeque<Counted> + 'static,
     F: Fn() -> D,
@@ -382,7 +369,7 @@ where
         let label = format!("{test}[{}]", point.name());
         let mut seed = base ^ (i as u64) << 32;
         splitmix64(&mut seed);
-        torture_run(&label, &make_deque, *point, kill(), seed, opts);
+        torture_run(&label, &make_deque, *point, kill(), seed, atomic_batches);
     }
 }
 
@@ -395,7 +382,7 @@ fn array_deque_survives_frozen_thread() {
         "array_deque_survives_frozen_thread",
         || ArrayDeque::<Counted, Fis>::new(8),
         || Kill::Freeze,
-        MatrixOpts::DCAS,
+        true,
     );
 }
 
@@ -405,7 +392,7 @@ fn array_deque_survives_panicked_thread() {
         "array_deque_survives_panicked_thread",
         || ArrayDeque::<Counted, Fis>::new(8),
         || Kill::Panic,
-        MatrixOpts::DCAS,
+        true,
     );
 }
 
@@ -415,7 +402,7 @@ fn list_deque_survives_frozen_thread() {
         "list_deque_survives_frozen_thread",
         ListDeque::<Counted, Fis>::new,
         || Kill::Freeze,
-        MatrixOpts::DCAS,
+        true,
     );
 }
 
@@ -425,7 +412,7 @@ fn list_deque_survives_panicked_thread() {
         "list_deque_survives_panicked_thread",
         ListDeque::<Counted, Fis>::new,
         || Kill::Panic,
-        MatrixOpts::DCAS,
+        true,
     );
 }
 
@@ -436,7 +423,7 @@ fn dummy_list_deque_survives_frozen_thread() {
         DummyListDeque::<Counted, Fis>::new,
         || Kill::Freeze,
         // Per-element default batch loops: not kill-attributable.
-        MatrixOpts::DCAS_SINGLES,
+        false,
     );
 }
 
@@ -446,7 +433,7 @@ fn dummy_list_deque_survives_panicked_thread() {
         "dummy_list_deque_survives_panicked_thread",
         DummyListDeque::<Counted, Fis>::new,
         || Kill::Panic,
-        MatrixOpts::DCAS_SINGLES,
+        false,
     );
 }
 
@@ -768,7 +755,7 @@ fn list_deque_survives_panicked_thread_hazard_reclaim() {
         "list_deque_survives_panicked_thread_hazard_reclaim",
         ListDeque::<Counted, FisH>::new,
         || Kill::Panic,
-        MatrixOpts::DCAS,
+        true,
     );
 }
 
@@ -782,7 +769,7 @@ fn list_deque_survives_frozen_thread_hazard_reclaim() {
         "list_deque_survives_frozen_thread_hazard_reclaim",
         ListDeque::<Counted, FisH>::new,
         || Kill::Freeze,
-        MatrixOpts::DCAS,
+        true,
     );
 }
 
@@ -793,7 +780,7 @@ fn dummy_list_deque_survives_panicked_thread_hazard_reclaim() {
         DummyListDeque::<Counted, FisH>::new,
         || Kill::Panic,
         // Per-element default batch loops: not kill-attributable.
-        MatrixOpts::DCAS_SINGLES,
+        false,
     );
 }
 
@@ -809,7 +796,8 @@ fn dummy_list_deque_survives_panicked_thread_hazard_reclaim() {
 // effect-free hits — before the publish CAS, before a mark CAS, or after
 // all side effects — so exact value conservation must survive them; the
 // drop-count audit additionally proves the unwound `Pending` node and
-// value were freed (`MatrixOpts::CAS_ONLY`).
+// value were freed. Its batches are per-element loops (`atomic_batches`
+// false).
 
 #[test]
 fn sundell_deque_survives_frozen_thread() {
@@ -817,7 +805,7 @@ fn sundell_deque_survives_frozen_thread() {
         "sundell_deque_survives_frozen_thread",
         SundellDeque::<Counted, Fis>::new,
         || Kill::Freeze,
-        MatrixOpts::CAS_ONLY,
+        false,
     );
 }
 
@@ -827,7 +815,7 @@ fn sundell_deque_survives_panicked_thread() {
         "sundell_deque_survives_panicked_thread",
         SundellDeque::<Counted, Fis>::new,
         || Kill::Panic,
-        MatrixOpts::CAS_ONLY,
+        false,
     );
 }
 
@@ -842,7 +830,7 @@ fn sundell_deque_survives_frozen_thread_hazard_reclaim() {
         "sundell_deque_survives_frozen_thread_hazard_reclaim",
         SundellDeque::<Counted, FisH>::new,
         || Kill::Freeze,
-        MatrixOpts::CAS_ONLY,
+        false,
     );
 }
 
@@ -852,6 +840,6 @@ fn sundell_deque_survives_panicked_thread_hazard_reclaim() {
         "sundell_deque_survives_panicked_thread_hazard_reclaim",
         SundellDeque::<Counted, FisH>::new,
         || Kill::Panic,
-        MatrixOpts::CAS_ONLY,
+        false,
     );
 }
