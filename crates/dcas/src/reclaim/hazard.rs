@@ -64,11 +64,12 @@
 //!    returned, so the owner's announcement still covered the word when
 //!    the helper's took over, and the helper's covers it until the helper
 //!    announces its next word: the node is not freed under the install
-//!    or its completion. The completion writes the old value back once
-//!    the status is decided, so the install leaves the word's value as
-//!    it was. Until the completion lands, a thread that reads the word
-//!    through a strategy finds an RDCSS tag whose descriptor is the
-//!    helper's own, still live, and completes it the same way.
+//!    or its completion. For a stale helper the status is decided by
+//!    the time the completion reads it, so the completion writes the old
+//!    value back and the word's value is as it was. Until the completion
+//!    lands, a thread that reads the word through a strategy finds an
+//!    RDCSS tag whose descriptor is the helper's own, still live, and
+//!    completes it the same way.
 //!
 //! Reads made *around* a strategy could see that transient tag in a node
 //! that is retired but not yet freed. The LFRC deque's `release`
@@ -84,16 +85,15 @@
 //! expected values that no longer hold, before it fails) stays covered
 //! while the owner runs, but a scan that read the helper's slot before
 //! the announcement and the owner's slots after it returned could free
-//! it. The descriptor announcements this design replaced had the same
-//! reach. The free-list link encoding keeps such a late install out of
+//! it. The free-list link encoding keeps such a late install out of
 //! the allocator's free lists; in a reused node's other words it would
 //! be value-preserving, as above. Under epochs the helper's pin plays
 //! the announcement's part, with the same reach: it covers every node
 //! retired after the helper pinned.
 //!
-//! The garbage bound is unchanged: a helper's announcement is one
-//! address in one slot of its own record, which the bound already
-//! counts.
+//! The garbage bound covers these announcements: each is one address
+//! in one slot of the helper's own record, and the bound counts every
+//! slot.
 //!
 //! [`NodePool`]: crate::NodePool
 

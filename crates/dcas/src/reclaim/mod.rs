@@ -55,7 +55,9 @@
 //! [`EXPAND_DESC`], telling the hazard scanner to *expand* the
 //! announcement to the descriptor's target words, so they stay protected
 //! while helpers can find the operation (see
-//! `desc::expand_descriptor_hazard`).
+//! `desc::expand_descriptor_hazard`). A helper announces each target
+//! word itself, as a plain address, before it installs there
+//! ([`hazard`], "What a stale helper may touch").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
