@@ -386,3 +386,33 @@ fn zero_shards_rounds_up() {
     let mut c = broker.consumer();
     assert_eq!(c.recv(), Some(42));
 }
+
+#[test]
+fn stats_sum_the_stripes_of_producer_and_consumer_threads() {
+    // The producer and the consumer bump counters on their own threads'
+    // stripes; `stats` must add the stripes back up.
+    const N: u64 = 100_000;
+    let broker: ShardedBroker<u64, _> = ShardedBroker::unbounded_list(2);
+    thread::scope(|s| {
+        s.spawn(|| {
+            let mut p = broker.producer();
+            for v in 0..N {
+                p.send(v).unwrap();
+            }
+            p.flush().unwrap();
+        });
+        s.spawn(|| {
+            let mut c = broker.consumer();
+            let mut got = 0;
+            while got < N {
+                match c.recv() {
+                    Some(_) => got += 1,
+                    None => thread::yield_now(),
+                }
+            }
+        });
+    });
+    let st = broker.stats();
+    assert_eq!((st.sent, st.received), (N, N));
+    assert_eq!(st.recv_home + st.recv_rebalanced, N);
+}

@@ -354,8 +354,10 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
     }
 
     /// Pops up to `k` values from end `E` in one CASN, appending the
-    /// decoded values to `out` and returning `exhausted`: whether the
-    /// deque held fewer than `k` values at the linearization instant.
+    /// decoded values to `out` (first reserving room for `total` in
+    /// all, only once there is a value to hold) and returning
+    /// `exhausted`: whether the deque held fewer than `k` values at the
+    /// linearization instant.
     /// The scan walks inward from the index (`L+1, L+2, ...` at `Left`,
     /// `R-1, R-2, ...` at `Right`).
     ///
@@ -366,7 +368,7 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
     /// certifying `|deque| == j` — without it, returning a short batch
     /// would not be linearizable as `k` pops (the deque might have held
     /// more).
-    fn pop_chunk<E: End>(&self, k: usize, out: &mut Vec<V>) -> bool {
+    fn pop_chunk<E: End>(&self, k: usize, total: usize, out: &mut Vec<V>) -> bool {
         let len = self.slots.len();
         debug_assert!((1..=MAX_BATCH).contains(&k));
         let idx = self.idx::<E>();
@@ -412,6 +414,7 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
                 if self.strategy.casn(&mut entries[..n]) {
                     // SAFETY: each word was moved out of its cell by our
                     // CASN; we are its unique owner.
+                    out.reserve(total - out.len());
                     out.extend(words[..j].iter().map(|&w| unsafe { V::decode(w) }));
                     return j < k;
                 }
@@ -489,11 +492,13 @@ impl<V: WordValue, S: DcasStrategy> RawArrayDeque<V, S> {
         self.pop_n::<Left>(n)
     }
 
+    /// An empty deque costs no allocation: `out` stays unallocated
+    /// until a chunk yields values, and then reserves room for all `n`.
     fn pop_n<E: End>(&self, n: usize) -> Vec<V> {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::new();
         while out.len() < n {
             let k = (n - out.len()).min(MAX_BATCH);
-            if self.pop_chunk::<E>(k, &mut out) {
+            if self.pop_chunk::<E>(k, n, &mut out) {
                 break;
             }
         }

@@ -68,7 +68,7 @@ mod global_lock;
 mod mcas;
 pub mod reclaim;
 mod stats;
-mod stripe;
+pub mod stripe;
 mod strategy;
 mod word;
 mod wrappers;

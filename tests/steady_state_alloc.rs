@@ -1,8 +1,9 @@
 //! Heap-allocation count on the hot paths that promise none, on one
 //! thread: a steady-state `HarrisMcas::dcas` and `ListDeque` push/pop
 //! over the epoch backend, a steady-state `HarrisMcasHazard::dcas` over
-//! the hazard-pointer backend, and `RawLfrcListDeque` push/pop over the
-//! epoch backend.
+//! the hazard-pointer backend, `RawLfrcListDeque` push/pop over the
+//! epoch backend, and batch pops (`pop_left_n`) that find a `ListDeque`
+//! or an `ArrayDeque` empty — a broker consumer's idle poll.
 //!
 //! The binary installs a counting `#[global_allocator]`, which is why it
 //! is a test binary of its own: the override stays local to this
@@ -12,8 +13,9 @@
 //! the thread, a node-pool miss, the epoch collector building a fresh buffer per
 //! collection, a deferred closure (such as the garbage gauge's) that
 //! outgrows the collector's inline words and gets boxed, a hazard scan
-//! building fresh candidate or snapshot buffers, or an LFRC `release`
-//! cascade building its work list on the heap.
+//! building fresh candidate or snapshot buffers, an LFRC `release`
+//! cascade building its work list on the heap, or a batch pop
+//! allocating its result before it knows there is anything to return.
 //!
 //! One `#[test]` runs all phases in order on the same thread. Separate
 //! tests would run on separate harness threads, and one thread's exit
@@ -27,7 +29,7 @@ use dcas::{
     Reclaimer,
 };
 use dcas_deques::deque::list_lfrc::RawLfrcListDeque;
-use dcas_deques::deque::ListDeque;
+use dcas_deques::deque::{ArrayDeque, ListDeque, MAX_BATCH};
 
 struct CountingAlloc;
 
@@ -87,6 +89,7 @@ fn flush_epochs() {
 
 const DCAS_OPS: u64 = 100_000;
 const DEQUE_OPS: u64 = 400_000;
+const EMPTY_POLLS: u64 = 100_000;
 
 #[test]
 fn pooled_steady_state_dcas_and_list_deque_make_no_heap_allocations() {
@@ -174,5 +177,23 @@ fn pooled_steady_state_dcas_and_list_deque_make_no_heap_allocations() {
     assert_eq!(
         n, 0,
         "{DEQUE_OPS} steady-state RawLfrcListDeque ops made {n} heap allocations"
+    );
+
+    // Phase 5: batch pops on empty deques. Most of a broker consumer's
+    // polls find its shard empty; such a poll returns an empty `Vec`
+    // and must not allocate one.
+    let list: ListDeque<u64> = ListDeque::new();
+    let array: ArrayDeque<u64> = ArrayDeque::new(64);
+    let poll = || {
+        for _ in 0..EMPTY_POLLS {
+            assert!(list.pop_left_n(MAX_BATCH).is_empty());
+            assert!(array.pop_left_n(MAX_BATCH).is_empty());
+        }
+    };
+    poll();
+    let n = allocations_during(poll);
+    assert_eq!(
+        n, 0,
+        "{EMPTY_POLLS} empty pop_left_n calls per deque made {n} heap allocations"
     );
 }
