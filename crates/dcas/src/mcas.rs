@@ -434,13 +434,14 @@ impl<R: Reclaimer> HarrisMcas<R> {
             };
             'install: for e in &op.entries[skip..] {
                 if let Driver::Helper { window } = driver {
-                    if let Some(g) = window {
+                    let undecided = window.is_none_or(|g| {
                         g.protect(0, e.word as u64);
-                        if op.status.load(Ordering::SeqCst) != op.undecided {
-                            // Decided meanwhile: nothing left to install,
-                            // and the decision CAS below fails.
-                            break 'install;
-                        }
+                        op.status.load(Ordering::SeqCst) == op.undecided
+                    });
+                    if !undecided {
+                        // Decided meanwhile: nothing left to install,
+                        // and the decision CAS below fails.
+                        break 'install;
                     }
                     // A helper about to install another thread's entry.
                     // Not effect-free: it may be helping from inside its
