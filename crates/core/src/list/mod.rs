@@ -25,6 +25,13 @@
 //! The cost of splitting is one extra DCAS per pop; the benefit is that
 //! no operation ever needs to synchronize on *both* sentinel pointers at
 //! once, so the two ends don't interfere while the deque is non-empty.
+//! Here that extra DCAS is paid only when a *pop* finds the deletion
+//! pending. A push that finds it pending hands its unpublished node to
+//! `delete`, whose splice DCAS links the node in place of the null
+//! node(s) it unlinks: the splice and the push in one DCAS, over the same
+//! two words (the argument is at `delete`, and in DESIGN.md, "Beyond
+//! the paper's listings"). So push → pop → push at one end costs three
+//! DCASes, not four, while pop → pop still costs the paper's extra one.
 //!
 //! # One body per end
 //!
@@ -568,7 +575,7 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
                 return None; // line 5: "empty"
             }
             if old.deleted {
-                self.delete::<E>(&guard); // lines 6-7
+                self.delete::<E>(&guard, None); // lines 6-7
             } else if v == NULL {
                 // Lines 8-12: the node was deleted by a pop at the other
                 // end; the deque is empty if nothing changed — confirm
@@ -609,26 +616,24 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
         // specification of Section 2.2.) The pending guard owns node and
         // value until published; an unwinding strategy call frees both.
         let pending = PendingNode::<V, P>::new(&self.policy, v);
-        let (node, val) = (pending.node, pending.val);
         let end = self.end_word::<E>();
         let sent = pack(self.sent::<E>(), false);
-        let nw = pack(node, false);
+        let nw = pack(pending.node, false);
         loop {
             let old = P::load(self, &guard, end, At::Near); // line 6
             if old.deleted {
-                self.delete::<E>(&guard); // lines 7-8
-            } else {
-                // Lines 10-13: initialize the unpublished node; its
-                // outward link names this end's own sentinel (the
-                // Figure 33 correction). These are plain stores; the
-                // publishing DCAS below provides the release edge.
-                // SAFETY: `node` is not yet published, we have exclusive
-                // access.
-                unsafe {
-                    E::outward(&*node).init_store(sent);
-                    P::store(self, E::inward(&*node), old.w);
-                    (*node).value.init_store(val);
+                // Lines 7-8, with the push folded into the splice: if
+                // `delete` links the node itself, the push is done.
+                if self.delete::<E>(&guard, Some(&pending)) {
+                    pending.published();
+                    P::drop(self, &guard, nw); // the creator's reference
+                    P::drop(self, &guard, old.w);
+                    return Ok(()); // "okay"
                 }
+            } else {
+                // Lines 10-13: initialize the unpublished node (see
+                // `fill`); its inward link names the node line 6 read.
+                self.fill::<E>(&pending, old.w);
                 // Lines 14-18: splice in by redirecting the end word and
                 // the old neighbor's outward pointer (expected to name
                 // the sentinel) to the new node (Figure 14).
@@ -647,15 +652,74 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
         }
     }
 
+    /// Figure 13/33 lines 10-13: initializes the unpublished node of a
+    /// push at end `E` so that it may be linked as the outermost node at
+    /// `E`. Its outward link names this end's own sentinel (the
+    /// Figure 33 correction), its inward link names `inward` (counted by
+    /// `P::store`; the caller gives that count back with `P::drop` if
+    /// the DCAS that would publish the node fails). These are plain
+    /// stores; the publishing DCAS provides the release edge. Returns
+    /// the word that names the node.
+    fn fill<E: End>(&self, pending: &PendingNode<V, P>, inward: u64) -> u64 {
+        let node = pending.node;
+        // SAFETY: `node` is not yet published; the pushing thread has
+        // exclusive access.
+        unsafe {
+            E::outward(&*node).init_store(pack(self.sent::<E>(), false));
+            P::store(self, E::inward(&*node), inward);
+            (*node).value.init_store(pending.val);
+        }
+        pack(node, false)
+    }
+
     /// Figure 17 (`deleteRight`) at `Right`, Figure 34 (`deleteLeft`) at
     /// `Left`: completes a pending physical deletion at end `E`.
-    fn delete<E: End>(&self, guard: &GuardOf<S>) {
+    ///
+    /// A pop passes no `fill`. A push passes its unpublished node, and
+    /// then the winning splice DCAS links that node in place of what it
+    /// unlinks and returns `true`: the push is done, and that DCAS is its
+    /// linearization point. `false` means the deletion was completed and
+    /// the node, if any, is still unpublished.
+    ///
+    /// # Why one DCAS may do both
+    ///
+    /// Each fused DCAS is exactly the old splice DCAS followed by the
+    /// push DCAS (Figure 13/33 lines 14-18) that would succeed right
+    /// after it:
+    ///
+    /// * Figure 15, neighbour `nb` live or the far sentinel: the splice
+    ///   `(end, nb.outward): (marked cur, cur) → (nb, sent)` leaves the
+    ///   end word naming `nb` unmarked and `nb.outward` naming the
+    ///   sentinel. A push that then reads `nb` at line 6 stores `nb` in
+    ///   the node's inward link and runs `(end, nb.outward): (nb, sent)
+    ///   → (node, node)`, which succeeds if no step fell in between.
+    ///   Composed: `(marked cur, cur) → (node, node)`, with the node's
+    ///   inward link naming `nb`.
+    /// * Figure 16, two nulls: the double splice `(end, far): (marked
+    ///   cur, marked nb) → (opp, sent)` leaves the deque empty. A push
+    ///   that then reads `opp` at line 6 stores `opp` in the node's
+    ///   inward link and runs `(end, far): (opp, sent) → (node, node)`,
+    ///   since `far` is `opp`'s outward link. Composed: `(marked cur,
+    ///   marked nb) → (node, node)`, the node's inward link naming `opp`.
+    ///
+    /// The intermediate state is never visible, and every check before
+    /// the fused DCAS is the splice's own, so every run of this code is a
+    /// run of the paper's in which no other step falls between the two
+    /// DCASes: the splice is not a linearization point, so the push
+    /// linearizes at the fused DCAS. The nodes unlinked, and so
+    /// `P::unlinked`, are the splice's. Under LFRC the node's inward link
+    /// counts `nb` once through `P::store`, where the splice counted it
+    /// for the end word; the new end-word and link targets are the node
+    /// itself, counted by `P::dcas` as the push's DCAS counts them. The
+    /// list, dummy and LFRC step machines of `dcas-modelcheck` check
+    /// the fused step (`DelSpliceDcas` and `DelTwoNullDcas` with a push).
+    fn delete<E: End>(&self, guard: &GuardOf<S>, fill: Option<&PendingNode<V, P>>) -> bool {
         let end = self.end_word::<E>();
         loop {
             let old = P::load(self, guard, end, At::Near); // line 3
             if !old.deleted {
                 P::drop(self, guard, old.w);
-                return; // line 4: someone else finished the deletion
+                return false; // line 4: someone else finished the deletion
             }
             let cur = old.node;
             // SAFETY (this and subsequent derefs): `cur` is protected via
@@ -671,7 +735,7 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
                 // Lines 6-14: the neighbor is live (or is the far
                 // sentinel); splice out the null node by pointing this
                 // end's sentinel and that neighbor at each other
-                // (Figure 15).
+                // (Figure 15), or both at the filled node between them.
                 let nb_link = E::outward(unsafe { &*nb.node });
                 let nb_out = P::load(self, guard, nb_link, At::Neighbour); // line 7
                 // A deleted bit on a neighbor's outward pointer is a
@@ -681,12 +745,12 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
                 if nb_out.node == cur
                     && !nb_out.deleted
                     // Lines 8-13 (Figure 34: 8-14).
-                    && P::dcas(
-                        self,
+                    && self.splice::<E>(
                         guard,
                         (end, nb_link),
                         (old.w, nb_out.w),
-                        (pack(nb.node, false), pack(self.sent::<E>(), false)),
+                        pack(nb.node, false),
+                        fill,
                         // SAFETY: our DCAS unlinked `cur`.
                         || unsafe { P::unlinked::<E, V, S>(self, guard, &old, None) },
                     )
@@ -694,14 +758,14 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
                     P::drop(self, guard, nb_out.w);
                     P::drop(self, guard, nb.w);
                     P::drop(self, guard, old.w);
-                    return;
+                    return fill.is_some();
                 }
                 P::drop(self, guard, nb_out.w);
             } else {
                 // Lines 16-26: two null items — both remaining nodes are
-                // logically deleted. Point the sentinels at each other,
-                // racing any concurrent delete at the other end
-                // (Figure 16).
+                // logically deleted. Point the sentinels at each other
+                // (or both at the filled node), racing any concurrent
+                // delete at the other end (Figure 16).
                 let far = E::outward(self.opp::<E>());
                 let far_old = P::load(self, guard, far, At::Far); // line 17
                 // Line 18 (Figure 34: line 22), plus a check the paper
@@ -711,12 +775,13 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
                 // ones (DESIGN.md, "Known errata").
                 if far_old.deleted
                     && far_old.node == nb.node
-                    && P::dcas(
-                        self,
+                    // Lines 19-25.
+                    && self.splice::<E>(
                         guard,
                         (end, far),
                         (old.w, far_old.w),
-                        (pack(self.opp::<E>(), false), pack(self.sent::<E>(), false)),
+                        pack(self.opp::<E>(), false),
+                        fill,
                         // SAFETY: our DCAS unlinked both null nodes.
                         || unsafe { P::unlinked::<E, V, S>(self, guard, &old, Some(&far_old)) },
                     )
@@ -724,13 +789,39 @@ impl<V: WordValue, S: DcasStrategy, P: LinkPolicy> RawListDeque<V, S, P> {
                     P::drop(self, guard, far_old.w);
                     P::drop(self, guard, nb.w);
                     P::drop(self, guard, old.w);
-                    return;
+                    return fill.is_some();
                 }
                 P::drop(self, guard, far_old.w);
             }
             P::drop(self, guard, nb.w);
             P::drop(self, guard, old.w);
         }
+    }
+
+    /// One splice DCAS of `delete` over `words`, expecting `old`. The
+    /// paper writes `to` (the end word's new target) and this end's
+    /// sentinel into them. With a `fill`, both words name the filled node
+    /// instead, whose inward link names `to` and outward link the
+    /// sentinel: the splice and the push that would follow it, in one
+    /// DCAS. A failed fill gives back the count its inward link took.
+    fn splice<E: End>(
+        &self,
+        guard: &GuardOf<S>,
+        words: (&DcasWord, &DcasWord),
+        old: (u64, u64),
+        to: u64,
+        fill: Option<&PendingNode<V, P>>,
+        unlinked: impl FnOnce(),
+    ) -> bool {
+        let Some(f) = fill else {
+            return P::dcas(self, guard, words, old, (to, pack(self.sent::<E>(), false)), unlinked);
+        };
+        let nw = self.fill::<E>(f, to);
+        let won = P::dcas(self, guard, words, old, (nw, nw), unlinked);
+        if !won {
+            P::drop(self, guard, to);
+        }
+        won
     }
 
     /// Quiescent snapshot of the list structure (see [`ListLayout`]);
@@ -838,7 +929,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S, Bit> {
         loop {
             let old = self.load_end_protected(&guard, end, 0);
             if deleted_of(old) {
-                self.delete::<E>(&guard);
+                self.delete::<E>(&guard, None);
             } else {
                 let cur = ptr_of::<Node<Bit>>(old);
                 // SAFETY: `inner` is still unpublished.
@@ -898,7 +989,7 @@ impl<V: WordValue, S: DcasStrategy> RawListDeque<V, S, Bit> {
         loop {
             let old = self.load_end_protected(guard, end, 0);
             if deleted_of(old) {
-                self.delete::<E>(guard);
+                self.delete::<E>(guard, None);
                 continue;
             }
             let cur = ptr_of::<Node<Bit>>(old);

@@ -275,17 +275,70 @@ fn alternating_push_pop_both_sides() {
 fn extra_dcas_per_pop_claim() {
     // Section 1.2: "The cost of this splitting technique is an extra DCAS
     // per pop operation." An uncontended push costs one DCAS; a pop costs
-    // one DCAS now plus one deferred deleteRight DCAS in the next
-    // same-side operation.
+    // one DCAS now plus one deferred deleteRight DCAS, which the next
+    // same-side pop still pays. The next same-side push instead links its
+    // node with the splice DCAS itself (`delete`'s fill), so it costs one
+    // DCAS in all: push → pop → push is 3 DCASes where the paper's
+    // listings spend 4.
     let d = RawListDeque::<u32, Counting<GlobalLock>>::new();
+    let dcases = || {
+        let s = d.strategy().stats();
+        assert_eq!(s.dcas_attempts, s.dcas_successes, "uncontended DCASes all succeed");
+        s.dcas_attempts
+    };
     d.push_right(1).unwrap(); // 1 DCAS
-    assert_eq!(d.strategy().stats().dcas_attempts, 1);
+    assert_eq!(dcases(), 1);
     assert_eq!(d.pop_right(), Some(1)); // 1 DCAS (logical delete)
-    assert_eq!(d.strategy().stats().dcas_attempts, 2);
-    d.push_right(2).unwrap(); // deleteRight (1) + push (1)
-    let s = d.strategy().stats();
-    assert_eq!(s.dcas_attempts, 4);
-    assert_eq!(s.dcas_successes, 4);
+    assert_eq!(dcases(), 2);
+    d.push_right(2).unwrap(); // deleteRight's splice, filled with 2
+    assert_eq!(dcases(), 3);
+    assert_eq!(d.layout().cells, vec![Some(2u32.encode_for_test())]);
+    d.push_right(3).unwrap(); // 1 DCAS
+    assert_eq!(d.pop_right(), Some(3)); // 1 DCAS, deletion left pending
+    assert_eq!(dcases(), 5);
+    assert_eq!(d.pop_right(), Some(2)); // deleteRight (1) + logical delete (1)
+    assert_eq!(dcases(), 7);
+}
+
+/// A push at an end whose two remaining nodes are both logically
+/// deleted (Figure 16) links its node with the double-splice DCAS: the
+/// one pointer DCAS of the call, leaving `[c]`, with both null nodes
+/// (and, for the dummy family, their dummies) retired. LFRC's counted
+/// loads are DCASes too: the call's four (push line 6, delete lines 3, 5
+/// and 17, each naming a non-sentinel node) come on top of its one
+/// pointer DCAS. The pool census for this case is in the root
+/// package's `tests/alloc_balance.rs`, whose test runs alone in its
+/// binary.
+#[test]
+fn fused_two_null_push_costs_one_dcas() {
+    fn run<S: DcasStrategy, P: LinkPolicy>(loads: u64) {
+        let d = RawListDeque::<u32, Counting<S>, P>::new();
+        d.push_left(1).unwrap();
+        d.push_right(2).unwrap();
+        assert_eq!(d.pop_left(), Some(1));
+        assert_eq!(d.pop_right(), Some(2));
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![None, None]);
+        assert!(lay.left_deleted && lay.right_deleted);
+        let before = d.strategy().stats();
+        d.push_left(3).unwrap();
+        let after = d.strategy().stats();
+        assert_eq!(after.dcas_attempts - before.dcas_attempts, 1 + loads, "{}", P::NAME);
+        assert_eq!(after.dcas_successes - before.dcas_successes, 1 + loads, "{}", P::NAME);
+        let lay = d.layout();
+        assert_eq!(lay.cells, vec![Some(3u32.encode_for_test())]);
+        assert!(!lay.left_deleted && !lay.right_deleted);
+        assert_eq!(d.pop_right(), Some(3));
+        assert_eq!(d.pop_left(), None);
+    }
+    fn each_family<S: DcasStrategy>() {
+        run::<S, super::Bit>(0);
+        run::<S, Dummy>(0);
+        run::<S, crate::list_lfrc::Lfrc>(4);
+    }
+    each_family::<GlobalLock>();
+    each_family::<HarrisMcas>();
+    each_family::<HarrisMcasHazard>();
 }
 
 #[test]

@@ -21,6 +21,10 @@
 //!   dummy's fields are immutable once published.
 //! * Each pop operation owns a preassigned dummy arena slot (it may
 //!   allocate one dummy per *successful* logical deletion).
+//! * As in the list machine, a push's `delete` links the push's node with
+//!   its splice DCAS (`DelSpliceDcas`, Figure 15) or its two-null double
+//!   splice (`DelTwoNullDcas`, Figure 16), which retire the unlinked
+//!   nodes with their dummies and linearize the push.
 
 use std::collections::HashMap;
 
@@ -147,6 +151,9 @@ pub struct DummyMachine {
     /// The two-null branch checks that the far sentinel names the null
     /// neighbour (off only in the negative control).
     two_null_check: bool,
+    /// A fused splice points the filled node's inward link at the node
+    /// beyond what it unlinks (off only in the negative control).
+    fill_relink: bool,
 }
 
 impl DummyMachine {
@@ -187,6 +194,7 @@ impl DummyMachine {
             dummy_for_pop,
             total_nodes: next,
             two_null_check: true,
+            fill_relink: true,
         }
     }
 
@@ -198,6 +206,24 @@ impl DummyMachine {
         self
     }
 
+    /// Leaves the filled node's inward link naming the spliced victim
+    /// instead of the node beyond it: the negative control for the fused
+    /// step, which the script sweep must catch.
+    pub fn without_fill_relink(mut self) -> Self {
+        self.fill_relink = false;
+        self
+    }
+
+    /// The preassigned node and value of the push at `(tid, op_idx)`, if
+    /// `op` is a push: what its `delete` links in.
+    fn fill(&self, op: DequeOp, tid: usize, op_idx: usize) -> Option<(usize, u64)> {
+        match op {
+            DequeOp::PushRight(v) | DequeOp::PushLeft(v) => {
+                Some((self.node_for_push[&(tid, op_idx)], v))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl System for DummyMachine {
@@ -342,17 +368,9 @@ impl System for DummyMachine {
             }
 
             Pc::PushDcas { w, real } => {
-                let v = match op {
-                    DequeOp::PushRight(v) | DequeOp::PushLeft(v) => v,
-                    _ => unreachable!(),
-                };
-                let node = self.node_for_push[&(local.tid, local.op_idx)];
+                let (node, v) = self.fill(op, local.tid, local.op_idx).expect("a push");
                 if side.sent_inward(&sh.nodes).0 == w && side.outward(&sh.nodes[real]).0 == sent {
-                    debug_assert_eq!(sh.nodes[node].state, NodeState::Unallocated);
-                    sh.nodes[node].value = v;
-                    sh.nodes[node].state = NodeState::Live;
-                    side.set_outward(&mut sh.nodes[node], (sent, false));
-                    side.set_inward(&mut sh.nodes[node], (real, false));
+                    sh.nodes[node].init_pushed(side, v, (real, false));
                     side.set_sent_inward(&mut sh.nodes, (node, false));
                     side.set_outward(&mut sh.nodes[real], (node, false));
                     finish(local, DequeRet::Okay)
@@ -408,13 +426,24 @@ impl System for DummyMachine {
                 StepEvent::Internal
             }
 
+            // Figure 15's splice; run by a push, it links the push's
+            // node between `nbr` and the sentinel in the same DCAS
+            // (Figures 13/33 lines 14-18 on the words the splice wrote)
+            // and linearizes the push.
             Pc::DelSpliceDcas { w, victim, nbr, nbr_out } => {
                 if side.sent_inward(&sh.nodes).0 == w && side.outward(&sh.nodes[nbr]).0 == nbr_out
                 {
-                    side.set_sent_inward(&mut sh.nodes, (nbr, false));
-                    side.set_outward(&mut sh.nodes[nbr], (sent, false));
                     sh.nodes[victim].state = NodeState::Freed;
                     sh.nodes[w].state = NodeState::Freed; // the dummy
+                    if let Some((node, v)) = self.fill(op, local.tid, local.op_idx) {
+                        let inward = if self.fill_relink { nbr } else { victim };
+                        sh.nodes[node].init_pushed(side, v, (inward, false));
+                        side.set_sent_inward(&mut sh.nodes, (node, false));
+                        side.set_outward(&mut sh.nodes[nbr], (node, false));
+                        return Some(finish(local, DequeRet::Okay));
+                    }
+                    side.set_sent_inward(&mut sh.nodes, (nbr, false));
+                    side.set_outward(&mut sh.nodes[nbr], (sent, false));
                     local.pc = Pc::Start;
                 } else {
                     local.pc = Pc::DelReadSent;
@@ -439,18 +468,29 @@ impl System for DummyMachine {
                 StepEvent::Internal
             }
 
+            // Figure 16's double splice; run by a push, it points both
+            // sentinel words at the push's node instead (the push into
+            // the empty deque on the words the splice wrote) and
+            // linearizes the push.
             Pc::DelTwoNullDcas { w, victim, ow, ovictim } => {
                 let other_side = side.other();
                 if side.sent_inward(&sh.nodes).0 == w
                     && other_side.sent_inward(&sh.nodes).0 == ow
                 {
-                    side.set_sent_inward(&mut sh.nodes, (other, false));
-                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     assert_ne!(victim, ovictim, "two-null splice on a single node");
                     sh.nodes[victim].state = NodeState::Freed;
                     sh.nodes[ovictim].state = NodeState::Freed;
                     sh.nodes[w].state = NodeState::Freed;
                     sh.nodes[ow].state = NodeState::Freed;
+                    if let Some((node, v)) = self.fill(op, local.tid, local.op_idx) {
+                        let inward = if self.fill_relink { other } else { victim };
+                        sh.nodes[node].init_pushed(side, v, (inward, false));
+                        side.set_sent_inward(&mut sh.nodes, (node, false));
+                        other_side.set_sent_inward(&mut sh.nodes, (node, false));
+                        return Some(finish(local, DequeRet::Okay));
+                    }
+                    side.set_sent_inward(&mut sh.nodes, (other, false));
+                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     local.pc = Pc::Start;
                 } else {
                     local.pc = Pc::DelReadSent;
@@ -628,5 +668,33 @@ mod tests {
             vec![5, 6],
         );
         Explorer::default().random_walks(&m, 2_000, 0xD117).unwrap();
+    }
+
+    #[test]
+    fn fused_two_null_push() {
+        // Two nulls, then a push at the right end: on one thread its
+        // deleteRight can only take the two-null branch, and the double
+        // splice links the push's node. Every other node ends freed.
+        // Without the relink the filled node's inward link names a
+        // spliced node, which the invariant must reject.
+        let script = vec![vec![
+            DequeOp::PushLeft(5),
+            DequeOp::PushRight(6),
+            DequeOp::PopRight,
+            DequeOp::PopLeft,
+            DequeOp::PushRight(7),
+        ]];
+        let report = Explorer::default().explore(&DummyMachine::new(script.clone()), |_| {}).unwrap();
+        assert_eq!(report.final_abstracts, vec![vec![7]]);
+        for sh in &report.final_shared {
+            let chain = sh.chain().unwrap();
+            for (id, n) in sh.nodes.iter().enumerate().skip(2) {
+                let want = if chain == [id] { NodeState::Live } else { NodeState::Freed };
+                assert_eq!(n.state, want, "node {id}");
+            }
+        }
+        assert!(Explorer::default()
+            .explore(&DummyMachine::new(script).without_fill_relink(), |_| {})
+            .is_err());
     }
 }

@@ -35,6 +35,16 @@
 //! increment, a double release, a leak, a premature free — fails the
 //! invariant at the first state where it occurs, with a replayable
 //! schedule.
+//!
+//! # The fused push
+//!
+//! As in the list machine, a push's `delete` (Figures 17/34) links the
+//! push's node with its splice DCAS (`DelSpliceDcas`, Figure 15) or its
+//! two-null double splice (`DelTwoNullDcas`, Figure 16), and that step
+//! linearizes the push. Its counts are the implementation's: the node's
+//! inward link counts its target once (the counted store), the two
+//! words the DCAS writes count the node, the overwritten words release
+//! their targets, and the creator's reference is dropped.
 
 use std::collections::HashMap;
 
@@ -161,6 +171,9 @@ pub struct LfrcMachine {
     /// The two-null branch checks that the far sentinel names the null
     /// neighbour (off only in the negative control).
     two_null_check: bool,
+    /// A fused splice points the filled node's inward link at the node
+    /// beyond what it unlinks (off only in the negative control).
+    fill_relink: bool,
 }
 
 impl LfrcMachine {
@@ -189,6 +202,7 @@ impl LfrcMachine {
             node_for_push,
             total_nodes: next,
             two_null_check: true,
+            fill_relink: true,
         }
     }
 
@@ -198,6 +212,54 @@ impl LfrcMachine {
     pub fn without_two_null_check(mut self) -> Self {
         self.two_null_check = false;
         self
+    }
+
+    /// Leaves the filled node's inward link naming the spliced node
+    /// instead of the node beyond it (counted like any link): the
+    /// negative control for the fused step, which the script sweep must
+    /// catch.
+    pub fn without_fill_relink(mut self) -> Self {
+        self.fill_relink = false;
+        self
+    }
+
+    /// The preassigned node and value of `local`'s current op, if `op`
+    /// is a push, staged with its creator's local reference on first
+    /// use.
+    fn fill(&self, sh: &mut LfrcShared, local: &mut LfrcLocal, op: DequeOp) -> Option<(usize, u64)> {
+        let (DequeOp::PushRight(v) | DequeOp::PushLeft(v)) = op else {
+            return None;
+        };
+        let node = self.node_for_push[&(local.tid, local.op_idx)];
+        if !local.push_initialized {
+            assert_eq!(sh.nodes[node].life, Life::Unallocated);
+            sh.nodes[node].life = Life::Live;
+            sh.nodes[node].rc = 1;
+            sh.nodes[node].ghost_local = 1;
+            local.push_initialized = true;
+        }
+        Some((node, v))
+    }
+
+    /// Figures 13/33 lines 10-13 plus the counts of the DCAS that
+    /// publishes the node: gives staged push node `node` value `v`, an
+    /// outward link to `side`'s sentinel and a counted inward link to
+    /// `inward`, and counts the two words the DCAS points at it. The
+    /// caller writes those words.
+    fn init_pushed(sh: &mut LfrcShared, side: Side, node: usize, v: u64, inward: usize) {
+        sh.nodes[node].value = v;
+        side.set_outward(&mut sh.nodes[node], (side.sent(), false));
+        side.set_inward(&mut sh.nodes[node], (inward, false));
+        if !Self::is_sentinel(inward) {
+            sh.nodes[inward].rc += 1;
+        }
+        sh.nodes[node].rc += 2;
+    }
+
+    /// Drops the creator's local reference to a published push node.
+    fn drop_creator(sh: &mut LfrcShared, node: usize) {
+        sh.nodes[node].rc -= 1;
+        sh.nodes[node].ghost_local -= 1;
     }
 
     fn is_sentinel(n: usize) -> bool {
@@ -446,41 +508,20 @@ impl System for LfrcMachine {
             }
 
             Pc::PushDcas { w } => {
-                let v = match op {
-                    DequeOp::PushRight(v) | DequeOp::PushLeft(v) => v,
-                    _ => unreachable!(),
-                };
-                let node = self.node_for_push[&(local.tid, local.op_idx)];
                 // Stage the node on first arrival: creator's local ref.
-                if !local.push_initialized {
-                    assert_eq!(sh.nodes[node].life, Life::Unallocated);
-                    sh.nodes[node].life = Life::Live;
-                    sh.nodes[node].rc = 1;
-                    sh.nodes[node].ghost_local = 1;
-                    local.push_initialized = true;
-                }
+                let (node, v) = self.fill(sh, local, op).expect("a push");
                 if side.sent_inward(&sh.nodes) == w && side.outward(&sh.nodes[w.0]) == (sent, false)
                 {
                     // Initialize fields (unpublished), pre-count the two
                     // slot refs to the node and one to w.0 (node's
                     // inward link), then the DCAS resolves them into
                     // real slots.
-                    sh.nodes[node].value = v;
-                    side.set_outward(&mut sh.nodes[node], (sent, false));
-                    side.set_inward(&mut sh.nodes[node], w);
-                    // Two new slots target `node`.
-                    sh.nodes[node].rc += 2;
-                    // node's inward link is a new slot targeting w.0.
-                    if !Self::is_sentinel(w.0) {
-                        sh.nodes[w.0].rc += 1;
-                    }
+                    Self::init_pushed(sh, side, node, v, w.0);
                     side.set_sent_inward(&mut sh.nodes, (node, false));
                     side.set_outward(&mut sh.nodes[w.0], (node, false));
                     // Overwritten: the sentinel's slot ref to w.0.
                     Self::release_slot(sh, w.0);
-                    // Creator's local ref.
-                    sh.nodes[node].rc -= 1;
-                    sh.nodes[node].ghost_local -= 1;
+                    Self::drop_creator(sh, node);
                     Self::release_local(sh, w);
                     finish(local, DequeRet::Okay)
                 } else {
@@ -533,10 +574,29 @@ impl System for LfrcMachine {
                 StepEvent::Internal
             }
 
+            // Figure 15's splice; run by a push, it links the push's
+            // node between `nbr` and the sentinel in the same DCAS
+            // (Figures 13/33 lines 14-18 on the words the splice wrote)
+            // and linearizes the push.
             Pc::DelSpliceDcas { w, nbr_w, nbr_out } => {
+                let fill = self.fill(sh, local, op);
                 if side.sent_inward(&sh.nodes) == w
                     && side.outward(&sh.nodes[nbr_w.0]) == nbr_out
                 {
+                    if let Some((node, v)) = fill {
+                        let inward = if self.fill_relink { nbr_w.0 } else { w.0 };
+                        Self::init_pushed(sh, side, node, v, inward);
+                        side.set_sent_inward(&mut sh.nodes, (node, false));
+                        side.set_outward(&mut sh.nodes[nbr_w.0], (node, false));
+                        // Overwritten slots both targeted w.0.
+                        Self::release_slot(sh, w.0);
+                        Self::release_slot(sh, w.0);
+                        Self::release_local(sh, nbr_out);
+                        Self::release_local(sh, nbr_w);
+                        Self::release_local(sh, w);
+                        Self::drop_creator(sh, node);
+                        return Some(finish(local, DequeRet::Okay));
+                    }
                     // New slot: sentinel -> nbr.
                     if !Self::is_sentinel(nbr_w.0) {
                         sh.nodes[nbr_w.0].rc += 1;
@@ -576,11 +636,26 @@ impl System for LfrcMachine {
                 StepEvent::Internal
             }
 
+            // Figure 16's double splice; run by a push, it points both
+            // sentinel words at the push's node instead (the push into
+            // the empty deque on the words the splice wrote) and
+            // linearizes the push.
             Pc::DelTwoNullDcas { w, nbr_w, ow } => {
                 let other_side = side.other();
+                let fill = self.fill(sh, local, op);
                 if side.sent_inward(&sh.nodes) == w && other_side.sent_inward(&sh.nodes) == ow {
-                    side.set_sent_inward(&mut sh.nodes, (other, false));
-                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
+                    match fill {
+                        Some((node, v)) => {
+                            let inward = if self.fill_relink { other } else { w.0 };
+                            Self::init_pushed(sh, side, node, v, inward);
+                            side.set_sent_inward(&mut sh.nodes, (node, false));
+                            other_side.set_sent_inward(&mut sh.nodes, (node, false));
+                        }
+                        None => {
+                            side.set_sent_inward(&mut sh.nodes, (other, false));
+                            other_side.set_sent_inward(&mut sh.nodes, (sent, false));
+                        }
+                    }
                     // Break the two-node dead cycle, as the
                     // implementation does.
                     if self.break_cycle_enabled {
@@ -594,6 +669,10 @@ impl System for LfrcMachine {
                     Self::release_local(sh, ow);
                     Self::release_local(sh, nbr_w);
                     Self::release_local(sh, w);
+                    if let Some((node, _)) = fill {
+                        Self::drop_creator(sh, node);
+                        return Some(finish(local, DequeRet::Okay));
+                    }
                     local.pc = Pc::Start;
                 } else {
                     Self::release_local(sh, ow);
@@ -796,5 +875,33 @@ mod tests {
             vec![5, 6],
         );
         Explorer::default().random_walks(&m, 2_000, 0x1F2C).unwrap();
+    }
+
+    #[test]
+    fn fused_two_null_push() {
+        // Two nulls, then a push at the right end: on one thread its
+        // deleteRight can only take the two-null branch, and the double
+        // splice links the push's node. Every other node ends freed.
+        // Without the relink the filled node's inward link names a
+        // spliced node, which the invariant must reject.
+        let script = vec![vec![
+            DequeOp::PushLeft(5),
+            DequeOp::PushRight(6),
+            DequeOp::PopRight,
+            DequeOp::PopLeft,
+            DequeOp::PushRight(7),
+        ]];
+        let report = Explorer::default().explore(&LfrcMachine::new(script.clone()), |_| {}).unwrap();
+        assert_eq!(report.final_abstracts, vec![vec![7]]);
+        for sh in &report.final_shared {
+            let chain = sh.chain().unwrap();
+            for (id, n) in sh.nodes.iter().enumerate().skip(2) {
+                let want = if chain == [id] { Life::Live } else { Life::Freed };
+                assert_eq!(n.life, want, "node {id}");
+            }
+        }
+        assert!(Explorer::default()
+            .explore(&LfrcMachine::new(script).without_fill_relink(), |_| {})
+            .is_err());
     }
 }

@@ -21,6 +21,14 @@
 //!   line 3**, exactly as assigned in Section 5.2; the machine then
 //!   *verifies* the paper's supporting claim — that the value read at
 //!   line 4 is necessarily the sentinel value — instead of assuming it.
+//! * A push that finds its end marked runs `delete` (Figures 17/34) with
+//!   its own node as the *fill*: the splice DCAS (`DelSpliceDcas`,
+//!   Figure 15) or the two-null double splice (`DelTwoNullDcas`,
+//!   Figure 16) then links the push's preassigned node in place of what
+//!   it unlinks, and is the push's linearization point. That fused step is the splice DCAS
+//!   followed by the push DCAS of Figures 13/33 lines 14-18 (Figure 14)
+//!   with no step between them; a pop's `delete` keeps the paper's
+//!   splices.
 
 use std::collections::HashMap;
 
@@ -54,6 +62,19 @@ pub struct NodeM {
     pub value: u64,
     /// Heap state.
     pub state: NodeState,
+}
+
+impl NodeM {
+    /// Figures 13/33 lines 10-13: makes this push node hold `v`, with an
+    /// outward link to `side`'s sentinel and an inward link to `inward`.
+    /// The DCAS step that calls this publishes it.
+    pub(super) fn init_pushed(&mut self, side: Side, v: u64, inward: PtrW) {
+        debug_assert_eq!(self.state, NodeState::Unallocated);
+        self.value = v;
+        self.state = NodeState::Live;
+        side.set_outward(self, (side.sent(), false));
+        side.set_inward(self, inward);
+    }
 }
 
 impl Linked for NodeM {
@@ -165,6 +186,9 @@ pub struct ListMachine {
     /// The two-null branch checks that the far sentinel names the null
     /// neighbour (off only in the negative control).
     two_null_check: bool,
+    /// A fused splice points the filled node's inward link at the node
+    /// beyond what it unlinks (off only in the negative control).
+    fill_relink: bool,
 }
 
 impl ListMachine {
@@ -199,6 +223,7 @@ impl ListMachine {
             node_for_push,
             total_nodes: next,
             two_null_check: true,
+            fill_relink: true,
         }
     }
 
@@ -210,6 +235,25 @@ impl ListMachine {
         self
     }
 
+    /// Leaves the filled node's inward link naming the spliced node `cur`
+    /// (the word the push read at line 6) instead of the node beyond it:
+    /// the negative control for the fused step, which the script sweep
+    /// must catch.
+    pub fn without_fill_relink(mut self) -> Self {
+        self.fill_relink = false;
+        self
+    }
+
+    /// The preassigned node and value of the push at `(tid, op_idx)`, if
+    /// `op` is a push: what its `delete` links in.
+    fn fill(&self, op: DequeOp, tid: usize, op_idx: usize) -> Option<(usize, u64)> {
+        match op {
+            DequeOp::PushRight(v) | DequeOp::PushLeft(v) => {
+                Some((self.node_for_push[&(tid, op_idx)], v))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl System for ListMachine {
@@ -290,7 +334,8 @@ impl System for ListMachine {
                         StepEvent::Internal
                     }
                 } else if old_p.1 {
-                    // Push line 7: complete the pending deletion first.
+                    // Push lines 7-8: complete the pending deletion, with
+                    // this push's node as the fill.
                     local.pc = Pc::DelReadSent;
                     StepEvent::Internal
                 } else {
@@ -356,19 +401,11 @@ impl System for ListMachine {
             // writes, folded into this step per the paper's footnote 7)
             // and attempt the two-pointer splice-in (Figure 14).
             Pc::PushDcas { old_p } => {
-                let v = match op {
-                    DequeOp::PushRight(v) | DequeOp::PushLeft(v) => v,
-                    _ => unreachable!(),
-                };
-                let node = self.node_for_push[&(local.tid, local.op_idx)];
+                let (node, v) = self.fill(op, local.tid, local.op_idx).expect("a push");
                 if side.sent_inward(&sh.nodes) == old_p
                     && side.outward(&sh.nodes[old_p.0]) == (sent, false)
                 {
-                    debug_assert_eq!(sh.nodes[node].state, NodeState::Unallocated);
-                    sh.nodes[node].value = v;
-                    sh.nodes[node].state = NodeState::Live;
-                    side.set_outward(&mut sh.nodes[node], (sent, false));
-                    side.set_inward(&mut sh.nodes[node], old_p);
+                    sh.nodes[node].init_pushed(side, v, old_p);
                     side.set_sent_inward(&mut sh.nodes, (node, false));
                     side.set_outward(&mut sh.nodes[old_p.0], (node, false));
                     finish(local, DequeRet::Okay)
@@ -422,14 +459,26 @@ impl System for ListMachine {
 
             // Delete lines 9-13: splice the null node out (Figure 15).
             // Not a linearization point: the explorer checks A unchanged
-            // (the paper's Figure 29 verification condition).
+            // (the paper's Figure 29 verification condition). Run by a
+            // push, the same DCAS links the push's node between `nbr` and
+            // the sentinel instead — Figure 15's splice, then Figure 14's
+            // push on the words it just wrote, `(sent word, nbr.outward):
+            // (nbr, sent) → (node, node)` (Figures 13/33 lines 14-18) —
+            // and is the push's linearization point.
             Pc::DelSpliceDcas { old_p, nbr, nbr_out } => {
                 if side.sent_inward(&sh.nodes) == old_p
                     && side.outward(&sh.nodes[nbr]) == nbr_out
                 {
+                    sh.nodes[old_p.0].state = NodeState::Freed;
+                    if let Some((node, v)) = self.fill(op, local.tid, local.op_idx) {
+                        let inward = if self.fill_relink { nbr } else { old_p.0 };
+                        sh.nodes[node].init_pushed(side, v, (inward, false));
+                        side.set_sent_inward(&mut sh.nodes, (node, false));
+                        side.set_outward(&mut sh.nodes[nbr], (node, false));
+                        return Some(finish(local, DequeRet::Okay));
+                    }
                     side.set_sent_inward(&mut sh.nodes, (nbr, false));
                     side.set_outward(&mut sh.nodes[nbr], (sent, false));
-                    sh.nodes[old_p.0].state = NodeState::Freed;
                     local.pc = Pc::Start;
                 } else {
                     local.pc = Pc::DelReadSent;
@@ -449,17 +498,29 @@ impl System for ListMachine {
             }
 
             // Delete lines 19-25: both remaining nodes are null; point the
-            // sentinels at each other (the Figure 16 race).
+            // sentinels at each other (the Figure 16 race). Run by a push,
+            // the same DCAS points both at the push's node instead — the
+            // double splice, then the push into the empty deque on the
+            // words it just wrote, `(sent word, other word): (other,
+            // sent) → (node, node)` — and is the push's linearization
+            // point.
             Pc::DelTwoNullDcas { old_p, other: other_w } => {
                 let other_side = side.other();
                 if side.sent_inward(&sh.nodes) == old_p
                     && other_side.sent_inward(&sh.nodes) == other_w
                 {
-                    side.set_sent_inward(&mut sh.nodes, (other, false));
-                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     assert_ne!(old_p.0, other_w.0, "two-null splice on a single node");
                     sh.nodes[old_p.0].state = NodeState::Freed;
                     sh.nodes[other_w.0].state = NodeState::Freed;
+                    if let Some((node, v)) = self.fill(op, local.tid, local.op_idx) {
+                        let inward = if self.fill_relink { other } else { old_p.0 };
+                        sh.nodes[node].init_pushed(side, v, (inward, false));
+                        side.set_sent_inward(&mut sh.nodes, (node, false));
+                        other_side.set_sent_inward(&mut sh.nodes, (node, false));
+                        return Some(finish(local, DequeRet::Okay));
+                    }
+                    side.set_sent_inward(&mut sh.nodes, (other, false));
+                    other_side.set_sent_inward(&mut sh.nodes, (sent, false));
                     local.pc = Pc::Start;
                 } else {
                     local.pc = Pc::DelReadSent;
@@ -664,5 +725,33 @@ mod tests {
                 assert_eq!(node.state, NodeState::Freed);
             }
         }
+    }
+
+    #[test]
+    fn fused_two_null_push() {
+        // Two nulls, then a push at the right end: on one thread its
+        // deleteRight can only take the two-null branch, and the double
+        // splice links the push's node. Every other node ends freed.
+        // Without the relink the filled node's inward link names a
+        // spliced node, which the invariant must reject.
+        let script = vec![vec![
+            DequeOp::PushLeft(5),
+            DequeOp::PushRight(6),
+            DequeOp::PopRight,
+            DequeOp::PopLeft,
+            DequeOp::PushRight(7),
+        ]];
+        let report = Explorer::default().explore(&ListMachine::new(script.clone()), |_| {}).unwrap();
+        assert_eq!(report.final_abstracts, vec![vec![7]]);
+        for sh in &report.final_shared {
+            let chain = sh.chain().unwrap();
+            for (id, n) in sh.nodes.iter().enumerate().skip(2) {
+                let want = if chain == [id] { NodeState::Live } else { NodeState::Freed };
+                assert_eq!(n.state, want, "node {id}");
+            }
+        }
+        assert!(Explorer::default()
+            .explore(&ListMachine::new(script).without_fill_relink(), |_| {})
+            .is_err());
     }
 }

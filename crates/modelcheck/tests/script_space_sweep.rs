@@ -9,8 +9,10 @@
 //!   non-empty, of total length at most 9: 7,172 scripts per list
 //!   machine. This is the family in which the two-null splice erratum
 //!   (DESIGN.md, "Known errata") first shows, at 8 operations, and the
-//!   negative controls prove the sweep catches it. It runs in release
-//!   only (`cargo test --release -p dcas-modelcheck --test
+//!   negative controls prove the sweep catches it. A second set of
+//!   controls proves it catches a push fused into a splice that links
+//!   its node to the spliced node instead of the one beyond. It runs in
+//!   release only (`cargo test --release -p dcas-modelcheck --test
 //!   script_space_sweep`); a debug run skips it.
 
 use dcas_linearize::DequeOp;
@@ -205,4 +207,25 @@ fn one_end_sweep_catches_dummy_without_two_null_check() {
 fn one_end_sweep_catches_lfrc_without_two_null_check() {
     let err = one_end_sweep(|s| LfrcMachine::new(s).without_two_null_check()).unwrap_err();
     eprintln!("lfrc control: {err}");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn one_end_sweep_catches_list_without_fill_relink() {
+    let err = one_end_sweep(|s| ListMachine::new(s).without_fill_relink()).unwrap_err();
+    eprintln!("list fill control: {err}");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn one_end_sweep_catches_dummy_without_fill_relink() {
+    let err = one_end_sweep(|s| DummyMachine::new(s).without_fill_relink()).unwrap_err();
+    eprintln!("dummy fill control: {err}");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn one_end_sweep_catches_lfrc_without_fill_relink() {
+    let err = one_end_sweep(|s| LfrcMachine::new(s).without_fill_relink()).unwrap_err();
+    eprintln!("lfrc fill control: {err}");
 }

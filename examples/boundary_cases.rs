@@ -36,6 +36,8 @@ fn dcas_cost_accounting() {
         s.dcas_attempts as f64 / 200.0
     );
 
+    // Pop → pop: every pop after the first finds the previous one's
+    // physical deletion pending and pays its splice DCAS.
     let list = RawListDeque::<u32, Counting<GlobalLock>>::new();
     for i in 0..100 {
         list.push_right(i).unwrap();
@@ -43,18 +45,37 @@ fn dcas_cost_accounting() {
     for _ in 0..100 {
         list.pop_left().unwrap();
     }
-    let s = list.strategy().stats();
+    let pops = list.strategy().stats().dcas_attempts;
     println!(
-        "list deque:  {} ops, {} DCAS attempts ({} successful) -> {:.2} DCAS/op",
+        "list deque, pop -> pop:  {} ops, {} DCAS attempts -> {:.2} DCAS/op",
         200,
-        s.dcas_attempts,
-        s.dcas_successes,
-        s.dcas_attempts as f64 / 200.0
+        pops,
+        pops as f64 / 200.0
     );
     println!(
         "             (the paper, Section 1.2: \"The cost of this splitting \
-         technique is an extra DCAS per pop operation.\")\n"
+         technique is an extra DCAS per pop operation.\")"
     );
+    // 99 splices + 100 logical deletions + 100 pushes.
+    assert_eq!(pops, 299, "pop -> pop pays the deferred splice");
+
+    // Pop → push: each push finds the pop's deletion pending and links
+    // its node with the splice DCAS itself, so the splice costs nothing
+    // extra.
+    let list = RawListDeque::<u32, Counting<GlobalLock>>::new();
+    for i in 0..100 {
+        list.push_right(i).unwrap();
+        assert_eq!(list.pop_right(), Some(i));
+    }
+    let pushes = list.strategy().stats().dcas_attempts;
+    println!(
+        "list deque, pop -> push: {} ops, {} DCAS attempts -> {:.2} DCAS/op",
+        200,
+        pushes,
+        pushes as f64 / 200.0
+    );
+    println!("             (the push's DCAS is also the pending splice)\n");
+    assert_eq!(pushes, 200, "pop -> push folds the splice into the push");
 }
 
 /// Hammer an almost-always-empty and almost-always-full deque: every

@@ -8,11 +8,15 @@
 //! same scenario **twice** — the first round may grow the pool (pages
 //! are immortal), the second must be served entirely from recycled
 //! slots, which is the allocation-free steady-state claim of the
-//! allocator at test granularity.
+//! allocator at test granularity. The same test also takes the census
+//! of a push that completes a two-null deletion (Figure 16) in its own
+//! DCAS, on each list family under each strategy.
 
 use std::time::Duration;
 
-use dcas::{EpochReclaimer, HazardReclaimer, NodePool, Reclaimer};
+use dcas::{
+    EpochReclaimer, GlobalLock, HarrisMcas, HarrisMcasHazard, HazardReclaimer, NodePool, Reclaimer,
+};
 use dcas_deques::deque::{
     list, list_dummy, list_lfrc, sundell, ConcurrentDeque, DummyListDeque, LfrcListDeque,
     ListDeque, SundellDeque,
@@ -33,10 +37,42 @@ fn churn_and_drop<D: ConcurrentDeque<u64>>(deque: D) {
         assert!(deque.pop_left().is_some());
     }
     drop(deque);
+    flush();
+}
+
+/// Drains both reclamation backends' garbage.
+fn flush() {
     for _ in 0..6 {
         EpochReclaimer::flush();
         HazardReclaimer::flush();
     }
+}
+
+/// Leaves two logically deleted nodes (one pop from each end of a
+/// two-element deque), then pushes at the left end: the push's node
+/// goes in with the double-splice DCAS, which unlinks both null nodes.
+/// Once the backends drain, the pushed node must be the only one
+/// outstanding: both nulls (and, for the dummy family, the dummies that
+/// marked them) retired.
+fn two_null_push_census<D: ConcurrentDeque<u64>>(family: &str, pool: &NodePool, make: fn() -> D) {
+    let before = pool.nodes_outstanding();
+    let deque = make();
+    deque.push_left(1 << 3).unwrap();
+    deque.push_right(2 << 3).unwrap();
+    assert_eq!(deque.pop_left(), Some(1 << 3));
+    assert_eq!(deque.pop_right(), Some(2 << 3));
+    deque.push_left(3 << 3).unwrap();
+    flush();
+    assert_eq!(
+        pool.nodes_outstanding(),
+        before + 1,
+        "{family}: the two-null push left nodes unretired"
+    );
+    assert_eq!(deque.pop_right(), Some(3 << 3));
+    assert_eq!(deque.pop_left(), None);
+    drop(deque);
+    flush();
+    assert_eq!(pool.nodes_outstanding(), before, "{family}: two-null push, after the drop");
 }
 
 /// Runs `make`'s deque through [`churn_and_drop`] twice, asserting the
@@ -74,6 +110,18 @@ fn pooled_deques_balance_allocs_and_recycle_pages() {
     balance("list-dummy", list_dummy::node_pool(), DummyListDeque::<u64>::new);
     balance("list-lfrc", list_lfrc::node_pool(), LfrcListDeque::<u64>::new);
     balance("sundell-cas", sundell::node_pool(), SundellDeque::<u64>::new);
+
+    two_null_push_census("list-dcas", list::node_pool(), ListDeque::<u64, GlobalLock>::new);
+    two_null_push_census("list-dcas", list::node_pool(), ListDeque::<u64, HarrisMcas>::new);
+    two_null_push_census("list-dcas", list::node_pool(), ListDeque::<u64, HarrisMcasHazard>::new);
+    let dummy = list_dummy::node_pool();
+    two_null_push_census("list-dummy", dummy, DummyListDeque::<u64, GlobalLock>::new);
+    two_null_push_census("list-dummy", dummy, DummyListDeque::<u64, HarrisMcas>::new);
+    two_null_push_census("list-dummy", dummy, DummyListDeque::<u64, HarrisMcasHazard>::new);
+    let lfrc = list_lfrc::node_pool();
+    two_null_push_census("list-lfrc", lfrc, LfrcListDeque::<u64, GlobalLock>::new);
+    two_null_push_census("list-lfrc", lfrc, LfrcListDeque::<u64, HarrisMcas>::new);
+    two_null_push_census("list-lfrc", lfrc, LfrcListDeque::<u64, HarrisMcasHazard>::new);
 
     watchdog.disarm();
 }
