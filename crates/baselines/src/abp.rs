@@ -5,8 +5,9 @@
 //! CAS-based deque with applications in job-stealing algorithms" in which
 //! "one side of the deque is accessed by only a single processor, and the
 //! other side allows only pop operations" — restrictions the DCAS deques
-//! remove. We implement it as the CAS-only baseline of the work-stealing
-//! scheduler (`dcas_workstealing::AbpWorkDeque`).
+//! remove. We implement it as a CAS-only baseline; its step machine
+//! (`dcas_modelcheck::machines::AbpMachine`) checks every history against
+//! the same sequential deque specification as the DCAS deques.
 //!
 //! The implementation follows the original pseudocode: a bounded array, a
 //! `bot` index only the owner moves, and an `age` word packing `(tag,

@@ -62,14 +62,12 @@ pub(crate) mod guard;
 pub mod list;
 pub mod list_dummy;
 pub mod list_lfrc;
-pub mod sundell;
 pub mod value;
 
 pub use array::ArrayDeque;
 pub use list::ListDeque;
 pub use list_dummy::DummyListDeque;
 pub use list_lfrc::LfrcListDeque;
-pub use sundell::SundellDeque;
 pub use value::{Boxed, TraceId, WordValue};
 
 // The default lock-free DCAS emulation and its observability, re-exported

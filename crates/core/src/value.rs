@@ -7,8 +7,7 @@
 //! concrete encodings:
 //!
 //! * [`Boxed<T>`] — heap-boxes an arbitrary `T` and stores the (16-byte
-//!   aligned) pointer; the encoding behind the typed array and Sundell
-//!   deques.
+//!   aligned) pointer; the encoding behind the typed array deque.
 //! * `NodeValue<T>` — the encoding of the three typed list deques
 //!   ([`ListDeque`](crate::ListDeque), [`DummyListDeque`](crate::DummyListDeque),
 //!   [`LfrcListDeque`](crate::LfrcListDeque)). When `T` fits a machine word (at most 8 bytes, aligned to
@@ -108,9 +107,9 @@ struct Align16<T>(T);
 
 /// Heap-boxed encoding of an arbitrary `T`.
 ///
-/// `Boxed<T>` is how the typed deque APIs ([`ArrayDeque`](crate::ArrayDeque)
-/// and [`SundellDeque`](crate::SundellDeque), plus the list deques for `T`
-/// wider than a word) store arbitrary element types: `push`
+/// `Boxed<T>` is how the typed deque APIs ([`ArrayDeque`](crate::ArrayDeque),
+/// plus the list deques for `T` wider than a word) store arbitrary
+/// element types: `push`
 /// allocates one box, `pop` frees it. This mirrors the paper's model, in
 /// which values are machine words and anything larger lives behind a
 /// pointer managed by the garbage-collected host (Lisp / Java).

@@ -15,7 +15,6 @@ pub mod dummy;
 pub mod greenwald;
 pub mod lfrc;
 pub mod list;
-pub mod sundell;
 
 use dcas_linearize::DequeOp;
 
@@ -26,7 +25,6 @@ pub use dummy::DummyMachine;
 pub use greenwald::GreenwaldMachine;
 pub use lfrc::LfrcMachine;
 pub use list::ListMachine;
-pub use sundell::SundellMachine;
 
 /// Which end an operation works on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

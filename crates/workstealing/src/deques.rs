@@ -1,11 +1,9 @@
-//! The work-deque abstraction and its implementations.
+//! The work-deque abstraction and its two-level implementation.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use dcas::HarrisMcas;
-use dcas_baselines::{AbpDeque, MutexDeque, Steal};
-use dcas_deque::value::{Boxed, WordValue};
-use dcas_deque::{ArrayDeque, ConcurrentDeque, ListDeque, MAX_BATCH};
+use dcas_deque::{ConcurrentDeque, ListDeque, MAX_BATCH};
 
 use crate::chaselev::{ChaseLev, Steal as ClSteal};
 use crate::scheduler::Task;
@@ -14,8 +12,6 @@ use crate::scheduler::Task;
 pub enum StealOutcome {
     /// The victim's deque was observed empty.
     Empty,
-    /// Lost a race; try another victim.
-    Retry,
     /// A task was stolen.
     Stolen(Task),
 }
@@ -43,12 +39,12 @@ pub trait WorkDeque: Send + Sync + 'static {
     ///
     /// Returns stolen tasks oldest-first; empty means nothing was taken
     /// (empty victim or lost race). The default degenerates to a single
-    /// [`steal`](Self::steal); the batched deques override it with one
-    /// chunk-atomic multi-pop.
+    /// [`steal`](Self::steal); [`TieredChaseLevWorkDeque`] overrides it
+    /// with one chunk-atomic multi-pop of its shared level.
     fn steal_half(&self) -> Vec<Task> {
         match self.steal() {
             StealOutcome::Stolen(t) => vec![t],
-            _ => Vec::new(),
+            StealOutcome::Empty => Vec::new(),
         }
     }
 
@@ -73,18 +69,18 @@ pub trait WorkDeque: Send + Sync + 'static {
     /// storage, returning the ones that could not be published (bounded
     /// shared level at capacity; the caller must run those itself).
     ///
-    /// Flat deques have no private buffer, so the default is a no-op;
-    /// [`TieredChaseLevWorkDeque`] overrides it. The scheduler calls
+    /// A one-level deque has no private buffer and keeps the no-op
+    /// default; [`TieredChaseLevWorkDeque`] overrides it. The scheduler calls
     /// this when a worker dies so the tasks in its private tier and
-    /// staging buffer reach the shared level instead of stranding
-    /// `pending` above zero.
+    /// staging buffer reach the shared level instead of stranding, and
+    /// the run's tallies can still balance.
     fn flush_local(&self) -> Vec<Task> {
         Vec::new()
     }
 
     /// Steal provenance since construction: `(tasks thieves took from
     /// the owner-private tier, tasks thieves took from the shared
-    /// level)`. Flat deques have a single level and report zeros.
+    /// level)`. A one-level deque reports zeros.
     fn tier_steals(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -124,124 +120,6 @@ impl LenHint {
     /// batch early.
     fn is_empty_hint(&self) -> bool {
         self.0.load(Ordering::Relaxed) == 0
-    }
-}
-
-/// Work deque over the paper's unbounded linked-list deque.
-pub struct ListWorkDeque {
-    inner: ListDeque<Task, HarrisMcas>,
-    len: LenHint,
-}
-
-impl WorkDeque for ListWorkDeque {
-    fn with_capacity(_capacity: usize) -> Self {
-        ListWorkDeque { inner: ListDeque::new(), len: LenHint::new() }
-    }
-
-    fn push(&self, t: Task) -> Result<(), Task> {
-        self.inner.push_right(t).map_err(|e| e.into_inner())?;
-        self.len.add(1);
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<Task> {
-        let t = self.inner.pop_right()?;
-        self.len.sub(1);
-        Some(t)
-    }
-
-    fn steal(&self) -> StealOutcome {
-        match self.inner.pop_left() {
-            Some(t) => {
-                self.len.sub(1);
-                StealOutcome::Stolen(t)
-            }
-            None => StealOutcome::Empty,
-        }
-    }
-
-    fn steal_half(&self) -> Vec<Task> {
-        let tasks = self.inner.pop_left_n(self.len.half_batch());
-        self.len.sub(tasks.len());
-        tasks
-    }
-
-    fn push_batch(&self, tasks: Vec<Task>) -> Vec<Task> {
-        let n = tasks.len();
-        match self.inner.push_right_n(tasks) {
-            Ok(()) => {
-                self.len.add(n);
-                Vec::new()
-            }
-            Err(full) => {
-                let rest = full.into_inner();
-                self.len.add(n - rest.len());
-                rest
-            }
-        }
-    }
-
-    fn name() -> &'static str {
-        "list-dcas"
-    }
-}
-
-/// Work deque over the paper's bounded array deque.
-pub struct ArrayWorkDeque {
-    inner: ArrayDeque<Task, HarrisMcas>,
-    len: LenHint,
-}
-
-impl WorkDeque for ArrayWorkDeque {
-    fn with_capacity(capacity: usize) -> Self {
-        ArrayWorkDeque { inner: ArrayDeque::new(capacity.max(1)), len: LenHint::new() }
-    }
-
-    fn push(&self, t: Task) -> Result<(), Task> {
-        self.inner.push_right(t).map_err(|e| e.into_inner())?;
-        self.len.add(1);
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<Task> {
-        let t = self.inner.pop_right()?;
-        self.len.sub(1);
-        Some(t)
-    }
-
-    fn steal(&self) -> StealOutcome {
-        match self.inner.pop_left() {
-            Some(t) => {
-                self.len.sub(1);
-                StealOutcome::Stolen(t)
-            }
-            None => StealOutcome::Empty,
-        }
-    }
-
-    fn steal_half(&self) -> Vec<Task> {
-        let tasks = self.inner.pop_left_n(self.len.half_batch());
-        self.len.sub(tasks.len());
-        tasks
-    }
-
-    fn push_batch(&self, tasks: Vec<Task>) -> Vec<Task> {
-        let n = tasks.len();
-        match self.inner.push_right_n(tasks) {
-            Ok(()) => {
-                self.len.add(n);
-                Vec::new()
-            }
-            Err(full) => {
-                let rest = full.into_inner();
-                self.len.add(n - rest.len());
-                rest
-            }
-        }
-    }
-
-    fn name() -> &'static str {
-        "array-dcas"
     }
 }
 
@@ -541,127 +419,12 @@ impl WorkDeque for TieredChaseLevWorkDeque {
     }
 }
 
-/// Work deque over the CAS-only ABP deque (the baseline built for this
-/// exact access pattern).
-pub struct AbpWorkDeque(AbpDeque);
-
-impl WorkDeque for AbpWorkDeque {
-    fn with_capacity(capacity: usize) -> Self {
-        AbpWorkDeque(AbpDeque::new(capacity.max(1)))
-    }
-
-    fn push(&self, t: Task) -> Result<(), Task> {
-        let w = Boxed::new(t).encode();
-        if self.0.push_bottom(w) {
-            Ok(())
-        } else {
-            // SAFETY: `w` was just encoded and rejected; we reclaim it.
-            Err(unsafe { Boxed::<Task>::decode(w) }.into_inner())
-        }
-    }
-
-    fn pop(&self) -> Option<Task> {
-        // SAFETY: words in the deque are exactly the `Boxed<Task>`
-        // encodings pushed above, consumed once.
-        self.0.pop_bottom().map(|w| unsafe { Boxed::<Task>::decode(w) }.into_inner())
-    }
-
-    fn steal(&self) -> StealOutcome {
-        match self.0.steal() {
-            // SAFETY: as above.
-            Steal::Success(w) => {
-                StealOutcome::Stolen(unsafe { Boxed::<Task>::decode(w) }.into_inner())
-            }
-            Steal::Empty => StealOutcome::Empty,
-            Steal::Abort => StealOutcome::Retry,
-        }
-    }
-
-    fn name() -> &'static str {
-        "abp-cas"
-    }
-}
-
-impl Drop for AbpWorkDeque {
-    fn drop(&mut self) {
-        // Reclaim any tasks left behind (scheduler aborts, panics).
-        while let Some(w) = self.0.pop_bottom() {
-            // SAFETY: as in `pop`.
-            drop(unsafe { Boxed::<Task>::decode(w) });
-        }
-    }
-}
-
-/// Work deque over the lock-based baseline.
-pub struct MutexWorkDeque(MutexDeque<Task>);
-
-impl WorkDeque for MutexWorkDeque {
-    fn with_capacity(_capacity: usize) -> Self {
-        MutexWorkDeque(MutexDeque::new())
-    }
-
-    fn push(&self, t: Task) -> Result<(), Task> {
-        ConcurrentDeque::push_right(&self.0, t).map_err(|e| e.into_inner())
-    }
-
-    fn pop(&self) -> Option<Task> {
-        ConcurrentDeque::pop_right(&self.0)
-    }
-
-    fn steal(&self) -> StealOutcome {
-        match ConcurrentDeque::pop_left(&self.0) {
-            Some(t) => StealOutcome::Stolen(t),
-            None => StealOutcome::Empty,
-        }
-    }
-
-    fn name() -> &'static str {
-        "mutex"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn noop() -> Task {
         Box::new(|_| {})
-    }
-
-    /// All tasks pushed are retrieved exactly once through a mix of
-    /// `steal_half` and owner pops, across every implementation.
-    fn steal_half_conserves<D: WorkDeque>() {
-        let d = D::with_capacity(64);
-        for _ in 0..20 {
-            assert!(d.push(noop()).is_ok(), "{}", D::name());
-        }
-        let stolen = d.steal_half();
-        assert!(
-            !stolen.is_empty() && stolen.len() <= MAX_BATCH,
-            "{}: steal_half took {}",
-            D::name(),
-            stolen.len()
-        );
-        let mut total = stolen.len();
-        loop {
-            let s = d.steal_half();
-            if s.is_empty() {
-                break;
-            }
-            total += s.len();
-        }
-        while d.pop().is_some() {
-            total += 1;
-        }
-        assert_eq!(total, 20, "{}: tasks lost or duplicated", D::name());
-    }
-
-    #[test]
-    fn steal_half_conserves_all_impls() {
-        steal_half_conserves::<ListWorkDeque>();
-        steal_half_conserves::<ArrayWorkDeque>();
-        steal_half_conserves::<AbpWorkDeque>();
-        steal_half_conserves::<MutexWorkDeque>();
     }
 
     /// A tiered deque's tasks are stealable from both levels, and
@@ -793,36 +556,18 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_returns_overflow() {
-        let d = ArrayWorkDeque::with_capacity(16);
-        let rejected = d.push_batch((0..30).map(|_| noop()).collect());
-        let mut held = 0;
-        while d.pop().is_some() {
-            held += 1;
-        }
-        assert_eq!(held + rejected.len(), 30, "tasks lost in push_batch");
-        assert!(held <= 16);
-        // Unbounded list deque never rejects.
-        let d = ListWorkDeque::with_capacity(0);
-        assert!(d.push_batch((0..30).map(|_| noop()).collect()).is_empty());
-        let mut held = 0;
-        while d.pop().is_some() {
-            held += 1;
-        }
-        assert_eq!(held, 30);
-    }
-
-    #[test]
     fn steal_half_scales_with_size_hint() {
-        let d = ListWorkDeque::with_capacity(0);
-        // Two tasks: half is one.
-        assert!(d.push(noop()).is_ok());
-        assert!(d.push(noop()).is_ok());
-        assert_eq!(d.steal_half().len(), 1);
-        // A big pile: half clamps to MAX_BATCH.
-        for _ in 0..100 {
+        let d = TieredChaseLevWorkDeque::with_capacity(0);
+        // One push past RING_CAP spills one batch: half of it is stolen,
+        // then half of the rest.
+        for _ in 0..=RING_CAP {
             assert!(d.push(noop()).is_ok());
         }
+        assert_eq!(d.steal_half().len(), MAX_BATCH / 2);
+        assert_eq!(d.steal_half().len(), MAX_BATCH / 4);
+        // A flushed tier is a big pile: half clamps to MAX_BATCH.
+        assert!(d.flush_local().is_empty());
         assert_eq!(d.steal_half().len(), MAX_BATCH);
+        assert_eq!(d.tier_steals(), (0, (MAX_BATCH / 2 + MAX_BATCH / 4 + MAX_BATCH) as u64));
     }
 }

@@ -7,19 +7,12 @@
 //! other workers' *thief* ends (FIFO, taking the oldest — largest —
 //! work first).
 //!
-//! The scheduler is generic over [`WorkDeque`], with implementations for:
-//!
-//! * the paper's [`ArrayDeque`](dcas_deque::ArrayDeque) and
-//!   [`ListDeque`](dcas_deque::ListDeque) (fully general deques used in
-//!   the restricted work-stealing pattern),
-//! * the CAS-only [`AbpDeque`](dcas_baselines::AbpDeque) baseline
-//!   (designed for exactly this pattern),
-//! * the lock-based [`MutexDeque`](dcas_baselines::MutexDeque), and
-//! * [`TieredChaseLevWorkDeque`], an owner-biased two-level
-//!   [`TieredDeque`]: the owner's push/pop run on a private, growable
-//!   [`ChaseLev`] deque that thieves can steal from directly, and work
-//!   moves to/from the paper's list deque in chunk-atomic batches, so
-//!   the shared level stays linearizable.
+//! The scheduler is generic over [`WorkDeque`]. Its implementation
+//! here is [`TieredChaseLevWorkDeque`], an owner-biased two-level
+//! [`TieredDeque`]: the owner's push/pop run on a private, growable
+//! [`ChaseLev`] deque that thieves can steal from directly, and work
+//! moves to/from the paper's [`ListDeque`](dcas_deque::ListDeque) in
+//! chunk-atomic batches, so the shared level stays linearizable.
 //!
 //! The scheduler is a real fork-join executor: tasks may
 //! [`spawn`](WorkerHandle::spawn) further tasks,
@@ -30,13 +23,13 @@
 //!
 //! The `forkjoin-fib` workload of the end-to-end benchmark
 //! (`e2ebench/`) runs the tiered deque under this executor;
-//! `examples/work_stealing.rs` runs the four one-level deques on one
-//! fork-join tree and checks that they agree.
+//! `examples/work_stealing.rs` runs an irregular fork-join tree on it
+//! and checks the result against a sequential evaluation.
 //!
 //! # Example
 //!
 //! ```
-//! use dcas_workstealing::{Scheduler, ListWorkDeque, WorkerHandle};
+//! use dcas_workstealing::{Scheduler, TieredChaseLevWorkDeque, WorkerHandle};
 //! use dcas_workstealing::Task;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //! use std::sync::Arc;
@@ -59,7 +52,7 @@
 //! }
 //!
 //! let leaves = Arc::new(AtomicU64::new(0));
-//! let sched: Scheduler<ListWorkDeque> = Scheduler::new(4);
+//! let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(4);
 //! let root_leaves = leaves.clone();
 //! sched.run(move |w| count(w, 10, root_leaves));
 //! assert_eq!(leaves.load(Ordering::SeqCst), 1 << 10);
@@ -72,10 +65,7 @@ mod deques;
 mod scheduler;
 
 pub use chaselev::{ChaseLev, Steal as ChaseLevSteal};
-pub use deques::{
-    AbpWorkDeque, ArrayWorkDeque, ListWorkDeque, MutexWorkDeque, StealOutcome,
-    TieredChaseLevWorkDeque, TieredDeque, WorkDeque, RING_CAP,
-};
+pub use deques::{StealOutcome, TieredChaseLevWorkDeque, TieredDeque, WorkDeque, RING_CAP};
 pub use scheduler::{
     Continuation, DynDeque, RunReport, SchedStats, Scheduler, Task, WorkerHandle,
 };

@@ -5,8 +5,9 @@
 //! each node forks its children through [`WorkerHandle::join`], which
 //! runs one side inline and publishes the other for theft, then *joins*
 //! the results — no shared accumulator, no `Arc`; values flow back up
-//! the tree like plain function returns. Runs the same tree on each
-//! deque implementation and prints wall-clock comparisons.
+//! the tree like plain function returns. Runs the tree on the tiered
+//! Chase–Lev executor (the paper's list deque is its shared level),
+//! evaluates the same tree sequentially, and checks that the two agree.
 //!
 //! Run with `cargo run --release --example work_stealing`.
 
@@ -14,41 +15,41 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dcas_deques::workstealing::{
-    AbpWorkDeque, ArrayWorkDeque, DynDeque, ListWorkDeque, MutexWorkDeque, Scheduler, WorkDeque,
-    WorkerHandle,
-};
+use dcas_deques::workstealing::{DynDeque, Scheduler, TieredChaseLevWorkDeque, WorkerHandle};
 
-/// An irregular tree: each node does a little leaf work and forks a
-/// skewed number of children (1..=3), so load balancing actually
-/// matters. Returns the subtree checksum through `join` — the forked
-/// half's result comes back over the join slot, stolen or not.
-fn irregular_tree(w: &WorkerHandle<'_, DynDeque>, depth: u32, width_seed: u64) -> u64 {
-    // Simulated leaf work: a short checksum loop.
-    let mut x = width_seed | 1;
+/// A node's simulated work: a short checksum loop over its seed. The
+/// low byte of the result is the node's value, the result mod 3 picks
+/// its skewed fan-out (1..=3), so load balancing actually matters, and
+/// child `i` is seeded with the result plus `i`.
+fn node_work(seed: u64) -> u64 {
+    let mut x = seed | 1;
     for _ in 0..200 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     }
-    let leaf = x & 0xFF;
+    x
+}
 
+/// The tree's checksum on the executor. The forked half's result comes
+/// back over the join slot, stolen or not.
+fn irregular_tree(w: &WorkerHandle<'_, DynDeque>, depth: u32, seed: u64) -> u64 {
+    let x = node_work(seed);
+    let leaf = x & 0xFF;
     if depth == 0 {
         return leaf;
     }
-    // Skewed fan-out, joined as a fork tree: two children fork as a
-    // pair; a third nests inside the right branch.
-    let children = 1 + (x % 3);
-    let below = match children {
-        1 => irregular_tree(w, depth - 1, x.wrapping_add(0)),
+    // Two children fork as a pair; a third nests inside the right branch.
+    let below = match 1 + x % 3 {
+        1 => irregular_tree(w, depth - 1, x),
         2 => {
             let (a, b) = w.join(
-                |w| irregular_tree(w, depth - 1, x.wrapping_add(0)),
+                |w| irregular_tree(w, depth - 1, x),
                 |w| irregular_tree(w, depth - 1, x.wrapping_add(1)),
             );
             a + b
         }
         _ => {
             let (a, (b, c)) = w.join(
-                |w| irregular_tree(w, depth - 1, x.wrapping_add(0)),
+                |w| irregular_tree(w, depth - 1, x),
                 |w| {
                     w.join(
                         |w| irregular_tree(w, depth - 1, x.wrapping_add(1)),
@@ -62,39 +63,44 @@ fn irregular_tree(w: &WorkerHandle<'_, DynDeque>, depth: u32, width_seed: u64) -
     leaf + below
 }
 
-fn run_one<D: WorkDeque>(workers: usize, depth: u32) -> (u64, std::time::Duration) {
-    let out = Arc::new(AtomicU64::new(0));
-    let sched: Scheduler<D> = Scheduler::with_capacity(workers, 1 << 14);
-    let root_out = Arc::clone(&out);
-    let start = Instant::now();
-    sched.run(move |w| {
-        let sum = irregular_tree(w, depth, 42);
-        root_out.store(sum, Ordering::SeqCst);
-    });
-    (out.load(Ordering::SeqCst), start.elapsed())
+/// The same tree's checksum, evaluated on one thread.
+fn irregular_tree_seq(depth: u32, seed: u64) -> u64 {
+    let x = node_work(seed);
+    let leaf = x & 0xFF;
+    if depth == 0 {
+        return leaf;
+    }
+    leaf + (0..1 + x % 3).map(|i| irregular_tree_seq(depth - 1, x.wrapping_add(i))).sum::<u64>()
 }
 
 fn main() {
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    let depth = 13;
+    let (depth, seed) = (13, 42);
     println!("fork-join irregular tree, depth {depth}, {workers} workers\n");
-    println!("{:<12} {:>12} {:>14}", "deque", "checksum", "wall time");
 
-    let (c1, t1) = run_one::<ListWorkDeque>(workers, depth);
-    println!("{:<12} {:>12} {:>14?}", ListWorkDeque::name(), c1, t1);
+    let out = Arc::new(AtomicU64::new(0));
+    let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(workers);
+    let root_out = Arc::clone(&out);
+    let start = Instant::now();
+    let report = sched.run_report(move |w| {
+        root_out.store(irregular_tree(w, depth, seed), Ordering::SeqCst);
+    });
+    let parallel_time = start.elapsed();
+    let parallel = out.load(Ordering::SeqCst);
+    assert_eq!((report.panics, report.dropped), (0, 0), "no task may panic or be dropped");
 
-    let (c2, t2) = run_one::<ArrayWorkDeque>(workers, depth);
-    println!("{:<12} {:>12} {:>14?}", ArrayWorkDeque::name(), c2, t2);
+    let start = Instant::now();
+    let sequential = irregular_tree_seq(depth, seed);
+    let sequential_time = start.elapsed();
 
-    let (c3, t3) = run_one::<AbpWorkDeque>(workers, depth);
-    println!("{:<12} {:>12} {:>14?}", AbpWorkDeque::name(), c3, t3);
+    println!("{:<16} {:>12} {:>14}", "evaluation", "checksum", "wall time");
+    println!("{:<16} {:>12} {:>14?}", "tiered-chaselev", parallel, parallel_time);
+    println!("{:<16} {:>12} {:>14?}", "sequential", sequential, sequential_time);
+    println!(
+        "steals: {} from private tiers, {} from shared list deques",
+        report.stats.steals_private_tier, report.stats.steals_shared_tier
+    );
 
-    let (c4, t4) = run_one::<MutexWorkDeque>(workers, depth);
-    println!("{:<12} {:>12} {:>14?}", MutexWorkDeque::name(), c4, t4);
-
-    // The checksum is deterministic: every scheduler must agree.
-    assert_eq!(c1, c2);
-    assert_eq!(c1, c3);
-    assert_eq!(c1, c4);
-    println!("\nall schedulers computed the same checksum — work conserved");
+    assert_eq!(parallel, sequential, "the executor must compute the sequential checksum");
+    println!("\nthe executor computed the sequential checksum — work conserved");
 }

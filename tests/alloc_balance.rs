@@ -2,7 +2,7 @@
 //! pooled deque allocates must come back to the pool by the time the
 //! deque is dropped and the reclaimers have flushed.
 //!
-//! One `#[test]` covers all four linked families because the pool
+//! One `#[test]` covers all three linked families because the pool
 //! gauges (`nodes_outstanding`, `pages_allocated`) are process-global
 //! per family pool: interleaved tests would see each other's churn. Each family runs the
 //! same scenario **twice** — the first round may grow the pool (pages
@@ -18,8 +18,7 @@ use dcas::{
     EpochReclaimer, GlobalLock, HarrisMcas, HarrisMcasHazard, HazardReclaimer, NodePool, Reclaimer,
 };
 use dcas_deques::deque::{
-    list, list_dummy, list_lfrc, sundell, ConcurrentDeque, DummyListDeque, LfrcListDeque,
-    ListDeque, SundellDeque,
+    list, list_dummy, list_lfrc, ConcurrentDeque, DummyListDeque, LfrcListDeque, ListDeque,
 };
 use dcas_deques::harness::{torture_seed, Watchdog};
 
@@ -109,7 +108,6 @@ fn pooled_deques_balance_allocs_and_recycle_pages() {
     balance("list-dcas", list::node_pool(), ListDeque::<u64>::new);
     balance("list-dummy", list_dummy::node_pool(), DummyListDeque::<u64>::new);
     balance("list-lfrc", list_lfrc::node_pool(), LfrcListDeque::<u64>::new);
-    balance("sundell-cas", sundell::node_pool(), SundellDeque::<u64>::new);
 
     two_null_push_census("list-dcas", list::node_pool(), ListDeque::<u64, GlobalLock>::new);
     two_null_push_census("list-dcas", list::node_pool(), ListDeque::<u64, HarrisMcas>::new);

@@ -1,7 +1,7 @@
 //! Sequential cross-implementation agreement: every deque in the
 //! workspace, driven through the same randomized operation sequences,
 //! must return exactly the same results (with capacity-aware expectations
-//! for the bounded ones). This pins all seven implementations to one
+//! for the bounded ones). This pins all six implementations to one
 //! another and to `VecDeque`, complementing the per-implementation
 //! property tests.
 
@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use dcas::{GlobalLock, HarrisMcas};
 use dcas_deques::baselines::{GreenwaldDeque, MutexDeque};
-use dcas_deques::deque::{ArrayDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque};
+use dcas_deques::deque::{ArrayDeque, DummyListDeque, LfrcListDeque, ListDeque};
 use dcas_deques::prelude::ConcurrentDeque;
 
 const CAP: usize = 8;
@@ -27,10 +27,9 @@ fn unbounded_impls() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
     vec![
         Box::new(ListDeque::<u64, HarrisMcas>::new()),
         Box::new(ListDeque::<u64, GlobalLock>::new()),
+        Box::new(ListDeque::<u64, dcas::HarrisMcasHazard>::new()),
         Box::new(DummyListDeque::<u64, HarrisMcas>::new()),
         Box::new(LfrcListDeque::<u64, HarrisMcas>::new()),
-        Box::new(SundellDeque::<u64, HarrisMcas>::new()),
-        Box::new(SundellDeque::<u64, dcas::HarrisMcasHazard>::new()),
         Box::new(MutexDeque::<u64>::new()),
     ]
 }

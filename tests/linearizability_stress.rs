@@ -13,7 +13,7 @@ use std::time::Duration;
 use dcas::{DcasStrategy, GlobalLock, HarrisMcas, Yielding};
 use dcas_deques::baselines::{GreenwaldDeque, MutexDeque};
 use dcas_deques::deque::{
-    ArrayDeque, ConcurrentDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque,
+    ArrayDeque, ConcurrentDeque, DummyListDeque, LfrcListDeque, ListDeque,
 };
 use dcas_deques::harness::Watchdog;
 use dcas_deques::linearize::{stress_and_check, StressConfig};
@@ -22,8 +22,8 @@ use dcas_deques::linearize::{stress_and_check, StressConfig};
 const SEED: u64 = 0xD0C5;
 
 /// How long one case may run before the watchdog aborts it. In a debug
-/// build on two cores every case but the spinning Sundell–Tsigas ones
-/// has finished within the suite's first minute.
+/// build on two cores every case has finished within the suite's first
+/// minute.
 const DEADLINE: Duration = Duration::from_secs(120);
 
 fn config(capacity: Option<usize>) -> StressConfig {
@@ -67,10 +67,6 @@ fn check_lfrc_list<S: DcasStrategy>() {
     check(&LfrcListDeque::<u64, S>::new(), config(None));
 }
 
-fn check_sundell<S: DcasStrategy>() {
-    check(&SundellDeque::<u64, S>::new(), config(None));
-}
-
 fn check_greenwald<S: DcasStrategy>() {
     check(&GreenwaldDeque::<u64, S>::new(4), config(Some(4)));
 }
@@ -105,23 +101,15 @@ strategy_matrix!(array_deque, check_array);
 strategy_matrix!(list_deque, check_list);
 strategy_matrix!(dummy_list_deque, check_dummy_list);
 strategy_matrix!(lfrc_list_deque, check_lfrc_list);
-strategy_matrix!(sundell_deque, check_sundell);
 strategy_matrix!(greenwald_deque, check_greenwald);
 
 #[test]
-fn sundell_deque_hazard_backend_is_linearizable() {
-    // The CAS-only deque under the hazard-pointer reclaimer: every
-    // traversal runs the announce-and-validate protocol mid-history.
-    let d: SundellDeque<u64, dcas::HarrisMcasHazard> = SundellDeque::new();
+fn list_deque_hazard_backend_is_linearizable() {
+    // The list deque under the hazard-pointer reclaimer: every DCAS and
+    // every neighbour read runs the announce-and-validate protocol
+    // mid-history.
+    let d: ListDeque<u64, dcas::HarrisMcasHazard> = ListDeque::new();
     check(&d, config(None));
-}
-
-#[test]
-fn sundell_pop_heavy_workload_hits_empty_paths() {
-    // Pop-biased traffic exercises the empty-observation returns and the
-    // helping paths that race a half-finished deletion at each end.
-    let d: SundellDeque<u64, HarrisMcas> = SundellDeque::new();
-    check(&d, StressConfig { push_bias: 25, rounds: 150, ..config(None) });
 }
 
 #[test]

@@ -41,7 +41,7 @@ use dcas::{
     EpochReclaimer, FaultInjecting, FaultPlan, FaultPoint, HarrisMcas, HarrisMcasHazard,
     HazardReclaimer, KillKind, Reclaimer, StallGate,
 };
-use dcas_deques::deque::{ConcurrentDeque, ListDeque, SundellDeque};
+use dcas_deques::deque::{ConcurrentDeque, ListDeque};
 use dcas_deques::harness::{torture_seed, Watchdog};
 
 /// Worker threads churning the deque while the victim is frozen.
@@ -57,8 +57,7 @@ const QUIESCENT_OPS_PER_ROUND: u64 = 8_000;
 const EPOCH_ALLOWANCE_NODES: u64 = 16_384;
 
 /// Freezes a victim mid-operation on `deque` (at the `PreInstall` fault
-/// point — inside the MCAS protocol for the DCAS deques, at the top of a
-/// push retry loop for the CAS-only sundell deque), runs `rounds ×
+/// point, inside the MCAS protocol), runs `rounds ×
 /// CHECKPOINT_OPS` push/pop pairs per worker, sampling `garbage()` after
 /// each round. Returns the samples. The victim is released and joined
 /// before the function returns.
@@ -295,69 +294,6 @@ fn reclaim_frozen_victim_epoch_grows_hazard_bounded() {
         pages_bound(bound)
     );
 
-    // ---------------- Sundell rows ----------------
-    // The CAS-only deque retires one node per pop through the same
-    // pluggable backends (no descriptors at all), so the two claims must
-    // replay on it: a frozen pin makes epoch garbage grow without bound,
-    // while the hazard backend stays under its static bound. Runs in
-    // this same `#[test]` because the gauges are process-global.
-    let epoch_before = EpochReclaimer::live_garbage();
-    let sundell_epoch: Arc<SundellDeque<u64, FaultInjecting<HarrisMcas>>> =
-        Arc::new(SundellDeque::new());
-    let samples = frozen_victim_churn(
-        "sundell epoch arm",
-        &sundell_epoch,
-        seed ^ 0x5D11,
-        4,
-        EpochReclaimer::live_garbage,
-    );
-    let (first, last) = (samples[0], *samples.last().unwrap());
-    assert!(
-        last >= first.saturating_mul(2) && last > epoch_before,
-        "sundell epoch arm: garbage did not grow with op count under a \
-         frozen pin (samples: {samples:?})"
-    );
-    for _ in 0..6 {
-        EpochReclaimer::flush();
-    }
-    drop(sundell_epoch);
-
-    let pages_before_sundell_hazard = dcas::alloc::pages_allocated();
-    let sundell_hazard: Arc<SundellDeque<u64, FaultInjecting<HarrisMcasHazard>>> =
-        Arc::new(SundellDeque::new());
-    let samples = frozen_victim_churn(
-        "sundell hazard arm",
-        &sundell_hazard,
-        seed ^ 0x7A2A,
-        4,
-        HazardReclaimer::live_garbage,
-    );
-    let bound = dcas::reclaim::hazard::static_garbage_bound();
-    let hwm = HazardReclaimer::garbage_high_water();
-    assert!(
-        hwm <= bound,
-        "sundell hazard arm: high-water {hwm} exceeded the static bound \
-         {bound} (samples: {samples:?})"
-    );
-    for (i, &g) in samples.iter().enumerate() {
-        assert!(
-            g <= bound,
-            "sundell hazard arm: round {i} garbage {g} over bound {bound}"
-        );
-    }
-    HazardReclaimer::flush();
-    assert!(
-        HazardReclaimer::live_garbage() <= bound,
-        "sundell hazard arm: post-flush garbage over bound"
-    );
-    let sundell_pages_grown = dcas::alloc::pages_allocated() - pages_before_sundell_hazard;
-    assert!(
-        sundell_pages_grown <= pages_bound(bound),
-        "sundell hazard arm: pool grew {sundell_pages_grown} pages under a \
-         frozen victim, over the {} page bound",
-        pages_bound(bound)
-    );
-
     // ---------------- Epoch quiescent arm ----------------
     // A victim blocked *between* operations holds no pin, so the epoch
     // keeps advancing and retired nodes keep recycling: the list pool
@@ -378,7 +314,6 @@ fn reclaim_frozen_victim_epoch_grows_hazard_bounded() {
     // returns to the baseline (small slack for deferred-queue
     // stragglers another thread sealed but nothing ever collected).
     drop(hazard_deque);
-    drop(sundell_hazard);
     for _ in 0..6 {
         EpochReclaimer::flush();
         HazardReclaimer::flush();

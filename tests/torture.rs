@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use dcas::fault::{self, FaultLog, FAULT_POINTS};
 use dcas::{FaultInjecting, FaultPlan, FaultPoint, HarrisMcas, KillKind, StallGate};
-use dcas_deques::deque::{ArrayDeque, ConcurrentDeque, DummyListDeque, ListDeque, SundellDeque};
+use dcas_deques::deque::{ArrayDeque, ConcurrentDeque, DummyListDeque, ListDeque};
 use dcas_deques::harness::{torture_seed, Watchdog};
 
 type Fis = FaultInjecting<HarrisMcas>;
@@ -357,8 +357,7 @@ where
 /// Runs the full 3-point matrix for one deque and kill kind, with a
 /// per-run seed derived from the printed base seed. `atomic_batches` is
 /// as in [`one_op`]: true where batched ops are chunk-atomic CASN
-/// overrides, false for per-element batch loops (the dummy-node and the
-/// CAS-only sundell deques).
+/// overrides, false for per-element batch loops (the dummy-node deque).
 fn torture_matrix<D, F>(test: &str, make_deque: F, kill: fn() -> Kill, atomic_batches: bool)
 where
     D: ConcurrentDeque<Counted> + 'static,
@@ -502,11 +501,12 @@ fn list_deque_survives_stall_chaos() {
 
 /// The motivating application under fire: a work-stealing run where a
 /// randomly chosen subset of tasks panic. Each panic kills its worker,
-/// but the dead workers' deques stay stealable, so the survivors finish
-/// every non-panicking task.
+/// whose death-flush publishes its tiered deque's private tier to the
+/// shared level; the dead workers' deques stay stealable, so the
+/// survivors finish every non-panicking task.
 #[test]
 fn workstealing_scheduler_survives_dead_workers() {
-    use dcas_deques::workstealing::{ListWorkDeque, Scheduler};
+    use dcas_deques::workstealing::{Scheduler, TieredChaseLevWorkDeque};
 
     let test = "workstealing_scheduler_survives_dead_workers";
     let base = torture_seed(test);
@@ -526,7 +526,7 @@ fn workstealing_scheduler_survives_dead_workers() {
             d.into_iter().collect()
         };
         let completed = Arc::new(AtomicU64::new(0));
-        let sched: Scheduler<ListWorkDeque> = Scheduler::new(4);
+        let sched: Scheduler<TieredChaseLevWorkDeque> = Scheduler::new(4);
         let c = Arc::clone(&completed);
         let doomed2 = doomed.clone();
         let report = sched.run_report(move |w| {
@@ -780,66 +780,6 @@ fn dummy_list_deque_survives_panicked_thread_hazard_reclaim() {
         DummyListDeque::<Counted, FisH>::new,
         || Kill::Panic,
         // Per-element default batch loops: not kill-attributable.
-        false,
-    );
-}
-
-// ---------------------------------------------------------------------
-// The CAS-only competitor: the Sundell–Tsigas deque under the same kill
-// matrix, on both reclamation backends
-// ---------------------------------------------------------------------
-//
-// The sundell deque never enters the MCAS protocol (single-word CAS
-// only), so the kill lands at the deque's *own* fault hooks: `PreInstall`
-// at the top of each push's retry loop, `MidHelping` inside the pop and
-// helping loops, `PreRelease` at op exit. Panic kills fire only at
-// effect-free hits — before the publish CAS, before a mark CAS, or after
-// all side effects — so exact value conservation must survive them; the
-// drop-count audit additionally proves the unwound `Pending` node and
-// value were freed. Its batches are per-element loops (`atomic_batches`
-// false).
-
-#[test]
-fn sundell_deque_survives_frozen_thread() {
-    torture_matrix(
-        "sundell_deque_survives_frozen_thread",
-        SundellDeque::<Counted, Fis>::new,
-        || Kill::Freeze,
-        false,
-    );
-}
-
-#[test]
-fn sundell_deque_survives_panicked_thread() {
-    torture_matrix(
-        "sundell_deque_survives_panicked_thread",
-        SundellDeque::<Counted, Fis>::new,
-        || Kill::Panic,
-        false,
-    );
-}
-
-#[test]
-fn sundell_deque_survives_frozen_thread_hazard_reclaim() {
-    // Freezing mid-traversal parks the victim with hazard slots
-    // announced and possibly a link-count reservation held; survivors'
-    // scans skip those nodes and every other node keeps being reclaimed
-    // (the garbage bound for this scenario is measured in
-    // reclaim_torture.rs).
-    torture_matrix(
-        "sundell_deque_survives_frozen_thread_hazard_reclaim",
-        SundellDeque::<Counted, FisH>::new,
-        || Kill::Freeze,
-        false,
-    );
-}
-
-#[test]
-fn sundell_deque_survives_panicked_thread_hazard_reclaim() {
-    torture_matrix(
-        "sundell_deque_survives_panicked_thread_hazard_reclaim",
-        SundellDeque::<Counted, FisH>::new,
-        || Kill::Panic,
         false,
     );
 }

@@ -4,7 +4,7 @@
 
 use dcas::{GlobalLock, HarrisMcas};
 use dcas_deques::baselines::{GreenwaldDeque, MutexDeque};
-use dcas_deques::deque::{ArrayDeque, DummyListDeque, LfrcListDeque, ListDeque, SundellDeque};
+use dcas_deques::deque::{ArrayDeque, DummyListDeque, LfrcListDeque, ListDeque};
 use dcas_deques::prelude::ConcurrentDeque;
 
 fn all_deques() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
@@ -14,7 +14,6 @@ fn all_deques() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
         Box::new(ListDeque::<u64, HarrisMcas>::new()),
         Box::new(DummyListDeque::<u64, HarrisMcas>::new()),
         Box::new(LfrcListDeque::<u64, HarrisMcas>::new()),
-        Box::new(SundellDeque::<u64, HarrisMcas>::new()),
         Box::new(GreenwaldDeque::<u64, HarrisMcas>::new(64)),
         Box::new(MutexDeque::<u64>::new()),
     ]
@@ -67,7 +66,6 @@ fn roomy_deques() -> Vec<Box<dyn ConcurrentDeque<u64>>> {
         Box::new(ListDeque::<u64, HarrisMcas>::new()),
         Box::new(DummyListDeque::<u64, HarrisMcas>::new()),
         Box::new(LfrcListDeque::<u64, HarrisMcas>::new()),
-        Box::new(SundellDeque::<u64, HarrisMcas>::new()),
         Box::new(GreenwaldDeque::<u64, HarrisMcas>::new(1024)),
         Box::new(MutexDeque::<u64>::new()),
     ]
@@ -93,9 +91,7 @@ fn shared_across_threads_as_dyn() {
             count += 1;
         }
         assert_eq!(count, 600, "{name}");
-        // Hazard/epoch-free deques tolerate a trailing flush; for the
-        // sundell deque this also exercises the link-count death cascade
-        // from a fully drained state.
+        // A drained deque answers empty at the other end too.
         assert_eq!(d.pop_right(), None, "{name}");
     }
 }
